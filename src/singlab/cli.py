@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -67,7 +68,7 @@ class UsageError(ValueError):
 # report builders
 
 
-def analyze_report(d: WeightSequence, window: int, node_limit: int) -> dict:
+def analyze_report(d: WeightSequence, node_limit: int) -> dict:
     mu_bar, mu, sign = weightcalc.mu_values(d)
     B = abgroup.weight_group(d.entries)
     spec = weightcalc.spec_from_weights(d)
@@ -190,7 +191,10 @@ def orbit_report(weights: WeightSequence, window: int) -> dict:
             for u in mfengine.standard_objects(rx)
             for v in mfengine.standard_objects(ry)]
     A = objs[0].ring.grading
-    gamma = A.group.element([1, -1])
+    # the grading group is Z^2 / (a, -b); g * gamma is that relation, so
+    # gamma generates its torsion part Z/g (e_x - e_y is torsion only if a = b)
+    g = math.gcd(a, b)
+    gamma = A.group.element([a // g, -(b // g)])
     psi = mfengine.OrbitSpec(A, [gamma])
     pair_results = []
     all_ok = True
@@ -466,7 +470,6 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("analyze", help="full weight-sequence report")
     p.add_argument("weights")
-    p.add_argument("--window", type=int, default=None)
 
     p = sub.add_parser("group", help="weight-group presentation and degrees")
     p.add_argument("weights")
@@ -482,7 +485,6 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("mf", help="standard-object endomorphism check")
     p.add_argument("--max-d", dest="max_d", type=int, default=None)
-    p.add_argument("--window", type=int, default=None)
 
     p = sub.add_parser("orbit", help="restriction/orbit-sum identity")
     p.add_argument("--weights", default="3,3")
@@ -511,7 +513,7 @@ def main(argv=None) -> int:
 
         if args.command == "analyze":
             payload = analyze_report(parse_weights(args.weights),
-                                     cfg["window"], cfg["node_limit"])
+                                     cfg["node_limit"])
         elif args.command == "group":
             payload = group_report(parse_weights(args.weights))
         elif args.command == "decompose":

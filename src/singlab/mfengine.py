@@ -429,9 +429,9 @@ class FactorizationMap:
         E, F = self.source, self.target
         nv = E.ring.nvars()
         c1 = _sub_poly(_matmul_poly(self.f_zero, E.phi0, nv),
-                       _matmul_poly(F.phi0, self.f_neg, nv), nv)
+                       _matmul_poly(F.phi0, self.f_neg, nv))
         c2 = _sub_poly(_matmul_poly(self.f_neg, E.phi_neg, nv),
-                       _matmul_poly(F.phi_neg, self.f_zero, nv), nv)
+                       _matmul_poly(F.phi_neg, self.f_zero, nv))
         return c1, c2
 
     def is_closed(self) -> bool:
@@ -439,7 +439,7 @@ class FactorizationMap:
         return _all_zero(c1) and _all_zero(c2)
 
 
-def _sub_poly(A, B, nvars):
+def _sub_poly(A, B):
     return tuple(tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(A, B))
 
 
@@ -712,65 +712,36 @@ def _hom_basis(E: Factorization, F: Factorization, n: int):
     return basis
 
 
-def _basis_to_matrices(E, F, n, basis, coords):
-    ring = E.ring
-    nv = ring.nvars()
-    comps = _hom_components(E, F, n)
-    mats = []
-    for comp, (src, tgt) in enumerate(comps):
-        mats.append([[Polynomial.zero(nv) for _ in range(src.rank)]
-                     for _ in range(tgt.rank)])
-    for (comp, i, j, exps), c in zip(basis, coords):
-        if c:
-            mats[comp][i][j] = mats[comp][i][j] + Polynomial.monomial(nv, exps, c)
-    return [tuple(tuple(p for p in row) for row in m) for m in mats]
-
-
-def _apply_differential(E: Factorization, F: Factorization, n: int, mats):
-    """The strand differential Hom^n -> Hom^{n+1} on matrix pairs."""
-    nv = E.ring.nvars()
-    g_neg, g_zero = mats
-    if n % 2 == 0:
-        out0 = _sub_poly(_matmul_poly(g_zero, E.phi0, nv),
-                         _matmul_poly(F.phi0, g_neg, nv), nv)
-        out1 = _sub_poly(_matmul_poly(g_neg, E.phi_neg, nv),
-                         _matmul_poly(F.phi_neg, g_zero, nv), nv)
-    else:
-        out0 = _add_poly(_matmul_poly(g_zero, E.phi0, nv),
-                         _matmul_poly(F.phi_neg, g_neg, nv), nv)
-        out1 = _add_poly(_matmul_poly(g_neg, E.phi_neg, nv),
-                         _matmul_poly(F.phi0, g_zero, nv), nv)
-    return (out0, out1)
-
-
-def _add_poly(A, B, nvars):
-    return tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(A, B))
-
-
-def _matrices_to_coords(E, F, n, mats, basis):
-    index = {(comp, i, j, exps): pos for pos, (comp, i, j, exps) in enumerate(basis)}
-    coords = [Fraction(0)] * len(basis)
-    for comp, m in enumerate(mats):
-        for i, row in enumerate(m):
-            for j, p in enumerate(row):
-                for exps, c in p.terms.items():
-                    pos = index.get((comp, i, j, exps))
-                    assert pos is not None, "differential left the graded window"
-                    coords[pos] = c
-    return coords
-
-
 def _differential_matrix(E, F, n, basis_n, basis_np1):
-    cols = []
-    for pos in range(len(basis_n)):
-        coords = [Fraction(0)] * len(basis_n)
-        coords[pos] = Fraction(1)
-        mats = _basis_to_matrices(E, F, n, basis_n, coords)
-        out = _apply_differential(E, F, n, mats)
-        cols.append(_matrices_to_coords(E, F, n + 1, out, basis_np1))
-    if not cols:
+    """Matrix of the strand differential Hom^n(E, F) -> Hom^{n+1}(E, F).
+
+    The differential sends g to g . phi^E - (-1)^n phi^F . g.  Right
+    multiplication by the E map moves a block to the other component; left
+    multiplication by the F map keeps it.  Rows follow `basis_np1`, columns
+    `basis_n`.
+    """
+    if not basis_n:
         return []
-    return linalg.transpose(cols)
+    index = {key: pos for pos, key in enumerate(basis_np1)}
+    rows = [[Fraction(0)] * len(basis_n) for _ in basis_np1]
+    sign = 1 if n % 2 else -1
+
+    def add(key, col, c):
+        pos = index.get(key)
+        if pos is None:
+            raise AssertionError("differential left the graded window")
+        rows[pos][col] += c
+
+    for col, (comp, i, j, m) in enumerate(basis_n):
+        right = E.phi0 if comp else E.phi_neg
+        for jj, p in enumerate(right[j]):
+            for e, c in p.terms.items():
+                add((1 - comp, i, jj, tuple(a + b for a, b in zip(m, e))), col, c)
+        left = F.phi0 if (n + comp) % 2 == 0 else F.phi_neg
+        for ii, row in enumerate(left):
+            for e, c in row[i].terms.items():
+                add((comp, ii, j, tuple(a + b for a, b in zip(m, e))), col, sign * c)
+    return rows
 
 
 def default_window(E: Factorization, F: Factorization) -> int:
@@ -812,7 +783,8 @@ def _graded_solve(ring, matrix, src_twists, tgt_twists, rhs, element_degree):
                 for exps, c in p.terms.items():
                     prod = tuple(a + b for a, b in zip(exps, mono))
                     k = out_index.get(prod)
-                    assert k is not None, "graded product left its component"
+                    if k is None:
+                        raise AssertionError("graded product left its component")
                     block[k][offsets[j] + v_pos] += c
         target = [Fraction(0)] * len(out_basis)
         for exps, c in rhs[r].terms.items():
@@ -930,13 +902,15 @@ def strand_cohomology(E: Factorization, F: Factorization,
     for n in range(n_lo, n_hi + 1):
         l, eps = divmod(n, 2)
         dim = len(bases[n]) - ranks[n] - ranks[n - 1]
-        assert dim >= 0
+        if dim < 0:
+            raise AssertionError(f"negative strand dimension at n={n}")
         entries[(eps, l)] = dim
     if certification[0] == "certified":
         for l in (l_lo, l_hi):
             for eps in (0, 1):
-                assert entries[(eps, l)] == 0, \
-                    "nonzero strand at the certified boundary"
+                if entries[(eps, l)]:
+                    raise AssertionError(
+                        "nonzero strand at the certified boundary")
     return StrandCohomology(entries, certification)
 
 

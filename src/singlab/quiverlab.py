@@ -601,7 +601,7 @@ def ext_via_resolution(M: Representation, N: Representation) -> int:
     if not basis1:
         return 0
     # matrix of (- . iota): Hom(P0, N) -> Hom(P1, N) in the two bases
-    def flatten(Xdict, R):
+    def flatten(Xdict):
         vec = []
         for v in M.quiver.vertices():
             for row in Xdict[v]:
@@ -611,8 +611,7 @@ def ext_via_resolution(M: Representation, N: Representation) -> int:
     images = []
     for X in basis0:
         comp = {v: linalg.matmul(X[v], iota[v]) for v in M.quiver.vertices()}
-        images.append(flatten(comp, P1))
-    target_vecs = [flatten(Y, P1) for Y in basis1]
+        images.append(flatten(comp))
     # rank of the image inside the coordinate space of Hom(P1, N)
     rank_img = linalg.rank(images) if images else 0
     return len(basis1) - rank_img

@@ -113,9 +113,12 @@ def test_mf_subcommand(capsys):
 
 
 def test_orbit_subcommand(capsys):
-    code, out = run_cli(capsys, "orbit", "--weights", "3,3", "--window", "2")
-    r = json.loads(out)["results"]
-    assert code == 0 and r["ok"] and r["gamma_order"] == 3
+    for weights, window, order in (("3,3", "2", 3), ("2,4", "1", 2),
+                                   ("2,3", "1", 1)):
+        code, out = run_cli(capsys, "orbit", "--weights", weights,
+                            "--window", window)
+        r = json.loads(out)["results"]
+        assert code == 0 and r["ok"] and r["gamma_order"] == order
 
 
 def test_verify_quiver(capsys):
@@ -141,9 +144,11 @@ def test_usage_error_exit_code(capsys):
 
 
 def test_unknown_suite_exit_code(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["verify", "nonsense"])
-    assert exc.value.code == 2
+    for argv in (["verify", "nonsense"], ["mf", "--window", "2"],
+                 ["analyze", "2,3,5", "--window", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
 
 
 def test_text_format(capsys):

@@ -1,8 +1,17 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import singlab
+from singlab import linalg
+from singlab.mfengine import (_differential_matrix, _hom_basis,
+                              _hom_components, _matmul_poly)
 from singlab.mfengine import (Factorization, OrbitSpec, Polynomial, cone,
                               default_window, endo_algebra_check,
                               factorization_map, fermat_ring, k_object,
@@ -296,3 +305,89 @@ def test_default_window_positive():
     ring = ring3()
     E1, E2 = standard_objects(ring)
     assert default_window(E1, E2) >= 2
+
+
+def _coords_to_matrices(E, F, n, basis, coords):
+    """Oracle: the pair (g_neg, g_zero) of polynomial matrices of a vector."""
+    nv = E.ring.nvars()
+    mats = [[[Polynomial.zero(nv) for _ in range(src.rank)]
+             for _ in range(tgt.rank)] for src, tgt in _hom_components(E, F, n)]
+    for (comp, i, j, exps), c in zip(basis, coords):
+        mats[comp][i][j] = mats[comp][i][j] + Polynomial.monomial(nv, exps, c)
+    return mats
+
+
+def _oracle_differential(E, F, n, g_neg, g_zero):
+    """g -> g . phi^E - (-1)^n phi^F . g by polynomial matrix products."""
+    nv = E.ring.nvars()
+    fa, fb = (F.phi0, F.phi_neg) if n % 2 == 0 else (F.phi_neg, F.phi0)
+    sign = 1 if n % 2 else -1
+
+    def combine(right, left):
+        return [[a + sign * b for a, b in zip(ra, rb)]
+                for ra, rb in zip(right, left)]
+
+    return (combine(_matmul_poly(g_zero, E.phi0, nv), _matmul_poly(fa, g_neg, nv)),
+            combine(_matmul_poly(g_neg, E.phi_neg, nv), _matmul_poly(fb, g_zero, nv)))
+
+
+def _matrices_to_coords(mats, basis):
+    index = {key: pos for pos, key in enumerate(basis)}
+    coords = [Fraction(0)] * len(basis)
+    for comp, m in enumerate(mats):
+        for i, row in enumerate(m):
+            for j, p in enumerate(row):
+                for exps, c in p.terms.items():
+                    coords[index[(comp, i, j, exps)]] = c
+    return coords
+
+
+def test_differential_matrix_matches_polynomial_oracle():
+    rx = one_variable_ring(3, "x")
+    ry = one_variable_ring(3, "y")
+    T = tensor_product(standard_objects(rx)[0], standard_objects(ry)[1])
+    g = T.ring.spec.generator_degrees[0]
+    x = Polynomial.variable(2, 0, 1)
+    ident = [[x if i == j else Polynomial.zero(2) for j in range(2)]
+             for i in range(2)]
+    C = cone(factorization_map(T, T.twist(g), ident, ident))
+    rng = random.Random(7)
+    for E, F in ((T, C), (C, T), (C, C)):
+        bases = {n: _hom_basis(E, F, n) for n in range(-3, 5)}
+        D = {n: _differential_matrix(E, F, n, bases[n], bases[n + 1])
+             for n in range(-3, 4)}
+        for n in range(-3, 3):
+            if D[n] and D[n + 1]:
+                assert not any(any(row) for row in linalg.matmul(D[n + 1], D[n]))
+            v = [Fraction(rng.randint(-3, 3)) for _ in bases[n]]
+            got = ([sum(a * b for a, b in zip(row, v)) for row in D[n]]
+                   if D[n] else [0] * len(bases[n + 1]))
+            mats = _coords_to_matrices(E, F, n, bases[n], v)
+            want = _matrices_to_coords(
+                _oracle_differential(E, F, n, *mats), bases[n + 1])
+            assert got == want, (E, F, n)
+
+
+def test_invariant_checks_survive_optimize_flag():
+    script = textwrap.dedent("""
+        import sys
+        from singlab import mfengine
+        if __debug__:
+            sys.exit(4)
+        mfengine.linalg.rank = lambda A: 0
+        E, F = mfengine.standard_objects(mfengine.one_variable_ring(4))[0:2]
+        try:
+            mfengine.strand_cohomology(E, F)
+        except AssertionError as exc:
+            print(exc)
+            sys.exit(0)
+        sys.exit(5)
+    """)
+    src = str(Path(singlab.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "nonzero strand at the certified boundary" in proc.stdout
