@@ -1,15 +1,25 @@
 """Exact linear algebra over the rationals.
 
 Everything here works on plain lists of lists whose entries are ints or
-`fractions.Fraction`; no floating point is ever introduced.  The sizes that
-show up in this package (intertwiner systems, homogeneous-strand solves,
-Coxeter matrices) are tiny, so straightforward Gaussian elimination is the
-right tool.
+`fractions.Fraction`; no floating point is ever introduced.
+
+Rank and the choice of independent rows go through one routine,
+`independent_rows`: sparse, fraction-free elimination over the integers
+(Bareiss 1968; Dumas-Saunders-Villard 2001).  The strand differentials it
+sees have up to a few hundred rows and columns, about 5 % nonzero, with
+small integer entries, so rows are kept as {column: int} dicts and no
+`Fraction` is built in the inner loop.  The result is exact over Q; there is no modular
+shortcut.
+
+Dense Gauss-Jordan elimination (`rref`) serves the small systems behind
+`nullspace`, `solve` and `inverse`, and is the oracle the tests check
+`independent_rows` and `rank` against.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
 def zeros(rows: int, cols: int) -> list[list[Fraction]]:
@@ -26,7 +36,8 @@ def identity(n: int) -> list[list[Fraction]]:
 def matmul(A, B):
     n, k = len(A), len(B)
     m = len(B[0]) if B else 0
-    assert not A or len(A[0]) == k, "shape mismatch"
+    if A and len(A[0]) != k:
+        raise AssertionError("shape mismatch")
     out = zeros(n, m)
     for i in range(n):
         Ai = A[i]
@@ -79,10 +90,45 @@ def rref(A):
     return R, pivots
 
 
+def independent_rows(A) -> list[int]:
+    """Indices of the rows of A that are independent of all earlier rows.
+
+    Each row is scaled by the lcm of its denominators and kept as a
+    {column: int} dict without zeros.  It is then reduced against the pivot
+    rows found so far, keyed by leading column, by
+    r <- (p[c]/g) r - (r[c]/g) p with g = gcd(p[c], r[c]).  A row that does
+    not reduce to zero becomes the pivot for its leading column, divided by
+    the gcd of its entries.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    chosen = []
+    for index, row in enumerate(A):
+        nonzero = [(j, x) for j, x in enumerate(row) if x]
+        den = lcm(*(x.denominator for _, x in nonzero))
+        r = {j: x.numerator * (den // x.denominator) for j, x in nonzero}
+        while r:
+            c = min(r)
+            p = pivots.get(c)
+            if p is None:
+                g = gcd(*r.values())
+                pivots[c] = {j: x // g for j, x in r.items()} if g != 1 else r
+                chosen.append(index)
+                break
+            g = gcd(p[c], r[c])
+            a, b = p[c] // g, r[c] // g
+            if a != 1:
+                r = {j: a * x for j, x in r.items()}
+            for j, x in p.items():
+                y = r.get(j, 0) - b * x
+                if y:
+                    r[j] = y
+                else:
+                    del r[j]
+    return chosen
+
+
 def rank(A) -> int:
-    if not A or not A[0]:
-        return 0
-    return len(rref(A)[1])
+    return len(independent_rows(A))
 
 
 def nullspace(A, cols: int | None = None):

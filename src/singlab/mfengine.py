@@ -287,10 +287,16 @@ def _check_homogeneous(ring: RingWithPotential, matrix, source: GradedFreeModule
                         f"{label}[{i}][{j}] has an entry of the wrong degree")
 
 
+# Marks a Factorization whose cokernel support has not been computed yet.
+_UNKNOWN = object()
+
+
 class Factorization:
     """A validated graded factorization of the ring's potential."""
 
-    __slots__ = ("ring", "e_neg", "e_zero", "phi0", "phi_neg")
+    # `_support` caches _cokernel_support; the other slots are never
+    # reassigned, and twists and shifts build new objects.
+    __slots__ = ("ring", "e_neg", "e_zero", "phi0", "phi_neg", "_support")
 
     def __init__(self, ring, e_neg, e_zero, phi0, phi_neg, _validated=False):
         self.ring = ring
@@ -298,6 +304,7 @@ class Factorization:
         self.e_zero = e_zero
         self.phi0 = phi0
         self.phi_neg = phi_neg
+        self._support = _UNKNOWN
         if not _validated:
             _validate_factorization(self)
 
@@ -843,22 +850,35 @@ def _support_interval(ring, powers, tgt: GradedFreeModule):
     return lo, hi
 
 
+def _cokernel_support(obj: Factorization):
+    """Support intervals of coker(phi0) and coker(phi_neg), or None.
+
+    Computed on first use and kept on the object.
+    """
+    if obj._support is _UNKNOWN:
+        ring = obj.ring
+        shifted = obj.e_neg.twist(ring.spec.potential_degree)
+        p0 = _annihilator_powers(ring, obj.phi0, obj.e_neg, obj.e_zero)
+        p1 = (_annihilator_powers(ring, obj.phi_neg, obj.e_zero, shifted)
+              if p0 is not None else None)
+        obj._support = (None if p1 is None else
+                        (_support_interval(ring, p0, obj.e_zero),
+                         _support_interval(ring, p1, shifted)))
+    return obj._support
+
+
 def _certified_range(E: Factorization, F: Factorization):
     """Twist-index range outside which all strands provably vanish, or None."""
-    ring = E.ring
-    d = ring.spec.potential_degree
-    intervals = {}
-    for tag, obj in (("E", E), ("F", F)):
-        p0 = _annihilator_powers(ring, obj.phi0, obj.e_neg, obj.e_zero)
-        p1 = _annihilator_powers(ring, obj.phi_neg, obj.e_zero, obj.e_neg.twist(d))
-        if p0 is None or p1 is None:
-            return None
-        intervals[tag] = (_support_interval(ring, p0, obj.e_zero),
-                          _support_interval(ring, p1, obj.e_neg.twist(d)))
-    dd = ring.degree_of(d)
+    support_E = _cokernel_support(E)
+    if support_E is None:
+        return None
+    support_F = _cokernel_support(F)
+    if support_F is None:
+        return None
+    dd = E.ring.degree_of(E.ring.spec.potential_degree)
     l_lo, l_hi = None, None
-    for (loE, hiE) in intervals["E"]:
-        for (loF, hiF) in intervals["F"]:
+    for (loE, hiE) in support_E:
+        for (loF, hiF) in support_F:
             # F-side pieces shift by -l*dd; overlap needs
             # loE <= hiF - l*dd and loF - l*dd <= hiE
             hi = (hiF - loE) // dd

@@ -195,7 +195,8 @@ def coxeter_polynomial(C: IntMatrix):
     Cinv_T = linalg.transpose(linalg.inverse(rows))
     phi = [[-x for x in row] for row in linalg.matmul(Cinv_T, rows)]
     coeffs = linalg.charpoly(phi)
-    assert all(c.denominator == 1 for c in coeffs)
+    if any(c.denominator != 1 for c in coeffs):
+        raise AssertionError("Coxeter polynomial has non-integer coefficients")
     return [int(c) for c in coeffs]
 
 
@@ -473,20 +474,12 @@ def ext_rep(M: Representation, N: Representation):
     delta, off1, tot0, tot1 = _ext_complex(M, N)
     if tot1 == 0:
         return 0, []
-    cols = [vec for vec in (linalg.transpose(delta) if tot0 else [])]
-    image = cols if tot0 else []
+    image = linalg.transpose(delta) if tot0 else []
     # choose coordinate vectors completing the image to all of C^1
-    basis_vecs = []
-    current = [row[:] for row in image]
-    rk = linalg.rank(current) if current else 0
-    for i in range(tot1):
-        e = [Fraction(0)] * tot1
-        e[i] = Fraction(1)
-        trial = current + [e]
-        if linalg.rank(trial) > rk:
-            current = trial
-            rk += 1
-            basis_vecs.append(e)
+    units = linalg.identity(tot1)
+    basis_vecs = [units[i - len(image)]
+                  for i in linalg.independent_rows(image + units)
+                  if i >= len(image)]
     classes = [_cocycle_from_vec(M, N, off1, v) for v in basis_vecs]
     return len(basis_vecs), classes
 
@@ -725,7 +718,8 @@ def _add_component(existing, piece, ri, rk, Q: Quiver):
         return piece
     kind, data = existing
     kind2, data2 = piece
-    assert kind == kind2
+    if kind != kind2:
+        raise AssertionError(f"cannot add a {kind} component to a {kind2} one")
     if kind == "hom":
         merged = {v: [[a + b for a, b in zip(r1, r2)]
                       for r1, r2 in zip(data[v], data2[v])] for v in Q.vertices()}
@@ -902,26 +896,17 @@ def split_complex(C: ComplexOfReps):
 
 
 def _quotient_basis(kernel, image, ambient_dim):
-    """(complement basis vectors, full basis matrix, image count)."""
-    current = [list(v) for v in image]
-    rk = linalg.rank(current) if current else 0
-    complement = []
-    for vec in kernel:
-        trial = current + [list(vec)]
-        if linalg.rank(trial) > rk:
-            current.append(list(vec))
-            rk += 1
-            complement.append(list(vec))
-    # reduced image basis (independent subset) for projection solves
-    img_basis = []
-    cr = 0
-    cur = []
-    for vec in image:
-        trial = cur + [list(vec)]
-        if linalg.rank(trial) > cr:
-            cur.append(list(vec))
-            cr += 1
-            img_basis.append(list(vec))
+    """(complement basis vectors, independent image vectors, ambient_dim).
+
+    The complement extends the image by kernel vectors; the independent
+    image vectors are what projection solves against.
+    """
+    image = [list(v) for v in image]
+    kernel = [list(v) for v in kernel]
+    n = len(image)
+    complement = [kernel[i - n]
+                  for i in linalg.independent_rows(image + kernel) if i >= n]
+    img_basis = [image[i] for i in linalg.independent_rows(image)]
     return complement, img_basis, ambient_dim
 
 
@@ -930,9 +915,11 @@ def _project_to_quotient(h_datum, vec):
     complement, img_basis, ambient = h_datum
     cols = img_basis + complement
     if not cols:
-        assert all(x == 0 for x in vec)
+        if any(x != 0 for x in vec):
+            raise AssertionError("nonzero vector in a zero quotient")
         return []
     A = linalg.transpose(cols)
     sol = linalg.solve(A, list(vec))
-    assert sol is not None, "vector not in kernel + image span"
+    if sol is None:
+        raise AssertionError("vector not in kernel + image span")
     return sol[len(img_basis):]

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import singlab
-from singlab import linalg
+from singlab import linalg, mfengine
 from singlab.mfengine import (_differential_matrix, _hom_basis,
                               _hom_components, _matmul_poly)
 from singlab.mfengine import (Factorization, OrbitSpec, Polynomial, cone,
@@ -112,6 +112,20 @@ def test_endo_algebra_check_battery():
         m = d - 1
         assert rep["h0"] == [[1 if i >= j else 0 for j in range(m)]
                              for i in range(m)]
+
+
+def test_cokernel_support_computed_once_per_object(monkeypatch):
+    calls = []
+    original = mfengine._annihilator_powers
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(mfengine, "_annihilator_powers", counting)
+    endo_algebra_check(4)
+    # objects: E_1, E_2, E_3 and k(0); two cokernels each
+    assert len(calls) <= 2 * 4
 
 
 def test_k_object_exceptional_all_twists():
