@@ -116,7 +116,8 @@ class IntMatrix:
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
         d = linalg.det(self.to_rows())
-        assert d.denominator == 1
+        if d.denominator != 1:
+            raise AssertionError("integer matrix has a non-integer determinant")
         return int(d)
 
     def __eq__(self, other):
@@ -230,11 +231,13 @@ def smith_normal_form(M: IntMatrix) -> SmithForm:
     U = IntMatrix.from_rows(U_rows)
     S = IntMatrix.from_rows(S_rows)
     V = IntMatrix.from_rows(V_rows)
-    assert U.mul(M).mul(V) == S, "SNF transform check failed"
+    if U.mul(M).mul(V) != S:
+        raise AssertionError("SNF transform check failed")
     diag = [S[i, i] for i in range(min(S.rows, S.cols))]
     rank = sum(1 for d in diag if d != 0)
     for i in range(rank - 1):
-        assert diag[i + 1] % diag[i] == 0, "divisibility chain broken"
+        if diag[i + 1] % diag[i] != 0:
+            raise AssertionError("divisibility chain broken")
     factors = tuple(d for d in diag if d > 1)
     return SmithForm(U, S, V, factors, rank)
 
@@ -270,7 +273,8 @@ class FGAbelianGroup:
     def _v_inverse(self):
         V = self.normal_form.V.to_rows()
         Vinv = linalg.inverse([[Fraction(x) for x in row] for row in V])
-        assert all(x.denominator == 1 for row in Vinv for x in row)
+        if any(x.denominator != 1 for row in Vinv for x in row):
+            raise AssertionError("inverse of the SNF transform V is not integral")
         return [[int(x) for x in row] for row in Vinv]
 
     def from_canonical(self, residues, free) -> "GroupElement":

@@ -17,7 +17,8 @@ Subcommands tie the library into reproducible analyses:
 Reports are emitted as JSON (sorted keys, exact integers, rationals as
 "p/q" strings, never floats) or as human-readable text; identical
 invocations produce byte-identical JSON.  Exit codes: 0 success, 1
-verification failure, 2 usage error, 3 internal invariant breach.
+verification failure, 2 usage error (bad arguments or config, or an
+exhausted search budget), 3 internal invariant breach.
 """
 
 from __future__ import annotations
@@ -40,6 +41,15 @@ DEFAULTS = {
     "max_entry": 6,
     "max_d": 8,
     "snf_samples": 150,
+}
+# Smallest accepted value of each setting; anything lower is a usage error.
+_MINIMUMS = {
+    "window": 0,
+    "node_limit": 1,
+    "max_n": 0,
+    "max_entry": 1,
+    "max_d": 2,
+    "snf_samples": 1,
 }
 
 
@@ -161,8 +171,6 @@ def quiver_report(spec: str) -> dict:
 
 
 def mf_report(max_d: int) -> dict:
-    if max_d < 2:
-        raise UsageError("mf check needs a potential degree of at least 2")
     per_d = []
     for d in range(2, max_d + 1):
         rep = mfengine.endo_algebra_check(d)
@@ -451,13 +459,25 @@ def build_report(command: str, payload: dict, provenance: dict) -> dict:
 def load_config(path: str | None) -> dict:
     cfg = dict(DEFAULTS)
     if path:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise UsageError(f"cannot read config {path!r}: {exc}") from None
+        if not isinstance(data, dict):
+            raise UsageError(f"config {path!r} must hold a JSON object")
         for key in data:
             if key not in DEFAULTS:
                 raise UsageError(f"unknown config key {key!r}")
         cfg.update(data)
     return cfg
+
+
+def _check_config(cfg: dict) -> None:
+    for key, low in _MINIMUMS.items():
+        value = cfg[key]
+        if isinstance(value, bool) or not isinstance(value, int) or value < low:
+            raise UsageError(f"{key} must be an integer >= {low}, got {value!r}")
 
 
 def main(argv=None) -> int:
@@ -504,6 +524,7 @@ def main(argv=None) -> int:
         for key in ("window", "max_n", "max_entry", "max_d"):
             if getattr(args, key, None) is not None:
                 cfg[key] = getattr(args, key)
+        _check_config(cfg)
 
         provenance = {
             "tool": "singlab",
@@ -537,6 +558,9 @@ def main(argv=None) -> int:
         return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
+        return 2
+    except decompose.SearchBudgetExceeded as exc:
+        print(f"search budget exceeded: {exc}", file=sys.stderr)
         return 2
     except (InternalCheckFailure, AssertionError) as exc:
         print(f"internal invariant breach: {exc}", file=sys.stderr)

@@ -213,13 +213,16 @@ def min_partition(d: WeightSequence, predicate: str,
             cand = (1 + sub_size, tuple(sorted((part,) + sub_parts)))
             if best is None or cand < best:
                 best = cand
-        assert best is not None, "singleton parts always apply"
+        if best is None:
+            raise AssertionError("singleton parts always apply")
         memo[state] = best
         return best
 
     size, parts = search(d.entries)
-    assert tuple(sorted(x for p in parts for x in p)) == d.entries
-    assert _greedy_lower_bound(d.entries, predicate) <= size
+    if tuple(sorted(x for p in parts for x in p)) != d.entries:
+        raise AssertionError("partition parts do not reassemble the weights")
+    if _greedy_lower_bound(d.entries, predicate) > size:
+        raise AssertionError("partition smaller than its lower bound")
     stats["optimality"] = "exhaustive-with-bound"
     stats["lower_bound_proof"] = size
     return PartitionCertificate(tuple(WeightSequence(p) for p in parts),

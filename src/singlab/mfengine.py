@@ -333,13 +333,7 @@ class Factorization:
 
     def unshift_once(self) -> "Factorization":
         """E[-1]: the inverse of shift_once."""
-        d = self.ring.spec.potential_degree
-        neg = self.e_zero.twist(-d)
-        zero = self.e_neg
-        phi0 = tuple(tuple(-p for p in row) for row in self.phi_neg)
-        phi_neg = tuple(tuple(-p for p in row) for row in self.phi0)
-        return Factorization(self.ring, neg, zero, phi0, phi_neg,
-                             _validated=True)
+        return self.shift_once().twist(-self.ring.spec.potential_degree)
 
     def report(self):
         names = self.ring.names
@@ -501,7 +495,8 @@ def _block_matrix(blocks):
     out = []
     for block_row in blocks:
         heights = {len(b) for b in block_row}
-        assert len(heights) == 1
+        if len(heights) != 1:
+            raise AssertionError("blocks in one block row differ in height")
         h = heights.pop()
         for i in range(h):
             row = []
@@ -591,7 +586,8 @@ def tensor_product(E: Factorization, F: Factorization) -> Factorization:
     def pair(u: GroupElement, v: GroupElement) -> GroupElement:
         return reduce_element(A.group, list(u.coordinates) + list(v.coordinates))
 
-    assert nE_gen + nF_gen == A.group.num_generators
+    if nE_gen + nF_gen != A.group.num_generators:
+        raise AssertionError("tensor grading has the wrong number of generators")
 
     d = ring.spec.potential_degree
     x_neg = tuple(pair(u, v) for u in E.e_neg.twists for v in F.e_zero.twists) + \
@@ -763,49 +759,37 @@ def default_window(E: Factorization, F: Factorization) -> int:
     return spread // dd + 2
 
 
-def _graded_solve(ring, matrix, src_twists, tgt_twists, rhs, element_degree):
-    """Solve matrix . v = rhs in a fixed homogeneous degree; None if impossible.
+def _in_image(ring, matrix, src_twists, tgt_twists, rhs, element_degree) -> bool:
+    """Whether rhs = matrix . v for some v in a fixed homogeneous degree.
 
     `rhs` is one polynomial per target generator; `element_degree` is the
     degree of the sought module element, so v_j runs over monomials of
-    element_degree - src_twists[j].
+    element_degree - src_twists[j].  Coordinates are (target generator,
+    monomial) pairs; each monomial of each v_j gives one column.
     """
-    var_bases = [ring.monomials_of(element_degree - s) for s in src_twists]
-    offsets = []
-    total = 0
-    for b in var_bases:
-        offsets.append(total)
-        total += len(b)
-    rows = []
-    vec = []
-    for r in range(len(tgt_twists)):
-        out_basis = ring.monomials_of(element_degree - tgt_twists[r])
-        out_index = {e: k for k, e in enumerate(out_basis)}
-        block = [[Fraction(0)] * total for _ in out_basis]
-        for j in range(len(src_twists)):
-            p = matrix[r][j]
-            if p.is_zero():
-                continue
-            for v_pos, mono in enumerate(var_bases[j]):
-                for exps, c in p.terms.items():
-                    prod = tuple(a + b for a, b in zip(exps, mono))
-                    k = out_index.get(prod)
+    index = {}
+    for r, t in enumerate(tgt_twists):
+        for e in ring.monomials_of(element_degree - t):
+            index[(r, e)] = len(index)
+    cols = []
+    for j, s in enumerate(src_twists):
+        for mono in ring.monomials_of(element_degree - s):
+            col = [Fraction(0)] * len(index)
+            for r in range(len(tgt_twists)):
+                for exps, c in matrix[r][j].terms.items():
+                    k = index.get((r, tuple(a + b for a, b in zip(exps, mono))))
                     if k is None:
                         raise AssertionError("graded product left its component")
-                    block[k][offsets[j] + v_pos] += c
-        target = [Fraction(0)] * len(out_basis)
-        for exps, c in rhs[r].terms.items():
-            k = out_index.get(exps)
+                    col[k] += c
+            cols.append(col)
+    target = [Fraction(0)] * len(index)
+    for r, p in enumerate(rhs):
+        for exps, c in p.terms.items():
+            k = index.get((r, exps))
             if k is None:
-                return None
+                return False
             target[k] = c
-        rows.extend(block)
-        vec.extend(target)
-    if total == 0:
-        return [] if all(x == 0 for x in vec) else None
-    if not rows:
-        return [Fraction(0)] * total
-    return linalg.solve(rows, vec)
+    return len(cols) not in linalg.independent_rows(cols + [target])
 
 
 def _annihilator_powers(ring, matrix, src: GradedFreeModule, tgt: GradedFreeModule):
@@ -828,8 +812,8 @@ def _annihilator_powers(ring, matrix, src: GradedFreeModule, tgt: GradedFreeModu
                 rhs = [Polynomial.zero(nv) for _ in range(tgt.rank)]
                 rhs[i] = Polynomial.variable(nv, k, m)
                 elem_deg = m * a_k + tgt.twists[i]
-                if _graded_solve(ring, matrix, src.twists, tgt.twists,
-                                 rhs, elem_deg) is None:
+                if not _in_image(ring, matrix, src.twists, tgt.twists,
+                                 rhs, elem_deg):
                     good = False
                     break
             if good:

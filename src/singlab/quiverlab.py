@@ -10,10 +10,17 @@ hom and extension formulas in this package are written against):
 * a representation morphism X: M -> N satisfies
   X_s . act_M(a) = act_N(a) . X_t for every arrow a: s -> t.
 
-Everything is computed by exact rational linear algebra: Hom spaces as
-intertwiner kernels, Ext^1 spaces as cokernels of the two-term cochain
-complex (equivalently, via an explicit projective resolution, kept as an
-independent route for the tests).
+Everything is computed by exact rational linear algebra from one two-term
+complex per pair of modules (Ringel 1976):
+
+    delta: C^0 = sum_v Hom(M_v, N_v) -> C^1 = sum_a Hom(M_t(a), N_s(a)),
+    delta(X)_a = X_s . act_M(a) - act_N(a) . X_t,
+
+built once by `_coboundary`.  Hom(M, N) is its kernel and Ext^1(M, N) its
+cokernel; a cocycle is a coboundary exactly when it adds no independent row
+to the image of delta.  Blocks are flattened row-major, one per vertex in C^0
+and one per arrow in C^1.  An explicit projective resolution gives Ext^1 by
+a second, independent route, kept for the tests.
 
 Shifted sums of modules model the bounded derived category -- legitimate
 because path algebras of acyclic quivers are hereditary, so every complex
@@ -361,6 +368,14 @@ def simple_rep(Q: Quiver, v: int) -> Representation:
     return Representation(Q, [1 if u == v else 0 for u in Q.vertices()])
 
 
+def _paths_to(Q: Quiver):
+    """paths[v][u]: the paths u -> v as vertex tuples, in `Q.paths()` order."""
+    paths = {v: {u: [] for u in Q.vertices()} for v in Q.vertices()}
+    for p in Q.paths():
+        paths[p[-1]][p[0]].append(p)
+    return paths
+
+
 def projective_rep(Q: Quiver, v: int) -> Representation:
     """P_v: component at u spanned by the paths u -> v; top S_v.
 
@@ -368,9 +383,7 @@ def projective_rep(Q: Quiver, v: int) -> Representation:
     """
     if not (1 <= v <= Q.num_vertices):
         raise ValueError(f"vertex {v} out of range")
-    paths_to_v = {}
-    for u in Q.vertices():
-        paths_to_v[u] = [p for p in Q.paths() if p[0] == u and p[-1] == v]
+    paths_to_v = _paths_to(Q)[v]
     dims = [len(paths_to_v[u]) for u in Q.vertices()]
     maps = []
     for s, t in Q.arrows:
@@ -383,139 +396,84 @@ def projective_rep(Q: Quiver, v: int) -> Representation:
     return Representation(Q, dims, maps)
 
 
-def _intertwiner_system(M: Representation, N: Representation):
-    """Constraint matrix for X: M -> N; unknowns are the stacked X_v entries."""
+def _flatten(blocks, shapes):
+    """Concatenate the row-major entries of blocks of the given shapes."""
+    return [block[i][j] for block, (rows, cols) in zip(blocks, shapes)
+            for i in range(rows) for j in range(cols)]
+
+
+def _split(vec, shapes):
+    """Cut a flat vector into row-major blocks of the given shapes."""
+    blocks = []
+    pos = 0
+    for rows, cols in shapes:
+        blocks.append([vec[pos + i * cols:pos + (i + 1) * cols]
+                       for i in range(rows)])
+        pos += rows * cols
+    return blocks
+
+
+def _coboundary(M: Representation, N: Representation):
+    """(delta, shapes0, shapes1) of the complex C^0 -> C^1 for the pair (M, N).
+
+    One row per entry of C^1 and one column per entry of C^0; shapes0 has
+    the (rows, cols) of Hom(M_v, N_v) per vertex, shapes1 that of
+    Hom(M_t(a), N_s(a)) per arrow.
+    """
+    if M.quiver != N.quiver:
+        raise ValueError("representations over different quivers")
     Q = M.quiver
-    offsets = {}
-    total = 0
-    for v in Q.vertices():
-        offsets[v] = total
-        total += N.dim(v) * M.dim(v)
-    rows = []
+    shapes0 = [(N.dim(v), M.dim(v)) for v in Q.vertices()]
+    shapes1 = [(N.dim(s), M.dim(t)) for s, t in Q.arrows]
+    off0 = list(itertools.accumulate((r * c for r, c in shapes0), initial=0))
+    delta = []
     for k, (s, t) in enumerate(Q.arrows):
         A = M.maps[k]   # M_t -> M_s
         B = N.maps[k]   # N_t -> N_s
-        # constraint: X_s A - B X_t = 0, one row per (i, j) entry
         for i in range(N.dim(s)):
             for j in range(M.dim(t)):
-                row = [Fraction(0)] * total
-                for r in range(M.dim(s)):
-                    row[offsets[s] + i * M.dim(s) + r] += A[r][j]
-                for r in range(N.dim(t)):
-                    row[offsets[t] + r * M.dim(t) + j] -= B[i][r]
-                rows.append(row)
-    return rows, offsets, total
+                row = [Fraction(0)] * off0[-1]
+                for c in range(M.dim(s)):
+                    row[off0[s - 1] + i * M.dim(s) + c] += A[c][j]
+                for c in range(N.dim(t)):
+                    row[off0[t - 1] + c * M.dim(t) + j] -= B[i][c]
+                delta.append(row)
+    return delta, shapes0, shapes1
 
 
-def _unflatten(M: Representation, N: Representation, offsets, vec):
-    out = {}
-    for v in M.quiver.vertices():
-        X = linalg.zeros(N.dim(v), M.dim(v))
-        for i in range(N.dim(v)):
-            for j in range(M.dim(v)):
-                X[i][j] = vec[offsets[v] + i * M.dim(v) + j]
-        out[v] = X
-    return out
+def _extend_span(spanning, candidates):
+    """The candidates that enlarge span(spanning), chosen greedily in order."""
+    n = len(spanning)
+    return [candidates[i - n]
+            for i in linalg.independent_rows(spanning + candidates) if i >= n]
 
 
 def rep_hom(M: Representation, N: Representation):
-    """(dimension, basis) of the intertwiner space Hom(M, N)."""
-    if M.quiver != N.quiver:
-        raise ValueError("representations over different quivers")
-    rows, offsets, total = _intertwiner_system(M, N)
-    if total == 0:
-        return 0, []
-    kernel = linalg.nullspace(rows, cols=total) if rows else \
-        [[Fraction(1) if i == j else Fraction(0) for i in range(total)]
-         for j in range(total)]
-    basis = [_unflatten(M, N, offsets, vec) for vec in kernel]
+    """(dimension, basis) of the intertwiner space Hom(M, N) = ker delta."""
+    delta, shapes0, _ = _coboundary(M, N)
+    kernel = linalg.nullspace(delta, cols=sum(r * c for r, c in shapes0))
+    basis = [dict(zip(M.quiver.vertices(), _split(vec, shapes0))) for vec in kernel]
     return len(basis), basis
 
 
-def _ext_complex(M: Representation, N: Representation):
-    """The two-term complex C^0 -> C^1 whose cokernel is Ext^1(M, N).
-
-    C^0 = sum_v Hom(M_v, N_v), C^1 = sum_a Hom(M_{t(a)}, N_{s(a)}),
-    delta(X)_a = X_s . act_M(a) - act_N(a) . X_t.
-    """
-    Q = M.quiver
-    off0 = {}
-    tot0 = 0
-    for v in Q.vertices():
-        off0[v] = tot0
-        tot0 += N.dim(v) * M.dim(v)
-    off1 = {}
-    tot1 = 0
-    for k, (s, t) in enumerate(Q.arrows):
-        off1[k] = tot1
-        tot1 += N.dim(s) * M.dim(t)
-    delta = linalg.zeros(tot1, tot0)
-    for k, (s, t) in enumerate(Q.arrows):
-        A = M.maps[k]
-        B = N.maps[k]
-        for i in range(N.dim(s)):
-            for j in range(M.dim(t)):
-                r = off1[k] + i * M.dim(t) + j
-                for c in range(M.dim(s)):
-                    delta[r][off0[s] + i * M.dim(s) + c] += A[c][j]
-                for c in range(N.dim(t)):
-                    delta[r][off0[t] + c * M.dim(t) + j] -= B[i][c]
-    return delta, off1, tot0, tot1
-
-
 def ext_rep(M: Representation, N: Representation):
-    """(dimension, cocycle basis) of Ext^1(M, N).
+    """(dimension, cocycle basis) of Ext^1(M, N) = coker delta.
 
-    A cocycle is a matrix per arrow, Hom(M_{t(a)}, N_{s(a)}); classes are
-    cocycles modulo the image of the intertwiner-style coboundary.
+    A cocycle is a matrix per arrow, Hom(M_{t(a)}, N_{s(a)}); the basis is
+    the coordinate vectors of C^1 that complete the image of delta.
     """
-    if M.quiver != N.quiver:
-        raise ValueError("representations over different quivers")
-    delta, off1, tot0, tot1 = _ext_complex(M, N)
-    if tot1 == 0:
-        return 0, []
-    image = linalg.transpose(delta) if tot0 else []
-    # choose coordinate vectors completing the image to all of C^1
-    units = linalg.identity(tot1)
-    basis_vecs = [units[i - len(image)]
-                  for i in linalg.independent_rows(image + units)
-                  if i >= len(image)]
-    classes = [_cocycle_from_vec(M, N, off1, v) for v in basis_vecs]
-    return len(basis_vecs), classes
-
-
-def _cocycle_from_vec(M: Representation, N: Representation, off1, vec):
-    Q = M.quiver
-    out = {}
-    for k, (s, t) in enumerate(Q.arrows):
-        E = linalg.zeros(N.dim(s), M.dim(t))
-        for i in range(N.dim(s)):
-            for j in range(M.dim(t)):
-                E[i][j] = vec[off1[k] + i * M.dim(t) + j]
-        out[k] = E
-    return out
-
-
-def _cocycle_to_vec(M: Representation, N: Representation, cocycle):
-    Q = M.quiver
-    vec = []
-    for k, (s, t) in enumerate(Q.arrows):
-        E = cocycle[k]
-        for i in range(N.dim(s)):
-            for j in range(M.dim(t)):
-                vec.append(Fraction(E[i][j]))
-    return vec
+    delta, _, shapes1 = _coboundary(M, N)
+    units = linalg.identity(len(delta))
+    classes = [dict(enumerate(_split(vec, shapes1)))
+               for vec in _extend_span(linalg.transpose(delta), units)]
+    return len(classes), classes
 
 
 def ext_class_is_zero(M: Representation, N: Representation, cocycle) -> bool:
     """Whether a cocycle is a coboundary (the trivial extension class)."""
-    delta, off1, tot0, tot1 = _ext_complex(M, N)
-    vec = _cocycle_to_vec(M, N, cocycle)
-    if all(x == 0 for x in vec):
-        return True
-    if tot0 == 0:
-        return False
-    return linalg.solve(delta, vec) is not None
+    delta, _, shapes1 = _coboundary(M, N)
+    vec = _flatten([cocycle[k] for k in range(len(shapes1))], shapes1)
+    return not _extend_span(linalg.transpose(delta), [vec])
 
 
 def projective_resolution(M: Representation):
@@ -532,10 +490,7 @@ def projective_resolution(M: Representation):
     P1 = _direct_sum([projs[Q.arrows[k][0]] for k, _ in p1_parts], Q)
 
     # the inclusion P1 -> P0, one vertex at a time in path coordinates
-    def path_basis(v):
-        return {u: [p for p in Q.paths() if p[0] == u and p[-1] == v]
-                for u in Q.vertices()}
-    bases = {v: path_basis(v) for v in Q.vertices()}
+    bases = _paths_to(Q)
 
     iota = {}
     for u in Q.vertices():
@@ -594,20 +549,12 @@ def ext_via_resolution(M: Representation, N: Representation) -> int:
     if not basis1:
         return 0
     # matrix of (- . iota): Hom(P0, N) -> Hom(P1, N) in the two bases
-    def flatten(Xdict):
-        vec = []
-        for v in M.quiver.vertices():
-            for row in Xdict[v]:
-                vec.extend(row)
-        return vec
-
-    images = []
-    for X in basis0:
-        comp = {v: linalg.matmul(X[v], iota[v]) for v in M.quiver.vertices()}
-        images.append(flatten(comp))
+    vertices = M.quiver.vertices()
+    shapes = [(N.dim(v), P1.dim(v)) for v in vertices]
+    images = [_flatten([linalg.matmul(X[v], iota[v]) for v in vertices], shapes)
+              for X in basis0]
     # rank of the image inside the coordinate space of Hom(P1, N)
-    rank_img = linalg.rank(images) if images else 0
-    return len(basis1) - rank_img
+    return len(basis1) - linalg.rank(images)
 
 
 def euler_form(Q: Quiver, dim1, dim2) -> int:
@@ -862,12 +809,8 @@ def split_complex(C: ComplexOfReps):
             dim_v = M.dim(v)
             d_out = C.differentials.get(i, None)
             d_in = C.differentials.get(i - 1, None)
-            out_rows = d_out[v] if (d_out is not None and i + 1 in C.terms) else None
-            if out_rows is not None and len(out_rows) > 0:
-                kernel = linalg.nullspace(out_rows, cols=dim_v)
-            else:
-                kernel = [[Fraction(1) if r == j else Fraction(0)
-                           for r in range(dim_v)] for j in range(dim_v)]
+            out_rows = d_out[v] if (d_out is not None and i + 1 in C.terms) else []
+            kernel = linalg.nullspace(out_rows, cols=dim_v)
             if d_in is not None and i - 1 in C.terms:
                 img_cols = linalg.transpose(d_in[v]) if d_in[v] else []
                 image = [list(col) for col in img_cols]
@@ -902,12 +845,8 @@ def _quotient_basis(kernel, image, ambient_dim):
     image vectors are what projection solves against.
     """
     image = [list(v) for v in image]
-    kernel = [list(v) for v in kernel]
-    n = len(image)
-    complement = [kernel[i - n]
-                  for i in linalg.independent_rows(image + kernel) if i >= n]
-    img_basis = [image[i] for i in linalg.independent_rows(image)]
-    return complement, img_basis, ambient_dim
+    complement = _extend_span(image, [list(v) for v in kernel])
+    return complement, _extend_span([], image), ambient_dim
 
 
 def _project_to_quotient(h_datum, vec):

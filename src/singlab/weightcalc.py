@@ -222,7 +222,8 @@ def exceptional_count(d: WeightSequence) -> int:
     exceptional objects of the quiver side.
     """
     correction = d.product() * (Fraction(-1) + sum(Fraction(1, x) for x in d.entries))
-    assert correction.denominator == 1
+    if correction.denominator != 1:
+        raise AssertionError("exceptional count correction is not an integer")
     return math.prod(x - 1 for x in d.entries) + int(correction)
 
 
@@ -250,5 +251,6 @@ def knoerrer_double(spec: GradedRingSpec) -> GradedRingSpec:
     gens.append(A2.group.element([0] * n_old + [0, 1]))
     doubled = GradedRingSpec(A2, tuple(gens))
     g = gorenstein_parameter(doubled)
-    assert g.mu > 0, "doubled Gorenstein degree must be positive"
+    if g.mu <= 0:
+        raise AssertionError("doubled Gorenstein degree must be positive")
     return doubled

@@ -205,3 +205,33 @@ def test_group_report_shape():
     assert rep["invariant_factors"] == [3]
     assert rep["marked"] == [3, 0]
     assert rep["generator_degrees"] == [1, 1]
+
+
+def test_invariant_checks_survive_optimize_flag(run_optimized):
+    proc = run_optimized("""
+        from fractions import Fraction
+        from singlab import abgroup, cli, mfengine
+        snf_rows = abgroup._snf_rows
+
+        def corrupted(M):
+            U, S, V = snf_rows(M)
+            U[0][0] += 1
+            return U, S, V
+
+        abgroup._snf_rows = corrupted
+        print(cli.main(["group", "3,3"]))
+        abgroup.linalg.det = lambda A: Fraction(1, 2)
+        for check in (lambda: abgroup.IntMatrix.identity(2).det(),
+                      lambda: mfengine._block_matrix([[((1,),), ((1,), (2,))]])):
+            try:
+                check()
+            except AssertionError as exc:
+                print(exc)
+            else:
+                sys.exit(5)
+    """)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines() == [
+        "3", "integer matrix has a non-integer determinant",
+        "blocks in one block row differ in height"]
+    assert "SNF transform check failed" in proc.stderr

@@ -169,6 +169,48 @@ def test_config_file(tmp_path, capsys):
     assert cli.main(["--config", str(bad), "group", "3,3"]) == 2
 
 
+def test_bad_config_exits_2(tmp_path, capsys):
+    def write(name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        return str(path)
+
+    cases = [
+        [str(tmp_path / "missing.json"), "group", "3,3"],
+        [write("list.json", "[1]"), "group", "3,3"],
+        [write("broken.json", "{"), "group", "3,3"],
+        [write("string.json", '{"window": "2"}'), "orbit"],
+        [write("bool.json", '{"window": true}'), "orbit"],
+        [write("budget.json", '{"node_limit": 0}'), "decompose", "3,4,5"],
+        [write("samples.json", '{"snf_samples": 0}'), "verify", "groups"],
+    ]
+    for argv in cases:
+        assert cli.main(["--config", *argv]) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("usage error"), argv
+
+
+def test_out_of_range_flags_exit_2(capsys):
+    for argv in (["orbit", "--window", "-1"],
+                 ["verify", "orbit", "--window", "-1"],
+                 ["mf", "--max-d", "1"],
+                 ["verify", "mf", "--max-d", "1"],
+                 ["verify", "groups", "--max-n", "-1"],
+                 ["verify", "counts", "--max-entry", "0"]):
+        assert cli.main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and "must be an integer >=" in captured.err
+
+
+def test_search_budget_exceeded_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"node_limit": 1}')
+    assert cli.main(["--config", str(cfg), "decompose", "3,4,5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "search budget exceeded" in captured.err
+
+
 def test_rationals_rendered_as_strings(capsys):
     _, out = run_cli(capsys, "analyze", "2,3,7")
     r = json.loads(out)["results"]

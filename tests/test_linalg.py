@@ -1,12 +1,6 @@
-import os
 import random
-import subprocess
-import sys
-import textwrap
 from fractions import Fraction
-from pathlib import Path
 
-import singlab
 from singlab import linalg
 
 
@@ -72,13 +66,10 @@ def test_independent_rows_degenerate_inputs():
     assert linalg.independent_rows(A) == [0, 3]
 
 
-def test_checks_survive_optimize_flag():
-    script = textwrap.dedent("""
-        import sys
+def test_checks_survive_optimize_flag(run_optimized):
+    proc = run_optimized("""
         from fractions import Fraction
         from singlab import linalg, quiverlab
-        if __debug__:
-            sys.exit(4)
         checks = [
             lambda: linalg.matmul([[1, 2, 3]], [[1], [2]]),
             lambda: quiverlab._project_to_quotient(([], [], 1), [Fraction(1)]),
@@ -92,13 +83,7 @@ def test_checks_survive_optimize_flag():
                 print(exc)
             else:
                 sys.exit(5)
-    """)
-    src = str(Path(singlab.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                          capture_output=True, text=True, timeout=60)
+    """, timeout=60)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.splitlines() == [
         "shape mismatch", "nonzero vector in a zero quotient",

@@ -1,14 +1,8 @@
-import os
 import random
-import subprocess
-import sys
-import textwrap
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
-import singlab
 from singlab import linalg, mfengine
 from singlab.mfengine import (_differential_matrix, _hom_basis,
                               _hom_components, _matmul_poly)
@@ -382,12 +376,9 @@ def test_differential_matrix_matches_polynomial_oracle():
             assert got == want, (E, F, n)
 
 
-def test_invariant_checks_survive_optimize_flag():
-    script = textwrap.dedent("""
-        import sys
+def test_invariant_checks_survive_optimize_flag(run_optimized):
+    proc = run_optimized("""
         from singlab import mfengine
-        if __debug__:
-            sys.exit(4)
         mfengine.linalg.rank = lambda A: 0
         E, F = mfengine.standard_objects(mfengine.one_variable_ring(4))[0:2]
         try:
@@ -397,11 +388,5 @@ def test_invariant_checks_survive_optimize_flag():
             sys.exit(0)
         sys.exit(5)
     """)
-    src = str(Path(singlab.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                          capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "nonzero strand at the certified boundary" in proc.stdout

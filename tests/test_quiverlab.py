@@ -4,10 +4,12 @@ from fractions import Fraction
 import pytest
 
 from singlab.decompose import ADEType
+from singlab import linalg
 from singlab.quiverlab import (ComplexOfReps, DerivedMorphism, DerivedObject,
                                GhostCertificate, Quiver, ade_quiver,
                                algebra_model, cartan_matrix, coxeter_polynomial,
-                               ext_rep, ext_simples, ext_via_resolution,
+                               ext_class_is_zero, ext_rep, ext_simples,
+                               ext_via_resolution,
                                euler_form, ghost_lower_bound, hom_basis,
                                is_ghost, loewy_length, loewy_length_tensor,
                                projective_rep, rep_hom, Representation,
@@ -155,6 +157,54 @@ def test_euler_form_battery():
             assert hom - ext == euler_form(Q, M.dims, N.dims)
             # independent route through an explicit projective resolution
             assert ext == ext_via_resolution(M, N)
+
+
+def _product(X, Y, rows, inner, cols):
+    """X . Y with explicit shapes, so zero-dimensional blocks keep theirs."""
+    return [[sum((X[i][k] * Y[k][j] for k in range(inner)), Fraction(0))
+             for j in range(cols)] for i in range(rows)]
+
+
+def _coboundary_of(M, N, X):
+    """delta(X)_a = X_s . act_M(a) - act_N(a) . X_t, arrow by arrow."""
+    out = {}
+    for k, (s, t) in enumerate(M.quiver.arrows):
+        left = _product(X[s], M.maps[k], N.dim(s), M.dim(s), M.dim(t))
+        right = _product(N.maps[k], X[t], N.dim(s), N.dim(t), M.dim(t))
+        out[k] = [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(left, right)]
+    return out
+
+
+def test_module_calculus_on_random_pairs():
+    rng = random.Random(2024)
+    for t in (A(3), D4, E6):
+        Q = ade_quiver(t)
+        for _ in range(8):
+            M, N = _random_rep(Q, rng), _random_rep(Q, rng)
+            hom, basis = rep_hom(M, N)
+            flat = [[x for v in Q.vertices() for row in X[v] for x in row]
+                    for X in basis]
+            assert hom == len(basis) == linalg.rank(flat)
+            for X in basis:
+                assert all(x == 0 for row_block in _coboundary_of(M, N, X).values()
+                           for row in row_block for x in row)
+            X = {v: [[Fraction(rng.randint(-3, 3)) for _ in range(M.dim(v))]
+                     for _ in range(N.dim(v))] for v in Q.vertices()}
+            assert ext_class_is_zero(M, N, _coboundary_of(M, N, X))
+            ext, classes = ext_rep(M, N)
+            assert ext == len(classes)
+            for E in classes:
+                assert not ext_class_is_zero(M, N, E)
+            assert hom - ext == euler_form(Q, M.dims, N.dims)
+
+
+def test_ext_matches_resolution_on_d4_and_e6():
+    rng = random.Random(88)
+    for t in (D4, E6):
+        Q = ade_quiver(t)
+        for _ in range(10):
+            M, N = _random_rep(Q, rng, max_dim=2), _random_rep(Q, rng, max_dim=2)
+            assert ext_rep(M, N)[0] == ext_via_resolution(M, N)
 
 
 def test_ghost_certificate_a2():
