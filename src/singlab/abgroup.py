@@ -115,10 +115,19 @@ class IntMatrix:
     def det(self) -> int:
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        d = linalg.det(self.to_rows())
-        if d.denominator != 1:
-            raise AssertionError("integer matrix has a non-integer determinant")
-        return int(d)
+        # Bareiss: each update is divided exactly by the previous pivot
+        M, n, sign, prev = self.to_rows(), self.rows, 1, 1
+        for k in range(n):
+            if not M[k][k]:
+                swap = next((i for i in range(k + 1, n) if M[i][k]), None)
+                if swap is None:
+                    return 0
+                M[k], M[swap], sign = M[swap], M[k], -sign
+            for i in range(k + 1, n):
+                for j in range(k + 1, n):
+                    M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
+            prev = M[k][k]
+        return sign * prev
 
     def __eq__(self, other):
         return (isinstance(other, IntMatrix) and self.rows == other.rows

@@ -24,8 +24,10 @@ exhausted search budget), 3 internal invariant breach.
 from __future__ import annotations
 
 import argparse
+import itertools as it
 import json
 import math
+import random
 import sys
 from fractions import Fraction
 
@@ -229,7 +231,6 @@ def orbit_report(weights: WeightSequence, window: int) -> dict:
 
 
 def _suite_groups(cfg) -> list:
-    import random
     checks = []
     rng = random.Random(20240229)
     bad = None
@@ -248,7 +249,6 @@ def _suite_groups(cfg) -> list:
                    "counterexample": bad})
 
     bad = None
-    import itertools as it
     for k in range(1, cfg["max_n"] + 2):
         for combo in it.combinations_with_replacement(
                 range(1, cfg["max_entry"] + 1), k):
@@ -269,7 +269,6 @@ def _suite_groups(cfg) -> list:
         pa = abgroup.pointed_Z(rng.randint(1, 9))
         pb = abgroup.pointed_Z(rng.randint(1, 9))
         box = abgroup.boxminus(pa, pb)
-        import math
         p = pa.degree(pa.marked)
         q = pb.degree(pb.marked)
         g = math.gcd(p, q)
@@ -286,7 +285,6 @@ def _suite_groups(cfg) -> list:
 
 
 def _suite_counts(cfg) -> list:
-    import itertools as it
     checks = []
     bad = None
     for k in range(1, min(cfg["max_n"], 3) + 2):
@@ -298,7 +296,6 @@ def _suite_counts(cfg) -> list:
             mu = weightcalc.gorenstein_parameter(spec).mu
             mu2 = weightcalc.mu_values(d)[1]
             lhs = weightcalc.exceptional_count(d)
-            import math
             rhs = math.prod(x - 1 for x in combo) + mu * B.group.torsion_order()
             if mu != mu2 or lhs != rhs:
                 bad = {"weights": list(combo), "mu": mu, "mu_values": mu2,

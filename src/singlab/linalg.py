@@ -3,17 +3,16 @@
 Everything here works on plain lists of lists whose entries are ints or
 `fractions.Fraction`; no floating point is ever introduced.
 
-Rank and the choice of independent rows go through one routine,
-`independent_rows`: sparse, fraction-free elimination over the integers
-(Bareiss 1968; Dumas-Saunders-Villard 2001).  The strand differentials it
-sees have up to a few hundred rows and columns, about 5 % nonzero, with
-small integer entries, so rows are kept as {column: int} dicts and no
-`Fraction` is built in the inner loop.  The result is exact over Q; there is no modular
-shortcut.
-
-Dense Gauss-Jordan elimination (`rref`) serves the small systems behind
-`nullspace`, `solve` and `inverse`, and is the oracle the tests check
-`independent_rows` and `rank` against.
+One elimination, `_echelon`, serves `independent_rows`, `rank`,
+`nullspace`, `solve` and `inverse`: sparse, fraction-free row echelon form
+over the integers (Bareiss 1968; Dumas-Saunders-Villard 2001).  Rows are
+kept as {column: int} dicts, since the strand differentials have up to a
+few hundred rows and columns, about 5 % nonzero, with small entries.
+Kernel vectors come from one integer back-substitution over a common
+denominator, so no `Fraction` is built in either inner loop.  The set of
+pivot columns and the kernel vector with given free entries do not depend
+on the elimination, so the results equal those of dense Gauss-Jordan
+elimination, which the tests keep as `rref`, their oracle.
 """
 
 from __future__ import annotations
@@ -58,47 +57,14 @@ def transpose(A):
     return [list(col) for col in zip(*A)]
 
 
-def rref(A):
-    """Reduced row echelon form.
+def _echelon(A):
+    """(pivots, chosen): the row echelon form of A as primitive integer rows
+    {column: int} keyed by leading column, and the indices of the rows of A
+    that became pivots, i.e. those independent of all earlier rows.
 
-    Returns (R, pivot_columns).  The input is not modified.
-    """
-    R = [[Fraction(x) for x in row] for row in A]
-    rows = len(R)
-    cols = len(R[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pivot = None
-        for i in range(r, rows):
-            if R[i][c] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        R[r], R[pivot] = R[pivot], R[r]
-        pv = R[r][c]
-        R[r] = [x / pv for x in R[r]]
-        for i in range(rows):
-            if i != r and R[i][c] != 0:
-                f = R[i][c]
-                R[i] = [x - f * y for x, y in zip(R[i], R[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return R, pivots
-
-
-def independent_rows(A) -> list[int]:
-    """Indices of the rows of A that are independent of all earlier rows.
-
-    Each row is scaled by the lcm of its denominators and kept as a
-    {column: int} dict without zeros.  It is then reduced against the pivot
-    rows found so far, keyed by leading column, by
-    r <- (p[c]/g) r - (r[c]/g) p with g = gcd(p[c], r[c]).  A row that does
-    not reduce to zero becomes the pivot for its leading column, divided by
-    the gcd of its entries.
+    Each row, scaled by the lcm of its denominators, is reduced against the
+    pivots by r <- (p[c]/g) r - (r[c]/g) p with g = gcd(p[c], r[c]); a row
+    that does not reduce to zero becomes a pivot, divided by its content.
     """
     pivots: dict[int, dict[int, int]] = {}
     chosen = []
@@ -124,79 +90,72 @@ def independent_rows(A) -> list[int]:
                     r[j] = y
                 else:
                     del r[j]
-    return chosen
+    return pivots, chosen
+
+
+def _kernel_vector(pivots, free: dict[int, int], n: int) -> list[Fraction]:
+    """Entries 0..n-1 of the kernel vector of `pivots` whose other non-pivot
+    entries are the integers `free` (absent means 0).
+
+    Pivot entries are solved right to left as X / D with one denominator:
+    p[c] X[c] = -s for s = sum p[j] X[j] over the known entries, so X and D
+    are scaled by p[c] / gcd(s, p[c]).
+    """
+    X = dict(free)
+    D = 1
+    for c in sorted(pivots, reverse=True):
+        p = pivots[c]
+        s = sum(x * X[j] for j, x in p.items() if j in X)
+        if not s:
+            continue
+        a = p[c]
+        if a < 0:
+            a, s = -a, -s
+        g = gcd(s, a)
+        if a != g:
+            for j in X:
+                X[j] *= a // g
+            D *= a // g
+        X[c] = -s // g
+    return [Fraction(X.get(j, 0), D) for j in range(n)]
+
+
+def independent_rows(A) -> list[int]:
+    """Indices of the rows of A that are independent of all earlier rows."""
+    return _echelon(A)[1]
 
 
 def rank(A) -> int:
-    return len(independent_rows(A))
+    return len(_echelon(A)[1])
 
 
 def nullspace(A, cols: int | None = None):
-    """Basis of the right kernel of A, as a list of column vectors."""
-    if not A:
-        return [[Fraction(1) if i == j else Fraction(0) for i in range(cols or 0)]
-                for j in range(cols or 0)] if cols else []
-    n = len(A[0])
-    R, pivots = rref(A)
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * n
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -R[r][fc]
-        basis.append(v)
-    return basis
+    """Basis of the right kernel of A (of width `cols` if A has no rows):
+    per non-pivot column, the kernel vector with 1 there, 0 at the others."""
+    n = len(A[0]) if A else cols or 0
+    pivots, _ = _echelon(A)
+    return [_kernel_vector(pivots, {f: 1}, n) for f in range(n) if f not in pivots]
 
 
 def solve(A, b):
-    """One solution x of A x = b, or None if the system is inconsistent."""
-    rows = len(A)
-    if rows == 0:
+    """One solution x of A x = b, or None if the system is inconsistent:
+    the kernel vector of [A | b] with -1 on b, 0 on the free columns of A."""
+    if not A:
         return []
     n = len(A[0])
-    aug = [[Fraction(x) for x in A[i]] + [Fraction(b[i])] for i in range(rows)]
-    R, pivots = rref(aug)
-    if n in pivots:
-        return None
-    x = [Fraction(0)] * n
-    for r, pc in enumerate(pivots):
-        x[pc] = R[r][n]
-    return x
-
-
-def det(A) -> Fraction:
-    n = len(A)
-    M = [[Fraction(x) for x in row] for row in A]
-    sign = 1
-    d = Fraction(1)
-    for c in range(n):
-        pivot = None
-        for i in range(c, n):
-            if M[i][c] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            M[c], M[pivot] = M[pivot], M[c]
-            sign = -sign
-        d *= M[c][c]
-        inv = 1 / M[c][c]
-        for i in range(c + 1, n):
-            if M[i][c] != 0:
-                f = M[i][c] * inv
-                M[i] = [x - f * y for x, y in zip(M[i], M[c])]
-    return d * sign
+    pivots, _ = _echelon([list(row) + [y] for row, y in zip(A, b)])
+    return None if n in pivots else _kernel_vector(pivots, {n: -1}, n)
 
 
 def inverse(A):
+    """Column j of A^{-1} is the kernel vector of [A | I] with -1 on column
+    n + j; A is singular when [A | I] has a pivot beyond column n - 1."""
     n = len(A)
-    aug = [[Fraction(x) for x in A[i]] + identity(n)[i] for i in range(n)]
-    R, pivots = rref(aug)
-    if pivots != list(range(n)):
+    pivots, _ = _echelon([list(row) + [int(i == j) for j in range(n)]
+                          for i, row in enumerate(A)])
+    if max(pivots, default=-1) >= n:
         raise ValueError("matrix is singular")
-    return [row[n:] for row in R]
+    return transpose([_kernel_vector(pivots, {n + j: -1}, n) for j in range(n)])
 
 
 def charpoly(A) -> list[Fraction]:

@@ -197,7 +197,7 @@ def coxeter_polynomial(C: IntMatrix):
     if n != C.cols:
         raise ValueError("Cartan matrix must be square")
     rows = [[Fraction(x) for x in C.row(i)] for i in range(n)]
-    if linalg.det(rows) == 0:
+    if C.det() == 0:
         raise ValueError("singular Cartan matrix")
     Cinv_T = linalg.transpose(linalg.inverse(rows))
     phi = [[-x for x in row] for row in linalg.matmul(Cinv_T, rows)]
@@ -394,6 +394,13 @@ def projective_rep(Q: Quiver, v: int) -> Representation:
             M[i][j] = Fraction(1)
         maps.append(M)
     return Representation(Q, dims, maps)
+
+
+def _product(X, Y, n, k, m):
+    """X (n x k) times Y (k x m); the shapes are explicit so that
+    zero-dimensional blocks cannot lose them."""
+    return [[sum(X[a][b] * Y[b][c] for b in range(k)) for c in range(m)]
+            for a in range(n)]
 
 
 def _flatten(blocks, shapes):
@@ -644,16 +651,19 @@ class DerivedMorphism:
                 rk = g.target.summands[k][0]
                 rj = self.target.summands[j][0]
                 if k1 == "hom" and k2 == "hom":
-                    piece = ("hom", {v: linalg.matmul(d2[v], d1[v])
+                    piece = ("hom", {v: _product(d2[v], d1[v], rk.dim(v),
+                                                 rj.dim(v), ri.dim(v))
                                      for v in Q.vertices()})
                 elif k1 == "hom" and k2 == "ext":
                     # (e . f)_a = e_a . f_{t(a)}
-                    piece = ("ext", {idx: linalg.matmul(d2[idx], d1[Q.arrows[idx][1]])
-                                     for idx in range(len(Q.arrows))})
+                    piece = ("ext", {idx: _product(d2[idx], d1[t], rk.dim(s),
+                                                   rj.dim(t), ri.dim(t))
+                                     for idx, (s, t) in enumerate(Q.arrows)})
                 elif k1 == "ext" and k2 == "hom":
                     # (g . e)_a = g_{s(a)} . e_a
-                    piece = ("ext", {idx: linalg.matmul(d2[Q.arrows[idx][0]], d1[idx])
-                                     for idx in range(len(Q.arrows))})
+                    piece = ("ext", {idx: _product(d2[s], d1[idx], rk.dim(s),
+                                                   rj.dim(s), ri.dim(t))
+                                     for idx, (s, t) in enumerate(Q.arrows)})
                 else:
                     continue  # Ext^1 . Ext^1 lands in Ext^2 = 0
                 out[(i, k)] = _add_component(out.get((i, k)), piece, ri, rk, Q)
@@ -772,14 +782,10 @@ def _check_complex(C: ComplexOfReps):
                     raise ValueError(
                         f"differential at degree {i}, vertex {v}: expected "
                         f"shape {N.dim(v)}x{M.dim(v)}")
-            # morphism property per arrow, with explicit shapes so that
-            # zero-dimensional components cannot confuse the products
-            def prod(X, Y, n, kk, m):
-                return [[sum(X[a][b] * Y[b][c] for b in range(kk))
-                         for c in range(m)] for a in range(n)]
+            # morphism property per arrow
             for k, (s, t) in enumerate(C.quiver.arrows):
-                lhs = prod(d[s], M.map_rows(k), N.dim(s), M.dim(s), M.dim(t))
-                rhs = prod(N.map_rows(k), d[t], N.dim(s), N.dim(t), M.dim(t))
+                lhs = _product(d[s], M.map_rows(k), N.dim(s), M.dim(s), M.dim(t))
+                rhs = _product(N.map_rows(k), d[t], N.dim(s), N.dim(t), M.dim(t))
                 if lhs != rhs:
                     raise ValueError(f"differential at degree {i} is not a morphism")
     for i in degrees:

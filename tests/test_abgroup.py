@@ -211,6 +211,7 @@ def test_invariant_checks_survive_optimize_flag(run_optimized):
     proc = run_optimized("""
         from fractions import Fraction
         from singlab import abgroup, cli, mfengine
+        G = abgroup.group_from_relations(1, abgroup.IntMatrix.from_rows([[3]]))
         snf_rows = abgroup._snf_rows
 
         def corrupted(M):
@@ -220,8 +221,8 @@ def test_invariant_checks_survive_optimize_flag(run_optimized):
 
         abgroup._snf_rows = corrupted
         print(cli.main(["group", "3,3"]))
-        abgroup.linalg.det = lambda A: Fraction(1, 2)
-        for check in (lambda: abgroup.IntMatrix.identity(2).det(),
+        abgroup.linalg.inverse = lambda A: [[Fraction(1, 2)]]
+        for check in (lambda: G.from_canonical([1], []),
                       lambda: mfengine._block_matrix([[((1,),), ((1,), (2,))]])):
             try:
                 check()
@@ -232,6 +233,6 @@ def test_invariant_checks_survive_optimize_flag(run_optimized):
     """)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.splitlines() == [
-        "3", "integer matrix has a non-integer determinant",
+        "3", "inverse of the SNF transform V is not integral",
         "blocks in one block row differ in height"]
     assert "SNF transform check failed" in proc.stderr

@@ -1,7 +1,79 @@
+import itertools
 import random
 from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from singlab import linalg
+from singlab.abgroup import IntMatrix
+
+
+def rref(A):
+    """Reduced row echelon form.
+
+    Returns (R, pivot_columns).  The input is not modified.
+    """
+    R = [[Fraction(x) for x in row] for row in A]
+    rows = len(R)
+    cols = len(R[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pivot = None
+        for i in range(r, rows):
+            if R[i][c] != 0:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        R[r], R[pivot] = R[pivot], R[r]
+        pv = R[r][c]
+        R[r] = [x / pv for x in R[r]]
+        for i in range(rows):
+            if i != r and R[i][c] != 0:
+                f = R[i][c]
+                R[i] = [x - f * y for x, y in zip(R[i], R[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return R, pivots
+
+
+# Answers read off the dense Gauss-Jordan oracle.
+
+def rref_nullspace(A, cols=None):
+    n = len(A[0]) if A else cols or 0
+    R, pivots = rref(A)
+    basis = []
+    for fc in (c for c in range(n) if c not in pivots):
+        v = [Fraction(0)] * n
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -R[r][fc]
+        basis.append(v)
+    return basis
+
+
+def rref_solve(A, b):
+    n = len(A[0])
+    R, pivots = rref([list(row) + [y] for row, y in zip(A, b)])
+    if n in pivots:
+        return None
+    x = [Fraction(0)] * n
+    for r, pc in enumerate(pivots):
+        x[pc] = R[r][n]
+    return x
+
+
+def rref_inverse(A):
+    n = len(A)
+    R, pivots = rref([list(row) + [int(i == j) for j in range(n)]
+                      for i, row in enumerate(A)])
+    if pivots != list(range(n)):
+        raise ValueError("matrix is singular")
+    return [row[n:] for row in R]
 
 
 def greedy_rows(A):
@@ -9,7 +81,7 @@ def greedy_rows(A):
     chosen = []
     for i, row in enumerate(A):
         trial = [A[j] for j in chosen] + [row]
-        if len(linalg.rref(trial)[1]) > len(chosen):
+        if len(rref(trial)[1]) > len(chosen):
             chosen.append(i)
     return chosen
 
@@ -48,7 +120,7 @@ def random_battery(seed, per_shape):
 
 def test_rank_matches_rref_oracle():
     for A in random_battery(20260, 60):
-        assert linalg.rank(A) == len(linalg.rref(A)[1]), A
+        assert linalg.rank(A) == len(rref(A)[1]), A
 
 
 def test_independent_rows_is_greedy_choice():
@@ -64,6 +136,132 @@ def test_independent_rows_degenerate_inputs():
     # a scaled copy of an earlier row with a non-integer factor
     A = [[Fraction(1, 2), 3, 0], [0, 0, 0], [Fraction(-1, 6), -1, 0], [0, 0, 5]]
     assert linalg.independent_rows(A) == [0, 3]
+
+
+def all_fractions(vectors):
+    return all(type(x) is Fraction for v in vectors for x in v)
+
+
+def test_nullspace_matches_rref_oracle():
+    for A in random_battery(20262, 40):
+        for cols in (None, len(A[0])):
+            basis = linalg.nullspace(A, cols=cols)
+            assert basis == rref_nullspace(A), A
+            assert all_fractions(basis)
+    assert linalg.nullspace([], cols=3) == rref_nullspace([], cols=3)
+    assert linalg.nullspace([]) == [] and linalg.nullspace([[]]) == []
+    assert all_fractions(linalg.nullspace([], cols=2))
+
+
+def test_solve_matches_rref_oracle():
+    rng = random.Random(20263)
+    consistent = inconsistent = 0
+    for A in random_battery(20264, 40):
+        y = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in A[0]]
+        for b in ([sum(a * x for a, x in zip(row, y)) for row in A],
+                  [rng.randint(-3, 3) for _ in A]):
+            x = linalg.solve(A, b)
+            assert x == rref_solve(A, b), (A, b)
+            if x is None:
+                inconsistent += 1
+            else:
+                consistent += 1
+                assert all_fractions([x])
+    assert consistent and inconsistent
+    assert linalg.solve([[1, 1], [2, 2]], [1, 3]) is None
+    assert linalg.solve([[0, 2], [0, 0]], [Fraction(1, 3), 0]) == [0, Fraction(1, 6)]
+
+
+def test_inverse_matches_rref_oracle():
+    singular = regular = 0
+    for A in random_battery(20265, 80):
+        if len(A) != len(A[0]):
+            continue
+        try:
+            want = rref_inverse(A)
+        except ValueError:
+            singular += 1
+            with pytest.raises(ValueError, match="matrix is singular"):
+                linalg.inverse(A)
+            continue
+        regular += 1
+        inv = linalg.inverse(A)
+        assert inv == want, A
+        assert all_fractions(inv)
+    assert singular and regular
+    assert linalg.inverse([]) == []
+    with pytest.raises(ValueError, match="matrix is singular"):
+        linalg.inverse([[1, 2], [Fraction(1, 2), 1]])
+
+
+def leibniz_det(M):
+    n = len(M)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = -1 if inversions % 2 else 1
+        for i in range(n):
+            term *= M[i][perm[i]]
+        total += term
+    return total
+
+
+def test_int_matrix_det_matches_leibniz():
+    rng = random.Random(20266)
+    assert IntMatrix.from_rows([]).det() == 1
+    for n in range(1, 7):
+        for _ in range(30):
+            rows = [[rng.choice((0, 0, rng.randint(-9, 9), rng.randint(-10**6, 10**6)))
+                     for _ in range(n)] for _ in range(n)]
+            roll = rng.random()
+            if roll < 0.15:
+                rows[rng.randrange(n)] = [0] * n
+            elif roll < 0.3 and n >= 2:
+                i, j = rng.sample(range(n), 2)
+                rows[i] = [3 * x for x in rows[j]]
+            d = IntMatrix.from_rows(rows).det()
+            assert type(d) is int and d == leibniz_det(rows), rows
+    with pytest.raises(ValueError):
+        IntMatrix.from_rows([[1, 2]]).det()
+
+
+small_fractions = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+
+
+@st.composite
+def matrices(draw, square=False):
+    rows = draw(st.integers(1, 6))
+    cols = rows if square else draw(st.integers(1, 6))
+    return draw(st.lists(st.lists(small_fractions, min_size=cols, max_size=cols),
+                         min_size=rows, max_size=rows))
+
+
+def matvec(A, x):
+    return [sum(a * y for a, y in zip(row, x)) for row in A]
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices(), st.data())
+def test_kernel_and_solve_properties(A, data):
+    basis = linalg.nullspace(A)
+    assert len(basis) == len(A[0]) - linalg.rank(A)
+    for v in basis:
+        assert matvec(A, v) == [0] * len(A)
+    y = data.draw(st.lists(small_fractions, min_size=len(A[0]), max_size=len(A[0])))
+    b = matvec(A, y)
+    x = linalg.solve(A, b)
+    assert x is not None and matvec(A, x) == b
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices(square=True))
+def test_inverse_property(A):
+    n = len(A)
+    if linalg.rank(A) < n:
+        with pytest.raises(ValueError):
+            linalg.inverse(A)
+        return
+    assert linalg.matmul(linalg.inverse(A), A) == linalg.identity(n)
 
 
 def test_checks_survive_optimize_flag(run_optimized):

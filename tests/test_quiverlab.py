@@ -311,3 +311,18 @@ def test_split_complex_induced_maps():
     assert [(h.dims, deg) for h, deg in out] == [((1, 1), 0), ((1, 0), 1)]
     H0 = out[0][0]
     assert H0.maps[0] == ((Fraction(1),),)
+
+
+def test_compose_keeps_shapes_through_zero_dimensional_blocks():
+    # g . f with f: S2 -> S1 zero and g the (1 x 0) cocycle S1 -> S1[1]:
+    # the product e_a . f_2 of a (1 x 0) by a (0 x 1) block is 1 x 1
+    Q = ade_quiver(A(2))
+    S1, S2 = simple_rep(Q, 1), simple_rep(Q, 2)
+    X = DerivedObject(((S2, 0),))
+    Y = DerivedObject(((S1, 0),))
+    Z = DerivedObject(((S1, 1),))
+    f = DerivedMorphism(X, Y, {(0, 0): ("hom", {1: [[]], 2: []})})
+    g = DerivedMorphism(Y, Z, {(0, 0): ("ext", {0: [[]]})})
+    h = f.compose(g)
+    assert h.is_zero() is True
+    assert h.components[(0, 0)] == ("ext", {0: [[0]]})
