@@ -14,7 +14,12 @@ Conventions fixed here, used by every consumer:
   Invariant factors equal to 1 are suppressed in reports; zero diagonal
   entries contribute to the free rank.
 * Element canonical form: torsion residues reduced into [0, t_i), free
-  coordinates left as unreduced integers.
+  coordinates left as unreduced integers.  The map from raw coordinates v
+  to y = vV is linear, so sums, differences, negatives and integer
+  multiples combine the canonical forms directly (residues mod the
+  invariant factors, which come in the same order, free coordinates as
+  integers), next to the raw coordinates, which reports print.
+  `reduce_element` is only the constructor from raw coordinates.
 * The degree map of a rank-one pointed group is the quotient by the torsion
   subgroup, normalized so the marked element has positive degree.
 """
@@ -23,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -343,21 +349,34 @@ class GroupElement:
         if self._sig != other._sig:
             raise ValueError("elements of different groups")
 
+    def _with(self, coordinates, residues, free):
+        """The element with these raw coordinates and unreduced residues."""
+        residues = tuple(map(operator.mod, residues, self.group.invariant_factors))
+        return GroupElement(self.group, coordinates, (residues, free), self._sig)
+
     def __add__(self, other):
         self._check(other)
-        return reduce_element(self.group,
-                              [a + b for a, b in zip(self.coordinates, other.coordinates)])
+        (ra, fa), (rb, fb) = self.canonical, other.canonical
+        return self._with(tuple(map(operator.add, self.coordinates, other.coordinates)),
+                          map(operator.add, ra, rb),
+                          tuple(map(operator.add, fa, fb)))
 
     def __sub__(self, other):
         self._check(other)
-        return reduce_element(self.group,
-                              [a - b for a, b in zip(self.coordinates, other.coordinates)])
+        (ra, fa), (rb, fb) = self.canonical, other.canonical
+        return self._with(tuple(map(operator.sub, self.coordinates, other.coordinates)),
+                          map(operator.sub, ra, rb),
+                          tuple(map(operator.sub, fa, fb)))
 
     def __neg__(self):
-        return reduce_element(self.group, [-a for a in self.coordinates])
+        residues, free = self.canonical
+        return self._with(tuple(map(operator.neg, self.coordinates)),
+                          map(operator.neg, residues), tuple(map(operator.neg, free)))
 
     def __mul__(self, k: int):
-        return reduce_element(self.group, [k * a for a in self.coordinates])
+        residues, free = self.canonical
+        return self._with(tuple(k * a for a in self.coordinates),
+                          (k * r for r in residues), tuple(k * f for f in free))
 
     __rmul__ = __mul__
 

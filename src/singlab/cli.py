@@ -562,6 +562,10 @@ def main(argv=None) -> int:
     except (InternalCheckFailure, AssertionError) as exc:
         print(f"internal invariant breach: {exc}", file=sys.stderr)
         return 3
+    except ValueError as exc:
+        # an input the library refuses; exit 1 stays a failing `verify`
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -26,8 +26,10 @@ floating point appears anywhere.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from . import linalg
 from .abgroup import GroupElement, PointedAbelianGroup, boxminus, group_from_relations
@@ -150,6 +152,38 @@ class Polynomial:
         return f"Polynomial({self.terms!r})"
 
 
+@functools.lru_cache(maxsize=None)
+def _monomial_table(grading_key, residues, degree):
+    """Exponent tuples e, in lexicographic order, with sum e_k a_k of the
+    canonical torsion residues `residues` and of degree `degree`.
+
+    `grading_key` is (invariant factors, ((residues of a_k, deg a_k), ...)).
+    Each a_k has positive degree, so the search stops once the degree left
+    is negative; it works on residue tuples and integer degrees, never on
+    group elements.
+    """
+    factors, gens = grading_key
+    k = len(gens)
+    found = []
+    acc = []
+
+    def rec(idx, res, rem):
+        if idx == k:
+            if not rem and not any(res):
+                found.append(tuple(acc))
+            return
+        step, deg = gens[idx]
+        for e in range(rem // deg + 1):
+            acc.append(e)
+            rec(idx + 1, res, rem)
+            acc.pop()
+            res = tuple((r - s) % t for r, s, t in zip(res, step, factors))
+            rem -= deg
+
+    rec(0, residues, degree)
+    return tuple(found)
+
+
 class RingWithPotential:
     """A positively multigraded polynomial ring with a chosen potential.
 
@@ -167,6 +201,11 @@ class RingWithPotential:
             raise ValueError("potential over the wrong number of variables")
         self.potential = potential
         self._monomial_cache: dict = {}
+        # what _monomial_table needs of the grading; rings with equal
+        # signature() have equal keys, so they share its tables
+        self._grading_key = (
+            spec.grading.group.invariant_factors,
+            tuple((a.canonical[0], spec.degree(a)) for a in spec.generator_degrees))
         for exps in potential.terms:
             if self.monomial_degree(exps) != spec.potential_degree:
                 raise ValueError("potential is not homogeneous of the marked degree")
@@ -190,33 +229,12 @@ class RingWithPotential:
 
     def monomials_of(self, target: GroupElement):
         """All exponent tuples of the given multidegree (finite: positive grading)."""
-        key = (target.canonical)
+        key = target.canonical
         hit = self._monomial_cache.get(key)
-        if hit is not None:
-            return hit
-        k = self.nvars()
-        gen_degs = self.spec.generator_degrees
-        zdegs = [self.degree_of(a) for a in gen_degs]
-        found = []
-
-        def rec(idx, acc, remaining, rem_deg):
-            if rem_deg < 0:
-                return
-            if idx == k:
-                if remaining.is_zero():
-                    found.append(tuple(acc))
-                return
-            step = gen_degs[idx]
-            cur = remaining
-            for e in range(rem_deg // zdegs[idx] + 1):
-                acc.append(e)
-                rec(idx + 1, acc, cur, rem_deg - e * zdegs[idx])
-                acc.pop()
-                cur = cur - step
-        rec(0, [], target, self.degree_of(target))
-        result = tuple(sorted(found))
-        self._monomial_cache[key] = result
-        return result
+        if hit is None:
+            hit = _monomial_table(self._grading_key, key[0], self.degree_of(target))
+            self._monomial_cache[key] = hit
+        return hit
 
     def signature(self):
         return (self.grading.group.signature(), self.grading.marked.canonical,
@@ -702,48 +720,81 @@ def _hom_components(E: Factorization, F: Factorization, n: int):
             (E.e_zero, F.e_neg.twist((l + 1) * d)))
 
 
-def _hom_basis(E: Factorization, F: Factorization, n: int):
-    """Monomial basis of Hom^n(E, F): entries (component, row, col, exps)."""
-    ring = E.ring
-    basis = []
-    for comp, (src, tgt) in enumerate(_hom_components(E, F, n)):
-        for i in range(tgt.rank):
-            for j in range(src.rank):
-                forced = src.twists[j] - tgt.twists[i]
-                for exps in ring.monomials_of(forced):
-                    basis.append((comp, i, j, exps))
-    return basis
+def _hom_blocks(E: Factorization, F: Factorization):
+    """The blocks (component, row, col, degree) of Hom^0(E, F) and Hom^1(E, F).
+
+    An entry of a block maps generator `col` of the source module to
+    generator `row` of the target and has the given degree.  Since
+    Hom^{n+2}(E, F) = Hom^n(E, F(d)), Hom^{2l+eps} has the blocks of
+    Hom^eps with l*d added to every degree, so F is twisted once per
+    parity, not once per n.
+    """
+    return tuple([(comp, i, j, src.twists[j] - tgt.twists[i])
+                  for comp, (src, tgt) in enumerate(_hom_components(E, F, eps))
+                  for i in range(tgt.rank) for j in range(src.rank)]
+                 for eps in (0, 1))
 
 
-def _differential_matrix(E, F, n, basis_n, basis_np1):
+def _hom_basis(ring: RingWithPotential, blocks, n: int):
+    """Monomial basis of Hom^n(E, F): entries (component, row, col, exps).
+
+    `blocks` is `_hom_blocks(E, F)`; the degrees of its parity of n are
+    shifted by l*d for n = 2l + eps.
+    """
+    l, eps = divmod(n, 2)
+    shift = l * ring.spec.potential_degree
+    return [(comp, i, j, exps) for comp, i, j, forced in blocks[eps]
+            for exps in ring.monomials_of(forced + shift)]
+
+
+def _terms(p: Polynomial):
+    """(exps, coeff) pairs of a polynomial, integral coefficients as ints."""
+    return [(e, c.numerator if c.denominator == 1 else c) for e, c in p.terms.items()]
+
+
+def _structure_terms(E: Factorization, F: Factorization):
+    """The structure maps as term lists, in the form `_differential_matrix` reads.
+
+    (right, left): right[comp][j] lists (col, exps, coeff) of row j of the E
+    map that multiplies component comp from the right (phi_neg for comp 0,
+    phi0 for comp 1); left[k][i] lists (row, exps, coeff) of column i of the
+    F map phi0 (k = 0) or phi_neg (k = 1).
+    """
+    right = tuple([[(jj, e, c) for jj, p in enumerate(row) for e, c in _terms(p)]
+                   for row in M] for M in (E.phi_neg, E.phi0))
+    left = tuple([[(ii, e, c) for ii, row in enumerate(M) for e, c in _terms(row[i])]
+                  for i in range(cols)]
+                 for M, cols in ((F.phi0, F.e_neg.rank), (F.phi_neg, F.e_zero.rank)))
+    return right, left
+
+
+def _differential_matrix(terms, n, basis_n, basis_np1):
     """Matrix of the strand differential Hom^n(E, F) -> Hom^{n+1}(E, F).
 
     The differential sends g to g . phi^E - (-1)^n phi^F . g.  Right
     multiplication by the E map moves a block to the other component; left
-    multiplication by the F map keeps it.  Rows follow `basis_np1`, columns
-    `basis_n`.
+    multiplication by the F map keeps it.  `terms` is
+    `_structure_terms(E, F)`.  Rows follow `basis_np1`, columns `basis_n`;
+    entries are ints where the structure maps have integral coefficients.
     """
     if not basis_n:
         return []
+    right, left = terms
     index = {key: pos for pos, key in enumerate(basis_np1)}
-    rows = [[Fraction(0)] * len(basis_n) for _ in basis_np1]
+    rows = [[0] * len(basis_n) for _ in basis_np1]
     sign = 1 if n % 2 else -1
 
-    def add(key, col, c):
+    def add_term(key, col, c):
         pos = index.get(key)
         if pos is None:
             raise AssertionError("differential left the graded window")
         rows[pos][col] += c
 
     for col, (comp, i, j, m) in enumerate(basis_n):
-        right = E.phi0 if comp else E.phi_neg
-        for jj, p in enumerate(right[j]):
-            for e, c in p.terms.items():
-                add((1 - comp, i, jj, tuple(a + b for a, b in zip(m, e))), col, c)
-        left = F.phi0 if (n + comp) % 2 == 0 else F.phi_neg
-        for ii, row in enumerate(left):
-            for e, c in row[i].terms.items():
-                add((comp, ii, j, tuple(a + b for a, b in zip(m, e))), col, sign * c)
+        for jj, e, c in right[comp][j]:
+            add_term((1 - comp, i, jj, tuple(map(add, m, e))), col, c)
+        for ii, e, c in left[(n + comp) % 2][i]:
+            add_term((comp, ii, j, tuple(map(add, m, e))), col, sign * c)
     return rows
 
 
@@ -881,7 +932,9 @@ def strand_cohomology(E: Factorization, F: Factorization,
     carries a proven support range and strands outside it read as zero;
     otherwise the window `window` (default `default_window`) is inspected
     and tagged as such.  Computation is exact linear algebra on the finite
-    homogeneous components of the morphism complex.
+    homogeneous components of the morphism complex.  The block degrees of
+    Hom^n are computed once per parity (Hom^{n+2}(E, F) = Hom^n(E, F(d))),
+    and the structure maps are read into term lists once per call.
     """
     if not E.ring.same_ring(F.ring):
         raise ValueError("factorizations over different rings")
@@ -897,10 +950,12 @@ def strand_cohomology(E: Factorization, F: Factorization,
         certification = ("windowed", L)
 
     n_lo, n_hi = 2 * l_lo, 2 * l_hi + 1
-    bases = {n: _hom_basis(E, F, n) for n in range(n_lo - 1, n_hi + 2)}
+    blocks = _hom_blocks(E, F)
+    bases = {n: _hom_basis(E.ring, blocks, n) for n in range(n_lo - 1, n_hi + 2)}
+    terms = _structure_terms(E, F)
     ranks = {}
     for n in range(n_lo - 1, n_hi + 1):
-        D = _differential_matrix(E, F, n, bases[n], bases[n + 1])
+        D = _differential_matrix(terms, n, bases[n], bases[n + 1])
         ranks[n] = linalg.rank(D) if D else 0
     entries = {}
     for n in range(n_lo, n_hi + 1):

@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from singlab.abgroup import (IntMatrix, boxminus, group_from_relations,
                              pointed_Z, reduce_element, smith_normal_form,
@@ -88,6 +89,54 @@ def test_reduce_invariant_under_relations():
             c = rng.randint(-3, 3)
             w = [a + c * b for a, b in zip(w, row)]
         assert reduce_element(G, v) == reduce_element(G, w)
+
+
+@st.composite
+def groups_with_elements(draw):
+    """A group Z^n / rows (n, rows <= 4), two elements' raw coordinates, k."""
+    n = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(st.integers(-6, 6), min_size=n, max_size=n),
+                         max_size=4))
+    vec = st.lists(st.integers(-20, 20), min_size=n, max_size=n)
+    return n, rows, draw(vec), draw(vec), draw(st.integers(-7, 7))
+
+
+# SNF transforms V != I, so canonical coordinates mix the raw ones
+MIXING = ([[3, -3]], [[2, 4], [6, 8]], [[2, -4, 0], [0, 6, -3]],
+          [[4, 6, 0, 2], [0, 3, 9, 1], [1, 1, 1, 1]])
+
+
+def test_mixing_examples_have_nontrivial_v():
+    for rows in MIXING:
+        snf = smith_normal_form(IntMatrix.from_rows(rows))
+        assert snf.V != IntMatrix.identity(len(rows[0]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(groups_with_elements())
+@example((2, MIXING[0], [1, 5], [-4, 2], 5))
+@example((2, MIXING[1], [3, -1], [7, 2], -3))
+@example((3, MIXING[2], [1, 2, 3], [-5, 0, 4], 4))
+@example((4, MIXING[3], [1, -2, 3, 0], [9, 9, -9, 1], 6))
+def test_arithmetic_matches_reduce_element(case):
+    n, rows, u, v, k = case
+    G = group_from_relations(n, IntMatrix.from_rows(rows) if rows
+                             else IntMatrix.zero(0, n))
+    a, b = reduce_element(G, u), reduce_element(G, v)
+    for got, raw in ((a + b, [x + y for x, y in zip(u, v)]),
+                     (a - b, [x - y for x, y in zip(u, v)]),
+                     (-a, [-x for x in u]),
+                     (k * a, [k * x for x in u]),
+                     (a * k, [k * x for x in u])):
+        want = reduce_element(G, raw)
+        assert got.canonical == want.canonical
+        assert got.coordinates == want.coordinates
+        assert got == want and hash(got) == hash(want)
+    other = group_from_relations(n, IntMatrix.from_rows(rows + [[1] + [0] * (n - 1)]))
+    c = reduce_element(other, v)
+    for op in (lambda: a + c, lambda: a - c, lambda: c - a):
+        with pytest.raises(ValueError, match="different groups"):
+            op()
 
 
 def test_boxminus_mixed_degrees():

@@ -211,6 +211,18 @@ def test_search_budget_exceeded_exits_2(tmp_path, capsys):
     assert "search budget exceeded" in captured.err
 
 
+def test_library_value_error_exits_2(monkeypatch, capsys):
+    def refuse(*args):
+        raise ValueError("kernel is unreasonably large")
+
+    monkeypatch.setattr(cli, "orbit_report", refuse)
+    assert cli.main(["orbit", "--weights", "3,3", "--window", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: kernel is unreasonably large\n"
+    assert "Traceback" not in captured.err
+
+
 def test_rationals_rendered_as_strings(capsys):
     _, out = run_cli(capsys, "analyze", "2,3,7")
     r = json.loads(out)["results"]

@@ -1,11 +1,12 @@
+import functools
 import random
 from fractions import Fraction
 
 import pytest
 
-from singlab import linalg, mfengine
-from singlab.mfengine import (_differential_matrix, _hom_basis,
-                              _hom_components, _matmul_poly)
+from singlab import abgroup, linalg, mfengine
+from singlab.mfengine import (_differential_matrix, _hom_basis, _hom_blocks,
+                              _hom_components, _matmul_poly, _structure_terms)
 from singlab.mfengine import (Factorization, OrbitSpec, Polynomial, cone,
                               default_window, endo_algebra_check,
                               factorization_map, fermat_ring, k_object,
@@ -120,6 +121,50 @@ def test_cokernel_support_computed_once_per_object(monkeypatch):
     endo_algebra_check(4)
     # objects: E_1, E_2, E_3 and k(0); two cokernels each
     assert len(calls) <= 2 * 4
+
+
+def test_strand_cohomology_needs_no_reduce_element(monkeypatch):
+    ring = one_variable_ring(5)
+    objs = standard_objects(ring)
+    E, F = objs[1], objs[2].twist(ring.spec.generator_degrees[0])
+    calls = []
+    original = abgroup.reduce_element
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(abgroup, "reduce_element", counting)
+    monkeypatch.setattr(mfengine, "reduce_element", counting)
+    table = strand_cohomology(E, F)
+    assert table.dim(0, 0) == 1 and table.total() == 1
+    # arithmetic acts on canonical coordinates; the parent of this change
+    # reduced raw coordinates 145 times here
+    assert calls == []
+
+
+def test_monomial_tables_shared_between_equal_rings(monkeypatch):
+    enumerated = []
+    inner = mfengine._monomial_table.__wrapped__
+
+    def counting(*args):
+        enumerated.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(mfengine, "_monomial_table",
+                        functools.lru_cache(maxsize=None)(counting))
+    rx, ry = one_variable_ring(3, "x"), one_variable_ring(3, "y")
+    T = tensor_product(standard_objects(rx)[0], standard_objects(ry)[1])
+    A = T.ring.grading
+    psi = OrbitSpec(A, [A.group.element([1, -1])])
+    R1, R2 = restrict_grading(T, psi), restrict_grading(T.twist(A.marked), psi)
+    assert R1.ring is not R2.ring and R1.ring.same_ring(R2.ring)
+    a, b = R1.ring.spec.generator_degrees
+    targets = {i * a + j * b for i in range(5) for j in range(5)}
+    for R in (R1, R2):
+        for t in targets:
+            assert R.ring.monomials_of(t) == R1.ring.monomials_of(t)
+    assert len(enumerated) == len(targets)
 
 
 def test_k_object_exceptional_all_twists():
@@ -361,8 +406,9 @@ def test_differential_matrix_matches_polynomial_oracle():
     C = cone(factorization_map(T, T.twist(g), ident, ident))
     rng = random.Random(7)
     for E, F in ((T, C), (C, T), (C, C)):
-        bases = {n: _hom_basis(E, F, n) for n in range(-3, 5)}
-        D = {n: _differential_matrix(E, F, n, bases[n], bases[n + 1])
+        blocks, terms = _hom_blocks(E, F), _structure_terms(E, F)
+        bases = {n: _hom_basis(E.ring, blocks, n) for n in range(-3, 5)}
+        D = {n: _differential_matrix(terms, n, bases[n], bases[n + 1])
              for n in range(-3, 4)}
         for n in range(-3, 3):
             if D[n] and D[n + 1]:
