@@ -206,23 +206,13 @@ def orbit_report(weights: WeightSequence, window: int) -> dict:
     g = math.gcd(a, b)
     gamma = A.group.element([a // g, -(b // g)])
     psi = mfengine.OrbitSpec(A, [gamma])
-    pair_results = []
-    all_ok = True
-    for i, E in enumerate(objs):
-        for j, F in enumerate(objs):
-            rep = mfengine.orbit_hom_check(E, F, psi, window)
-            all_ok = all_ok and rep["ok"]
-            pair_results.append({
-                "pair": [i, j],
-                "ok": rep["ok"],
-                "mismatches": rep["mismatches"],
-            })
+    pairs = mfengine.orbit_hom_check(objs, psi, window)
     return {
         "weights": [a, b],
         "gamma_order": psi.order(),
         "window": window,
-        "pairs": pair_results,
-        "ok": all_ok,
+        "pairs": pairs,
+        "ok": all(p["ok"] for p in pairs),
     }
 
 

@@ -1,6 +1,9 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from singlab import cli
 from singlab.weightcalc import WeightSequence
@@ -227,3 +230,53 @@ def test_rationals_rendered_as_strings(capsys):
     _, out = run_cli(capsys, "analyze", "2,3,7")
     r = json.loads(out)["results"]
     assert r["mu_bar"] == "-1/42"
+
+
+# Bounded argv grammar: every example runs in well under a second, and the
+# flags that default to expensive settings are always given.
+_TOKENS = [str(x) for x in range(-1, 7)] + ["x", ""]
+
+
+def _weights(tokens, max_size):
+    return st.lists(st.sampled_from(tokens), max_size=max_size).map(",".join)
+
+
+def _flags(**bounds):
+    """Every named flag, each with a value in -1..its bound."""
+    pairs = [st.integers(-1, hi).map(
+        lambda v, flag="--" + name.replace("_", "-"): [flag, str(v)])
+        for name, hi in bounds.items()]
+    return st.tuples(*pairs).map(lambda ps: [x for p in ps for x in p])
+
+
+_ADE_LABELS = ([f"A{i}" for i in range(7)] + [f"D{i}" for i in range(3, 6)]
+               + [f"E{i}" for i in range(5, 10)])
+_SMALL = [t for t in _TOKENS if not t.isdigit() or int(t) <= 4]
+_TINY = [t for t in _TOKENS if not t.isdigit() or int(t) <= 3]
+_ARGV = st.one_of(
+    st.tuples(st.sampled_from(["analyze", "group", "decompose", "sod"]),
+              _weights(_TOKENS, 4)).map(list),
+    st.tuples(st.just("quiver"),
+              st.sampled_from(_ADE_LABELS) | _weights(_SMALL, 3)).map(list),
+    _flags(max_d=5).map(lambda fs: ["mf"] + fs),
+    st.tuples(_weights(_TINY, 4), _flags(window=2)).map(
+        lambda t: ["orbit", "--weights", t[0]] + t[1]),
+    st.tuples(st.sampled_from(sorted(cli.SUITES) + ["bogus"]),
+              _flags(max_d=5, max_n=2, max_entry=4, window=2)).map(
+        lambda t: ["verify", t[0]] + t[1]),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(argv=_ARGV)
+def test_main_fuzz_exits_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse rejects the argv
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        json.loads(out.getvalue())

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from singlab import abgroup, linalg, mfengine
+from singlab import abgroup, cli, linalg, mfengine
 from singlab.mfengine import (_differential_matrix, _hom_basis, _hom_blocks,
                               _hom_components, _matmul_poly, _structure_terms)
 from singlab.mfengine import (Factorization, OrbitSpec, Polynomial, cone,
@@ -14,6 +14,7 @@ from singlab.mfengine import (Factorization, OrbitSpec, Polynomial, cone,
                               orbit_hom_check, restrict_grading,
                               standard_objects, strand_cohomology,
                               tensor_product, translate, zero_factorization)
+from singlab.weightcalc import WeightSequence
 
 
 def ring3():
@@ -109,18 +110,44 @@ def test_endo_algebra_check_battery():
                              for i in range(m)]
 
 
-def test_cokernel_support_computed_once_per_object(monkeypatch):
+def _counting(monkeypatch, name):
+    """Replace mfengine.<name> by a wrapper; return the list of its calls."""
     calls = []
-    original = mfengine._annihilator_powers
+    original = getattr(mfengine, name)
 
-    def counting(*args):
+    def counting(*args, **kwargs):
         calls.append(args)
-        return original(*args)
+        return original(*args, **kwargs)
 
-    monkeypatch.setattr(mfengine, "_annihilator_powers", counting)
+    monkeypatch.setattr(mfengine, name, counting)
+    return calls
+
+
+def test_cokernel_support_computed_once_per_object(monkeypatch):
+    calls = _counting(monkeypatch, "_annihilator_powers")
     endo_algebra_check(4)
-    # objects: E_1, E_2, E_3 and k(0); two cokernels each
-    assert len(calls) <= 2 * 4
+    # objects: E_1, E_2, E_3 (k(0) is E_3); two cokernels each
+    assert len(calls) <= 2 * 3
+
+
+def test_endo_algebra_check_builds_objects_once(monkeypatch):
+    built = _counting(monkeypatch, "standard_objects")
+    tables = _counting(monkeypatch, "strand_cohomology")
+    rep = endo_algebra_check(4)
+    assert rep["k_object_exceptional"]
+    # one build of E_1..E_3 and their 3 x 3 tables; k(0) = E_3 reuses its own
+    assert len(built) == 1
+    assert len(tables) == 9
+
+
+def test_orbit_check_regrades_each_object_once(monkeypatch):
+    regraded = _counting(monkeypatch, "restrict_grading")
+    rep = cli.orbit_report(WeightSequence([3, 3]), 1)
+    # the 4 objects E_i (x) E_j of x^3 + y^3, each regraded once
+    assert len(regraded) == 4
+    assert [p["pair"] for p in rep["pairs"]] == [[i, j] for i in range(4)
+                                                 for j in range(4)]
+    assert rep["ok"]
 
 
 def test_strand_cohomology_needs_no_reduce_element(monkeypatch):
@@ -321,8 +348,9 @@ def test_orbit_hom_check_trivial_gamma():
     ring = ring3()
     E1, E2 = standard_objects(ring)
     psi = OrbitSpec(ring.grading, [])
-    rep = orbit_hom_check(E1, E2, psi, window=2)
-    assert rep["ok"] and rep["gamma_order"] == 1
+    reps = orbit_hom_check([E1, E2], psi, window=2)
+    assert psi.order() == 1
+    assert all(rep["ok"] for rep in reps)
 
 
 def test_orbit_hom_check_z3():
@@ -334,8 +362,7 @@ def test_orbit_hom_check_z3():
     T22 = tensor_product(Ex[1], Ey[1])
     A = T11.ring.grading
     psi = OrbitSpec(A, [A.group.element([1, -1])])
-    for E, F in ((T11, T11), (T11, T22)):
-        rep = orbit_hom_check(E, F, psi, window=3)
+    for rep in orbit_hom_check([T11, T22], psi, window=3):
         assert rep["ok"], rep["mismatches"]
 
 
