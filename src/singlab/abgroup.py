@@ -26,6 +26,7 @@ Conventions fixed here, used by every consumer:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -285,12 +286,14 @@ class FGAbelianGroup:
     def element(self, coords) -> "GroupElement":
         return reduce_element(self, coords)
 
+    @functools.cached_property
     def _v_inverse(self):
+        """V^{-1} as integer rows, computed once per group."""
         V = self.normal_form.V.to_rows()
         Vinv = linalg.inverse([[Fraction(x) for x in row] for row in V])
         if any(x.denominator != 1 for row in Vinv for x in row):
             raise AssertionError("inverse of the SNF transform V is not integral")
-        return [[int(x) for x in row] for row in Vinv]
+        return tuple(tuple(int(x) for x in row) for row in Vinv)
 
     def from_canonical(self, residues, free) -> "GroupElement":
         """Rebuild an element from canonical (torsion residues, free) data."""
@@ -304,7 +307,7 @@ class FGAbelianGroup:
                 y[i] = next(it)
         for k, i in enumerate(range(snf.rank, n)):
             y[i] = free[k]
-        Vinv = self._v_inverse()
+        Vinv = self._v_inverse
         v = [sum(y[t] * Vinv[t][j] for t in range(n)) for j in range(n)]
         return reduce_element(self, v)
 

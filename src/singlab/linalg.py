@@ -1,7 +1,9 @@
 """Exact linear algebra over the rationals.
 
 Everything here works on plain lists of lists whose entries are ints or
-`fractions.Fraction`; no floating point is ever introduced.
+`fractions.Fraction`; no floating point is ever introduced.  The rows given
+to `_echelon` (and so to `independent_rows` and `rank`) may also be sparse
+{column: value} dicts.
 
 One elimination, `_echelon`, serves `independent_rows`, `rank`,
 `nullspace`, `solve` and `inverse`: sparse, fraction-free row echelon form
@@ -62,16 +64,20 @@ def _echelon(A):
     {column: int} keyed by leading column, and the indices of the rows of A
     that became pivots, i.e. those independent of all earlier rows.
 
-    Each row, scaled by the lcm of its denominators, is reduced against the
-    pivots by r <- (p[c]/g) r - (r[c]/g) p with g = gcd(p[c], r[c]); a row
-    that does not reduce to zero becomes a pivot, divided by its content.
+    A row is a sequence or a {column: value} dict, absent columns being 0.
+    Each row, scaled by the lcm of its denominators if it has a non-int
+    entry, is reduced against the pivots by r <- (p[c]/g) r - (r[c]/g) p
+    with g = gcd(p[c], r[c]); a row that does not reduce to zero becomes a
+    pivot, divided by its content.
     """
     pivots: dict[int, dict[int, int]] = {}
     chosen = []
     for index, row in enumerate(A):
-        nonzero = [(j, x) for j, x in enumerate(row) if x]
-        den = lcm(*(x.denominator for _, x in nonzero))
-        r = {j: x.numerator * (den // x.denominator) for j, x in nonzero}
+        r = {j: x for j, x in (row.items() if isinstance(row, dict)
+                               else enumerate(row)) if x}
+        if not all(type(x) is int for x in r.values()):
+            den = lcm(*(x.denominator for x in r.values()))
+            r = {j: x.numerator * (den // x.denominator) for j, x in r.items()}
         while r:
             c = min(r)
             p = pivots.get(c)

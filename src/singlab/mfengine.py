@@ -152,6 +152,21 @@ class Polynomial:
         return f"Polynomial({self.terms!r})"
 
 
+def _degree_pair(spec: GradedRingSpec, u: GroupElement):
+    """(torsion residues, integer degree) of u.
+
+    The grading group has free rank one, so the pair determines u; pairs
+    add componentwise, residues modulo the invariant factors (`_add_pairs`).
+    """
+    return u.canonical[0], spec.degree(u)
+
+
+def _add_pairs(factors, a, b, k=1):
+    """The degree pair a + k b."""
+    return (tuple([(x + k * y) % t for x, y, t in zip(a[0], b[0], factors)]),
+            a[1] + k * b[1])
+
+
 @functools.lru_cache(maxsize=None)
 def _monomial_table(grading_key, residues, degree):
     """Exponent tuples e, in lexicographic order, with sum e_k a_k of the
@@ -200,12 +215,12 @@ class RingWithPotential:
         if potential.nvars != spec.num_variables():
             raise ValueError("potential over the wrong number of variables")
         self.potential = potential
-        self._monomial_cache: dict = {}
         # what _monomial_table needs of the grading; rings with equal
         # signature() have equal keys, so they share its tables
         self._grading_key = (
             spec.grading.group.invariant_factors,
-            tuple((a.canonical[0], spec.degree(a)) for a in spec.generator_degrees))
+            tuple(_degree_pair(spec, a) for a in spec.generator_degrees))
+        self._potential_pair = _degree_pair(spec, spec.potential_degree)
         for exps in potential.terms:
             if self.monomial_degree(exps) != spec.potential_degree:
                 raise ValueError("potential is not homogeneous of the marked degree")
@@ -229,12 +244,7 @@ class RingWithPotential:
 
     def monomials_of(self, target: GroupElement):
         """All exponent tuples of the given multidegree (finite: positive grading)."""
-        key = target.canonical
-        hit = self._monomial_cache.get(key)
-        if hit is None:
-            hit = _monomial_table(self._grading_key, key[0], self.degree_of(target))
-            self._monomial_cache[key] = hit
-        return hit
+        return _monomial_table(self._grading_key, *_degree_pair(self.spec, target))
 
     def signature(self):
         return (self.grading.group.signature(), self.grading.marked.canonical,
@@ -278,18 +288,20 @@ def _zero_matrix(rows, cols, nvars):
 
 
 def _matmul_poly(A, B, nvars):
-    rows = len(A)
+    """A . B; each entry is summed in one term dict, then made a Polynomial."""
     inner = len(B)
     cols = len(B[0]) if inner else 0
     out = []
-    for i in range(rows):
+    for Ai in A:
         row = []
         for j in range(cols):
-            acc = Polynomial.zero(nvars)
+            acc = {}
             for t in range(inner):
-                if not A[i][t].is_zero() and not B[t][j].is_zero():
-                    acc = acc + A[i][t] * B[t][j]
-            row.append(acc)
+                for e1, c1 in Ai[t].terms.items():
+                    for e2, c2 in B[t][j].terms.items():
+                        e = tuple(map(add, e1, e2))
+                        acc[e] = acc.get(e, 0) + c1 * c2
+            row.append(Polynomial(nvars, acc))
         out.append(tuple(row))
     return tuple(out)
 
@@ -724,15 +736,23 @@ def _hom_blocks(E: Factorization, F: Factorization):
     """The blocks (component, row, col, degree) of Hom^0(E, F) and Hom^1(E, F).
 
     An entry of a block maps generator `col` of the source module to
-    generator `row` of the target and has the given degree.  Since
-    Hom^{n+2}(E, F) = Hom^n(E, F(d)), Hom^{2l+eps} has the blocks of
-    Hom^eps with l*d added to every degree, so F is twisted once per
-    parity, not once per n.
+    generator `row` of the target and has the given degree, a pair from
+    `_degree_pair`.  Since Hom^{n+2}(E, F) = Hom^n(E, F(d)), Hom^{2l+eps}
+    has the blocks of Hom^eps with l*d added to every degree.  The target
+    F_{-1}(d) of the second block of Hom^1 is handled by adding d to the
+    source degrees, so no module is twisted.
     """
-    return tuple([(comp, i, j, src.twists[j] - tgt.twists[i])
-                  for comp, (src, tgt) in enumerate(_hom_components(E, F, eps))
-                  for i in range(tgt.rank) for j in range(src.rank)]
-                 for eps in (0, 1))
+    spec = E.ring.spec
+    factors = E.ring._grading_key[0]
+    d = E.ring._potential_pair
+    e_neg, e_zero, f_neg, f_zero = ([_degree_pair(spec, u) for u in M.twists]
+                                    for M in (E.e_neg, E.e_zero, F.e_neg, F.e_zero))
+    hom0 = ((e_neg, f_neg), (e_zero, f_zero))
+    hom1 = ((e_neg, f_zero), ([_add_pairs(factors, s, d) for s in e_zero], f_neg))
+    return tuple([(comp, i, j, _add_pairs(factors, s, t, -1))
+                  for comp, (src, tgt) in enumerate(components)
+                  for i, t in enumerate(tgt) for j, s in enumerate(src)]
+                 for components in (hom0, hom1))
 
 
 def _hom_basis(ring: RingWithPotential, blocks, n: int):
@@ -742,9 +762,10 @@ def _hom_basis(ring: RingWithPotential, blocks, n: int):
     shifted by l*d for n = 2l + eps.
     """
     l, eps = divmod(n, 2)
-    shift = l * ring.spec.potential_degree
+    key = ring._grading_key
+    d = ring._potential_pair
     return [(comp, i, j, exps) for comp, i, j, forced in blocks[eps]
-            for exps in ring.monomials_of(forced + shift)]
+            for exps in _monomial_table(key, *_add_pairs(key[0], forced, d, l))]
 
 
 def _terms(p: Polynomial):
@@ -769,33 +790,32 @@ def _structure_terms(E: Factorization, F: Factorization):
 
 
 def _differential_matrix(terms, n, basis_n, basis_np1):
-    """Matrix of the strand differential Hom^n(E, F) -> Hom^{n+1}(E, F).
+    """Columns of the strand differential Hom^n(E, F) -> Hom^{n+1}(E, F).
 
     The differential sends g to g . phi^E - (-1)^n phi^F . g.  Right
     multiplication by the E map moves a block to the other component; left
     multiplication by the F map keeps it.  `terms` is
-    `_structure_terms(E, F)`.  Rows follow `basis_np1`, columns `basis_n`;
-    entries are ints where the structure maps have integral coefficients.
+    `_structure_terms(E, F)`.  Returns one {row: coeff} dict per element
+    of `basis_n`, rows indexed by `basis_np1`, zero entries dropped: the
+    transpose of the matrix, which has the same rank.  Coefficients are
+    ints where the structure maps have integral coefficients.
     """
-    if not basis_n:
-        return []
     right, left = terms
     index = {key: pos for pos, key in enumerate(basis_np1)}
-    rows = [[0] * len(basis_n) for _ in basis_np1]
     sign = 1 if n % 2 else -1
-
-    def add_term(key, col, c):
-        pos = index.get(key)
-        if pos is None:
-            raise AssertionError("differential left the graded window")
-        rows[pos][col] += c
-
-    for col, (comp, i, j, m) in enumerate(basis_n):
+    cols = []
+    for comp, i, j, m in basis_n:
+        col = {}
         for jj, e, c in right[comp][j]:
-            add_term((1 - comp, i, jj, tuple(map(add, m, e))), col, c)
+            pos = index.get((1 - comp, i, jj, tuple(map(add, m, e))))
+            col[pos] = col.get(pos, 0) + c
         for ii, e, c in left[(n + comp) % 2][i]:
-            add_term((comp, ii, j, tuple(map(add, m, e))), col, sign * c)
-    return rows
+            pos = index.get((comp, ii, j, tuple(map(add, m, e))))
+            col[pos] = col.get(pos, 0) + sign * c
+        if None in col:
+            raise AssertionError("differential left the graded window")
+        cols.append({pos: c for pos, c in col.items() if c})
+    return cols
 
 
 def default_window(E: Factorization, F: Factorization) -> int:
@@ -810,37 +830,34 @@ def default_window(E: Factorization, F: Factorization) -> int:
     return spread // dd + 2
 
 
-def _in_image(ring, matrix, src_twists, tgt_twists, rhs, element_degree) -> bool:
-    """Whether rhs = matrix . v for some v in a fixed homogeneous degree.
+def _in_image(ring, columns, src, tgt, i, mono, element) -> bool:
+    """Whether mono . e_i = matrix . v for some v in a fixed homogeneous degree.
 
-    `rhs` is one polynomial per target generator; `element_degree` is the
-    degree of the sought module element, so v_j runs over monomials of
-    element_degree - src_twists[j].  Coordinates are (target generator,
-    monomial) pairs; each monomial of each v_j gives one column.
+    `columns[j]` lists (row, exps, coeff) of column j of the matrix; `src`
+    and `tgt` are the degree pairs of the source and target generators and
+    `element` that of the sought module element, so v_j runs over
+    monomials of element - src[j].  Coordinates are (target generator,
+    monomial) pairs; each monomial of each v_j gives one sparse column.
     """
+    key = ring._grading_key
     index = {}
-    for r, t in enumerate(tgt_twists):
-        for e in ring.monomials_of(element_degree - t):
+    for r, t in enumerate(tgt):
+        for e in _monomial_table(key, *_add_pairs(key[0], element, t, -1)):
             index[(r, e)] = len(index)
     cols = []
-    for j, s in enumerate(src_twists):
-        for mono in ring.monomials_of(element_degree - s):
-            col = [Fraction(0)] * len(index)
-            for r in range(len(tgt_twists)):
-                for exps, c in matrix[r][j].terms.items():
-                    k = index.get((r, tuple(a + b for a, b in zip(exps, mono))))
-                    if k is None:
-                        raise AssertionError("graded product left its component")
-                    col[k] += c
+    for j, s in enumerate(src):
+        for m in _monomial_table(key, *_add_pairs(key[0], element, s, -1)):
+            col = {}
+            for r, exps, c in columns[j]:
+                k = index.get((r, tuple(map(add, exps, m))))
+                if k is None:
+                    raise AssertionError("graded product left its component")
+                col[k] = c
             cols.append(col)
-    target = [Fraction(0)] * len(index)
-    for r, p in enumerate(rhs):
-        for exps, c in p.terms.items():
-            k = index.get((r, exps))
-            if k is None:
-                return False
-            target[k] = c
-    return len(cols) not in linalg.independent_rows(cols + [target])
+    target = index.get((i, mono))
+    if target is None:
+        return False
+    return len(cols) not in linalg.independent_rows(cols + [{target: 1}])
 
 
 def _annihilator_powers(ring, matrix, src: GradedFreeModule, tgt: GradedFreeModule):
@@ -851,23 +868,21 @@ def _annihilator_powers(ring, matrix, src: GradedFreeModule, tgt: GradedFreeModu
     means 'not certified'.
     """
     nv = ring.nvars()
-    dd = ring.degree_of(ring.spec.potential_degree)
+    factors, gens = ring._grading_key
+    dd = ring._potential_pair[1]
+    src_pairs = [_degree_pair(ring.spec, u) for u in src.twists]
+    tgt_pairs = [_degree_pair(ring.spec, u) for u in tgt.twists]
+    columns = [[(r, e, c) for r, row in enumerate(matrix) for e, c in _terms(row[j])]
+               for j in range(src.rank)]
     powers = []
-    for k in range(nv):
-        a_k = ring.spec.generator_degrees[k]
-        bound = (2 * dd * max(1, tgt.rank)) // ring.degree_of(a_k) + 2
+    for k, a_k in enumerate(gens):
+        bound = (2 * dd * max(1, tgt.rank)) // a_k[1] + 2
         found = None
         for m in range(1, bound + 1):
-            good = True
-            for i in range(tgt.rank):
-                rhs = [Polynomial.zero(nv) for _ in range(tgt.rank)]
-                rhs[i] = Polynomial.variable(nv, k, m)
-                elem_deg = m * a_k + tgt.twists[i]
-                if not _in_image(ring, matrix, src.twists, tgt.twists,
-                                 rhs, elem_deg):
-                    good = False
-                    break
-            if good:
+            mono = tuple(m if v == k else 0 for v in range(nv))
+            if all(_in_image(ring, columns, src_pairs, tgt_pairs, i, mono,
+                             _add_pairs(factors, t, a_k, m))
+                   for i, t in enumerate(tgt_pairs)):
                 found = m
                 break
         if found is None:

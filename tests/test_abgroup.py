@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from singlab import abgroup
 from singlab.abgroup import (IntMatrix, boxminus, group_from_relations,
                              pointed_Z, reduce_element, smith_normal_form,
                              torsion_order, weight_group)
@@ -215,6 +216,28 @@ def test_degree_map_properties():
     assert B.degree(e + f) == B.degree(e) + B.degree(f)
     for t in B.group.torsion_elements():
         assert B.degree(t) == 0
+
+
+def test_torsion_elements_invert_v_once(monkeypatch):
+    calls = []
+    inverse = abgroup.linalg.inverse
+
+    def counting(A):
+        calls.append(A)
+        return inverse(A)
+
+    monkeypatch.setattr(abgroup.linalg, "inverse", counting)
+    # Z^3 / <(2, 4, 0), (0, 3, 3)>: torsion Z/6, free rank 1, V not the identity
+    G = group_from_relations(3, IntMatrix.from_rows([[2, 4, 0], [0, 3, 3]]))
+    assert G.invariant_factors == (6,) and G.free_rank == 1
+    assert G.normal_form.V != IntMatrix.identity(3)
+    elements = G.torsion_elements()
+    assert [e.canonical for e in elements] == [((r,), (0,)) for r in range(6)]
+    assert all(e == reduce_element(G, e.coordinates) for e in elements)
+    # V^{-1} is computed once per group, not once per element
+    assert len(calls) == 1
+    G.from_canonical((5,), (2,))
+    assert len(calls) == 1
 
 
 def test_degree_needs_free_rank_one():

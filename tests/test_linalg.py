@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -138,6 +139,39 @@ def test_independent_rows_degenerate_inputs():
     assert linalg.independent_rows(A) == [0, 3]
 
 
+def integral(A):
+    """A with each row scaled to entries of type int."""
+    out = []
+    for row in A:
+        den = math.lcm(*(Fraction(x).denominator for x in row))
+        out.append([int(x * den) for x in row])
+    return out
+
+
+def as_dicts(A, zeros=False):
+    """The rows of A as {column: value} dicts, zero entries kept with `zeros`."""
+    return [{j: x for j, x in enumerate(row) if zeros or x} for row in A]
+
+
+def test_mapping_rows_match_dense_rows():
+    for A in random_battery(20267, 40):
+        for B in (A, integral(A)):
+            want = linalg._echelon(B)
+            for zeros in (False, True):
+                D = as_dicts(B, zeros)
+                assert linalg._echelon(D) == want, (B, zeros)
+                assert linalg.rank(D) == len(want[1])
+                assert linalg.independent_rows(D) == want[1]
+    assert all(type(x) is int for B in map(integral, random_battery(20267, 5))
+               for row in B for x in row)
+    # empty dicts, explicit zeros, Fraction and int values; the rows are not modified
+    D = [{}, {0: 0, 3: 0}, {2: Fraction(1, 2), 0: 0}, {2: -3}, {1: 2, 2: 1},
+         {1: Fraction(-4, 3), 2: Fraction(-2, 3)}]
+    copy = [dict(row) for row in D]
+    assert linalg._echelon(D) == ({1: {1: 2, 2: 1}, 2: {2: 1}}, [2, 4])
+    assert D == copy
+
+
 def all_fractions(vectors):
     return all(type(x) is Fraction for v in vectors for x in v)
 
@@ -262,6 +296,25 @@ def test_inverse_property(A):
             linalg.inverse(A)
         return
     assert linalg.matmul(linalg.inverse(A), A) == linalg.identity(n)
+
+
+@st.composite
+def mapping_rows(draw):
+    cols = draw(st.integers(1, 6))
+    value = st.one_of(st.integers(-4, 4), small_fractions)
+    rows = draw(st.lists(st.dictionaries(st.integers(0, cols - 1), value,
+                                         max_size=cols), max_size=6))
+    return cols, rows
+
+
+@settings(max_examples=100, deadline=None)
+@given(mapping_rows())
+def test_mapping_rows_property(case):
+    cols, D = case
+    A = [[row.get(j, 0) for j in range(cols)] for row in D]
+    assert linalg._echelon(D) == linalg._echelon(A)
+    assert linalg.rank(D) == len(rref(A)[1])
+    assert linalg.independent_rows(D) == greedy_rows(A)
 
 
 def test_checks_survive_optimize_flag(run_optimized):

@@ -7,14 +7,15 @@ import pytest
 from singlab import abgroup, cli, linalg, mfengine
 from singlab.mfengine import (_differential_matrix, _hom_basis, _hom_blocks,
                               _hom_components, _matmul_poly, _structure_terms)
-from singlab.mfengine import (Factorization, OrbitSpec, Polynomial, cone,
+from singlab.mfengine import (Factorization, OrbitSpec, Polynomial,
+                              RingWithPotential, cone,
                               default_window, endo_algebra_check,
                               factorization_map, fermat_ring, k_object,
                               make_factorization, one_variable_ring,
                               orbit_hom_check, restrict_grading,
                               standard_objects, strand_cohomology,
                               tensor_product, translate, zero_factorization)
-from singlab.weightcalc import WeightSequence
+from singlab.weightcalc import GradedRingSpec, WeightSequence
 
 
 def ring3():
@@ -168,6 +169,52 @@ def test_strand_cohomology_needs_no_reduce_element(monkeypatch):
     # arithmetic acts on canonical coordinates; the parent of this change
     # reduced raw coordinates 145 times here
     assert calls == []
+    # with the cokernel supports known, the strand kernel works on integer
+    # degree pairs and does no group arithmetic at all
+    ops = []
+    for name in ("__add__", "__sub__", "__mul__", "__rmul__"):
+        op = getattr(abgroup.GroupElement, name)
+        monkeypatch.setattr(abgroup.GroupElement, name,
+                            lambda a, b, op=op, name=name: ops.append(name) or op(a, b))
+    for obj in (E, F):
+        mfengine._cokernel_support(obj)
+    ops.clear()
+    assert strand_cohomology(E, F).entries == table.entries
+    assert ops == []
+
+
+def _xy_objects():
+    """(x, y) factorizing w = xy over Z + Z/2, deg x = (1, 1), deg y = (1, 0),
+    and three twists: the potential degree (2, 1) has a nonzero torsion residue."""
+    G = abgroup.group_from_relations(2, abgroup.IntMatrix.from_rows([[0, 2]]))
+    gx, gy = G.element([1, 1]), G.element([1, 0])
+    spec = GradedRingSpec(abgroup.PointedAbelianGroup(G, gx + gy), (gx, gy))
+    ring = RingWithPotential(spec, ("x", "y"), Polynomial(2, {(1, 1): 1}))
+    E = make_factorization(ring, (gx,), (G.zero(),), ((Polynomial.variable(2, 0),),),
+                           ((Polynomial.variable(2, 1),),))
+    return [E, E.twist(gx), E.twist(4 * gy), E.twist(-3 * gx)]
+
+
+def test_hom_basis_matches_group_element_listing():
+    cases = []
+    for a, b in ((3, 3), (2, 4)):
+        rx, ry = one_variable_ring(a, "x"), one_variable_ring(b, "y")
+        objs = [tensor_product(u, v) for u in standard_objects(rx)
+                for v in standard_objects(ry)]
+        cases.append(objs + [objs[-1].twist(objs[0].ring.spec.generator_degrees[0])])
+    cases.append(_xy_objects())
+    for objs in cases:
+        ring = objs[0].ring
+        for E in objs:
+            for F in objs:
+                blocks = _hom_blocks(E, F)
+                for n in range(-4, 5):
+                    # the blocks of Hom^n(E, F) with F twisted by l*d
+                    want = [(comp, i, j, exps)
+                            for comp, (src, tgt) in enumerate(_hom_components(E, F, n))
+                            for i in range(tgt.rank) for j in range(src.rank)
+                            for exps in ring.monomials_of(src.twists[j] - tgt.twists[i])]
+                    assert _hom_basis(ring, blocks, n) == want, (E, F, n)
 
 
 def test_monomial_tables_shared_between_equal_rings(monkeypatch):
@@ -422,7 +469,8 @@ def _matrices_to_coords(mats, basis):
     return coords
 
 
-def test_differential_matrix_matches_polynomial_oracle():
+def _oracle_pairs():
+    """Pairs (E, F) for the differential oracle, with the ring each lives on."""
     rx = one_variable_ring(3, "x")
     ry = one_variable_ring(3, "y")
     T = tensor_product(standard_objects(rx)[0], standard_objects(ry)[1])
@@ -431,22 +479,52 @@ def test_differential_matrix_matches_polynomial_oracle():
     ident = [[x if i == j else Polynomial.zero(2) for j in range(2)]
              for i in range(2)]
     C = cone(factorization_map(T, T.twist(g), ident, ident))
+    # a non-integral coefficient: (2x, x^2/2) factors x^3
+    H = make_factorization(rx, (rx.spec.generator_degrees[0],),
+                           (rx.grading.group.zero(),),
+                           ((Polynomial.monomial(1, (1,), 2),),),
+                           ((Polynomial.monomial(1, (2,), Fraction(1, 2)),),))
+    TH = tensor_product(H, standard_objects(ry)[0])
+    # unequal weights: x^2 + y^4, the ring of `orbit --weights 2,4`
+    U = tensor_product(standard_objects(one_variable_ring(2, "x"))[0],
+                       standard_objects(one_variable_ring(4, "y"))[1])
+    V = tensor_product(standard_objects(one_variable_ring(2, "x"))[0],
+                       standard_objects(one_variable_ring(4, "y"))[2])
+    V = V.twist(V.ring.spec.generator_degrees[1])
+    return ((T, C), (C, T), (C, C), (TH, C), (T, TH), (TH, TH), (U, V), (V, U))
+
+
+def _dense(columns, rows):
+    """The matrix whose column k is the {row: coeff} dict columns[k]."""
+    return [[col.get(r, 0) for col in columns] for r in range(rows)]
+
+
+def test_differential_matrix_matches_polynomial_oracle():
     rng = random.Random(7)
-    for E, F in ((T, C), (C, T), (C, C)):
+    fractional = 0
+    for E, F in _oracle_pairs():
         blocks, terms = _hom_blocks(E, F), _structure_terms(E, F)
         bases = {n: _hom_basis(E.ring, blocks, n) for n in range(-3, 5)}
-        D = {n: _differential_matrix(terms, n, bases[n], bases[n + 1])
-             for n in range(-3, 4)}
+        cols = {n: _differential_matrix(terms, n, bases[n], bases[n + 1])
+                for n in range(-3, 4)}
+        D = {n: _dense(cols[n], len(bases[n + 1])) for n in cols}
         for n in range(-3, 3):
             if D[n] and D[n + 1]:
                 assert not any(any(row) for row in linalg.matmul(D[n + 1], D[n]))
             v = [Fraction(rng.randint(-3, 3)) for _ in bases[n]]
-            got = ([sum(a * b for a, b in zip(row, v)) for row in D[n]]
-                   if D[n] else [0] * len(bases[n + 1]))
+            got = [sum(a * b for a, b in zip(row, v)) for row in D[n]]
             mats = _coords_to_matrices(E, F, n, bases[n], v)
             want = _matrices_to_coords(
                 _oracle_differential(E, F, n, *mats), bases[n + 1])
             assert got == want, (E, F, n)
+            # the sparse columns give the rank of the dense matrix
+            assert linalg.rank(cols[n]) == linalg.rank(D[n])
+            fractional += any(type(c) is Fraction
+                              for col in cols[n] for c in col.values())
+    assert fractional
+    # a target basis missing an image is refused, not silently truncated
+    with pytest.raises(AssertionError, match="left the graded window"):
+        _differential_matrix(terms, 2, bases[2], bases[3][1:])
 
 
 def test_invariant_checks_survive_optimize_flag(run_optimized):
