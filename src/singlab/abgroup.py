@@ -14,12 +14,7 @@ Conventions fixed here, used by every consumer:
   Invariant factors equal to 1 are suppressed in reports; zero diagonal
   entries contribute to the free rank.
 * Element canonical form: torsion residues reduced into [0, t_i), free
-  coordinates left as unreduced integers.  The map from raw coordinates v
-  to y = vV is linear, so sums, differences, negatives and integer
-  multiples combine the canonical forms directly (residues mod the
-  invariant factors, which come in the same order, free coordinates as
-  integers), next to the raw coordinates, which reports print.
-  `reduce_element` is only the constructor from raw coordinates.
+  coordinates left as unreduced integers.
 * The degree map of a rank-one pointed group is the quotient by the torsion
   subgroup, normalized so the marked element has positive degree.
 """
@@ -352,34 +347,21 @@ class GroupElement:
         if self._sig != other._sig:
             raise ValueError("elements of different groups")
 
-    def _with(self, coordinates, residues, free):
-        """The element with these raw coordinates and unreduced residues."""
-        residues = tuple(map(operator.mod, residues, self.group.invariant_factors))
-        return GroupElement(self.group, coordinates, (residues, free), self._sig)
-
     def __add__(self, other):
         self._check(other)
-        (ra, fa), (rb, fb) = self.canonical, other.canonical
-        return self._with(tuple(map(operator.add, self.coordinates, other.coordinates)),
-                          map(operator.add, ra, rb),
-                          tuple(map(operator.add, fa, fb)))
+        return reduce_element(self.group,
+                              [a + b for a, b in zip(self.coordinates, other.coordinates)])
 
     def __sub__(self, other):
         self._check(other)
-        (ra, fa), (rb, fb) = self.canonical, other.canonical
-        return self._with(tuple(map(operator.sub, self.coordinates, other.coordinates)),
-                          map(operator.sub, ra, rb),
-                          tuple(map(operator.sub, fa, fb)))
+        return reduce_element(self.group,
+                              [a - b for a, b in zip(self.coordinates, other.coordinates)])
 
     def __neg__(self):
-        residues, free = self.canonical
-        return self._with(tuple(map(operator.neg, self.coordinates)),
-                          map(operator.neg, residues), tuple(map(operator.neg, free)))
+        return reduce_element(self.group, [-a for a in self.coordinates])
 
     def __mul__(self, k: int):
-        residues, free = self.canonical
-        return self._with(tuple(k * a for a in self.coordinates),
-                          (k * r for r in residues), tuple(k * f for f in free))
+        return reduce_element(self.group, [k * a for a in self.coordinates])
 
     __rmul__ = __mul__
 
@@ -408,8 +390,8 @@ def reduce_element(G: FGAbelianGroup, v) -> GroupElement:
         raise ValueError(f"vector of length {len(v)}, expected {G.num_generators}")
     snf = G.normal_form
     n = G.num_generators
-    V = snf.V
-    y = [sum(v[t] * V[t, j] for t in range(n)) for j in range(n)]
+    V = snf.V.entries
+    y = [sum(map(operator.mul, v, V[j::n])) for j in range(n)]
     diag = snf.diagonal()
     residues = tuple(y[i] % diag[i] for i in range(snf.rank) if diag[i] > 1)
     free = tuple(y[i] for i in range(snf.rank, n))

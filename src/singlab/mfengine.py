@@ -20,8 +20,13 @@ support range is certified when the cokernels of all four structure maps
 are finite length (a power of every variable annihilates them); otherwise
 the table carries an explicit window tag.
 
-Polynomials are exact monomial-to-coefficient maps over the rationals; no
-floating point appears anywhere.
+Group elements are the API: module twists, gradings and reports.  Inside,
+a degree is the pair (torsion residues, integer degree), which determines
+the element because the grading has free rank one; validation, hom bases,
+windows and cokernel supports all compare and add such pairs.  Polynomials
+are exact monomial-to-coefficient maps over the rationals, coefficients
+`int` when integral and `Fraction` otherwise; no floating point appears
+anywhere.
 """
 
 from __future__ import annotations
@@ -64,7 +69,11 @@ __all__ = [
 
 
 class Polynomial:
-    """Sparse exact polynomial: exponent tuple -> nonzero Fraction."""
+    """Sparse exact polynomial: exponent tuple -> nonzero coefficient.
+
+    Coefficients are rationals, stored as `int` when integral and as
+    `Fraction` otherwise; exponents are non-negative.
+    """
 
     __slots__ = ("nvars", "terms")
 
@@ -72,13 +81,17 @@ class Polynomial:
         self.nvars = nvars
         clean = {}
         for exps, c in (terms or {}).items():
-            c = Fraction(c)
-            if c != 0:
+            if type(c) is not int:
+                c = Fraction(c)
+            if c:
                 exps = tuple(int(e) for e in exps)
                 if len(exps) != nvars:
                     raise ValueError("exponent tuple of wrong length")
-                clean[exps] = clean.get(exps, Fraction(0)) + c
-        self.terms = {e: c for e, c in clean.items() if c != 0}
+                if any(e < 0 for e in exps):
+                    raise ValueError("negative exponent in a polynomial")
+                clean[exps] = clean.get(exps, 0) + c
+        self.terms = {e: c.numerator if c.denominator == 1 else c
+                      for e, c in clean.items() if c}
 
     @classmethod
     def zero(cls, nvars: int) -> "Polynomial":
@@ -86,13 +99,13 @@ class Polynomial:
 
     @classmethod
     def monomial(cls, nvars: int, exps, coeff=1) -> "Polynomial":
-        return cls(nvars, {tuple(exps): Fraction(coeff)})
+        return cls(nvars, {tuple(exps): coeff})
 
     @classmethod
     def variable(cls, nvars: int, i: int, power: int = 1) -> "Polynomial":
         exps = [0] * nvars
         exps[i] = power
-        return cls(nvars, {tuple(exps): Fraction(1)})
+        return cls(nvars, {tuple(exps): 1})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -100,13 +113,13 @@ class Polynomial:
     def __add__(self, other):
         out = dict(self.terms)
         for e, c in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) + c
+            out[e] = out.get(e, 0) + c
         return Polynomial(self.nvars, out)
 
     def __sub__(self, other):
         out = dict(self.terms)
         for e, c in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) - c
+            out[e] = out.get(e, 0) - c
         return Polynomial(self.nvars, out)
 
     def __neg__(self):
@@ -120,7 +133,7 @@ class Polynomial:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
+                out[e] = out.get(e, 0) + c1 * c2
         return Polynomial(self.nvars, out)
 
     __rmul__ = __mul__
@@ -165,6 +178,16 @@ def _add_pairs(factors, a, b, k=1):
     """The degree pair a + k b."""
     return (tuple([(x + k * y) % t for x, y, t in zip(a[0], b[0], factors)]),
             a[1] + k * b[1])
+
+
+def _monomial_pair(grading_key, exps):
+    """The degree pair sum e_k a_k of a monomial (`grading_key` as below)."""
+    factors, gens = grading_key
+    out = ((0,) * len(factors), 0)
+    for e, a in zip(exps, gens):
+        if e:
+            out = _add_pairs(factors, out, a, e)
+    return out
 
 
 @functools.lru_cache(maxsize=None)
@@ -222,7 +245,7 @@ class RingWithPotential:
             tuple(_degree_pair(spec, a) for a in spec.generator_degrees))
         self._potential_pair = _degree_pair(spec, spec.potential_degree)
         for exps in potential.terms:
-            if self.monomial_degree(exps) != spec.potential_degree:
+            if _monomial_pair(self._grading_key, exps) != self._potential_pair:
                 raise ValueError("potential is not homogeneous of the marked degree")
 
     @property
@@ -231,16 +254,6 @@ class RingWithPotential:
 
     def nvars(self) -> int:
         return len(self.names)
-
-    def degree_of(self, e: GroupElement) -> int:
-        return self.spec.degree(e)
-
-    def monomial_degree(self, exps) -> GroupElement:
-        out = self.grading.group.zero()
-        for i, e in enumerate(exps):
-            if e:
-                out = out + e * self.spec.generator_degrees[i]
-        return out
 
     def monomials_of(self, target: GroupElement):
         """All exponent tuples of the given multidegree (finite: positive grading)."""
@@ -306,13 +319,26 @@ def _matmul_poly(A, B, nvars):
     return tuple(out)
 
 
-def _check_homogeneous(ring: RingWithPotential, matrix, source: GradedFreeModule,
-                       target: GradedFreeModule, label: str):
-    for i in range(target.rank):
-        for j in range(source.rank):
-            forced = source.twists[j] - target.twists[i]
+def _component_pairs(E):
+    """Degree pairs of the generators of E_{-1}, E_0 and E_{-1}(d)."""
+    ring = E.ring
+    neg, zero = ([_degree_pair(ring.spec, u) for u in M.twists]
+                 for M in (E.e_neg, E.e_zero))
+    factors, d = ring._grading_key[0], ring._potential_pair
+    return neg, zero, [_add_pairs(factors, u, d, -1) for u in neg]
+
+
+def _check_homogeneous(ring: RingWithPotential, matrix, src, tgt, label: str):
+    """Entry [i][j] must have degree src[j] - tgt[i] (generator degree pairs).
+
+    The grading has free rank one, so equal pairs mean equal degrees.
+    """
+    key = ring._grading_key
+    for i, t in enumerate(tgt):
+        for j, s in enumerate(src):
+            forced = _add_pairs(key[0], s, t, -1)
             for exps in matrix[i][j].terms:
-                if ring.monomial_degree(exps) != forced:
+                if _monomial_pair(key, exps) != forced:
                     raise ValueError(
                         f"{label}[{i}][{j}] has an entry of the wrong degree")
 
@@ -356,10 +382,8 @@ class Factorization:
         d = self.ring.spec.potential_degree
         neg = self.e_zero
         zero = self.e_neg.twist(d)
-        phi0 = tuple(tuple(-p for p in row) for row in self.phi_neg)
-        phi_neg = tuple(tuple(-p for p in row) for row in self.phi0)
-        return Factorization(self.ring, neg, zero, phi0, phi_neg,
-                             _validated=True)
+        return Factorization(self.ring, neg, zero, _neg_matrix(self.phi_neg),
+                             _neg_matrix(self.phi0), _validated=True)
 
     def unshift_once(self) -> "Factorization":
         """E[-1]: the inverse of shift_once."""
@@ -396,9 +420,9 @@ def _validate_factorization(E: Factorization):
         raise ValueError("phi0 has the wrong shape")
     if len(E.phi_neg) != r_neg or any(len(row) != r_zero for row in E.phi_neg):
         raise ValueError("phi_neg has the wrong shape")
-    d = ring.spec.potential_degree
-    _check_homogeneous(ring, E.phi0, E.e_neg, E.e_zero, "phi0")
-    _check_homogeneous(ring, E.phi_neg, E.e_zero, E.e_neg.twist(d), "phi_neg")
+    neg, zero, shifted = _component_pairs(E)
+    _check_homogeneous(ring, E.phi0, neg, zero, "phi0")
+    _check_homogeneous(ring, E.phi_neg, zero, shifted, "phi_neg")
     w = ring.potential
     comp1 = _matmul_poly(E.phi_neg, E.phi0, nv)
     comp2 = _matmul_poly(E.phi0, E.phi_neg, nv)
@@ -485,8 +509,9 @@ def factorization_map(E: Factorization, F: Factorization, f_neg, f_zero,
     f = FactorizationMap(E, F,
                          tuple(tuple(p for p in row) for row in f_neg),
                          tuple(tuple(p for p in row) for row in f_zero))
-    _check_homogeneous(E.ring, f.f_neg, E.e_neg, F.e_neg, "f_neg")
-    _check_homogeneous(E.ring, f.f_zero, E.e_zero, F.e_zero, "f_zero")
+    (e_neg, e_zero, _), (f_neg, f_zero, _) = map(_component_pairs, (E, F))
+    _check_homogeneous(E.ring, f.f_neg, e_neg, f_neg, "f_neg")
+    _check_homogeneous(E.ring, f.f_zero, e_zero, f_zero, "f_zero")
     if check and not f.is_closed():
         raise ValueError("map does not commute with the structure maps")
     return f
@@ -601,15 +626,7 @@ def tensor_product(E: Factorization, F: Factorization) -> Factorization:
     """
     ring = tensor_ring(E.ring, F.ring)
     nv = ring.nvars()
-    nE, nF = E.ring.nvars(), F.ring.nvars()
     A = ring.grading
-
-    def lift_E(p: Polynomial) -> Polynomial:
-        return Polynomial(nv, {exps + (0,) * nF: c for exps, c in p.terms.items()})
-
-    def lift_F(p: Polynomial) -> Polynomial:
-        return Polynomial(nv, {(0,) * nE + exps: c for exps, c in p.terms.items()})
-
     nE_gen = E.ring.grading.group.num_generators
     nF_gen = F.ring.grading.group.num_generators
 
@@ -626,36 +643,31 @@ def tensor_product(E: Factorization, F: Factorization) -> Factorization:
         tuple(pair(u, v) - d for u in E.e_neg.twists for v in F.e_neg.twists)
 
     def kron(Amat, Bmat, sign=1):
-        out = []
-        for i1 in range(len(Amat)):
-            for i2 in range(len(Bmat)):
-                row = []
-                for j1 in range(len(Amat[0]) if Amat else 0):
-                    for j2 in range(len(Bmat[0]) if Bmat else 0):
-                        row.append(sign * (lift_E(Amat[i1][j1]) * lift_F(Bmat[i2][j2])))
-                out.append(tuple(row))
-        return out
+        """Amat (x) Bmat for term-dict matrices over E's and F's variables,
+        which are disjoint: a product monomial joins the exponent tuples."""
+        return [tuple(Polynomial(nv, {ea + eb: sign * ca * cb
+                                      for ea, ca in a.items() for eb, cb in b.items()})
+                      for a in rowA for b in rowB)
+                for rowA in Amat for rowB in Bmat]
 
-    def id_poly(ring_small, rank):
-        nvs = ring_small.nvars()
-        one = Polynomial(nvs, {(0,) * nvs: 1})
-        zero = Polynomial.zero(nvs)
-        return [[one if i == j else zero for j in range(rank)] for i in range(rank)]
+    def one(M: GradedFreeModule, nvars: int):
+        return [[{(0,) * nvars: 1} if i == j else {} for j in range(M.rank)]
+                for i in range(M.rank)]
 
-    idE_neg = id_poly(E.ring, E.e_neg.rank)
-    idE_zero = id_poly(E.ring, E.e_zero.rank)
-    idF_neg = id_poly(F.ring, F.e_neg.rank)
-    idF_zero = id_poly(F.ring, F.e_zero.rank)
-
+    a, a_neg, b, b_neg = ([[p.terms for p in row] for row in M]
+                          for M in (E.phi0, E.phi_neg, F.phi0, F.phi_neg))
+    nE, nF = E.ring.nvars(), F.ring.nvars()
+    oneE_neg, oneE_zero = one(E.e_neg, nE), one(E.e_zero, nE)
+    oneF_neg, oneF_zero = one(F.e_neg, nF), one(F.e_zero, nF)
     # phi0: X_{-1} -> X_0, blocks [[a x 1, 1 x b], [-1 x b', a' x 1]]
     phi0 = _block_matrix([
-        [kron(E.phi0, idF_zero), kron(idE_zero, F.phi0)],
-        [kron(idE_neg, F.phi_neg, sign=-1), kron(E.phi_neg, idF_neg)],
+        [kron(a, oneF_zero), kron(oneE_zero, b)],
+        [kron(oneE_neg, b_neg, sign=-1), kron(a_neg, oneF_neg)],
     ])
     # phi_neg: X_0 -> X_{-1}(d), blocks [[a' x 1, -1 x b], [1 x b', a x 1]]
     phi_neg = _block_matrix([
-        [kron(E.phi_neg, idF_zero), kron(idE_neg, F.phi0, sign=-1)],
-        [kron(idE_zero, F.phi_neg), kron(E.phi0, idF_neg)],
+        [kron(a_neg, oneF_zero), kron(oneE_neg, b, sign=-1)],
+        [kron(oneE_zero, b_neg), kron(a, oneF_neg)],
     ])
     return make_factorization(ring, x_neg, x_zero, phi0, phi_neg)
 
@@ -712,24 +724,11 @@ class StrandCohomology:
 
     def to_json(self):
         table = {f"H[{2 * l + eps}] (eps={eps}, l={l})": dim
-                 for (eps, l), dim in sorted(self.entries.items(),
-                                             key=lambda kv: (kv[0][1], kv[0][0]))
-                 if dim}
+                 for (eps, l), dim in self.nonzero()}
         kind, data = self.certification
         return {"certification": {"kind": kind, "data": list(data) if
                                   isinstance(data, tuple) else data},
                 "nonzero": table}
-
-
-def _hom_components(E: Factorization, F: Factorization, n: int):
-    """Source/target graded modules of the two blocks of Hom^n(E, F)."""
-    d = E.ring.spec.potential_degree
-    l, eps = divmod(n, 2)
-    if eps == 0:
-        return ((E.e_neg, F.e_neg.twist(l * d)),
-                (E.e_zero, F.e_zero.twist(l * d)))
-    return ((E.e_neg, F.e_zero.twist(l * d)),
-            (E.e_zero, F.e_neg.twist((l + 1) * d)))
 
 
 def _hom_blocks(E: Factorization, F: Factorization):
@@ -738,17 +737,12 @@ def _hom_blocks(E: Factorization, F: Factorization):
     An entry of a block maps generator `col` of the source module to
     generator `row` of the target and has the given degree, a pair from
     `_degree_pair`.  Since Hom^{n+2}(E, F) = Hom^n(E, F(d)), Hom^{2l+eps}
-    has the blocks of Hom^eps with l*d added to every degree.  The target
-    F_{-1}(d) of the second block of Hom^1 is handled by adding d to the
-    source degrees, so no module is twisted.
+    has the blocks of Hom^eps with l*d added to every degree.
     """
-    spec = E.ring.spec
     factors = E.ring._grading_key[0]
-    d = E.ring._potential_pair
-    e_neg, e_zero, f_neg, f_zero = ([_degree_pair(spec, u) for u in M.twists]
-                                    for M in (E.e_neg, E.e_zero, F.e_neg, F.e_zero))
+    (e_neg, e_zero, _), (f_neg, f_zero, f_shifted) = map(_component_pairs, (E, F))
     hom0 = ((e_neg, f_neg), (e_zero, f_zero))
-    hom1 = ((e_neg, f_zero), ([_add_pairs(factors, s, d) for s in e_zero], f_neg))
+    hom1 = ((e_neg, f_zero), (e_zero, f_shifted))
     return tuple([(comp, i, j, _add_pairs(factors, s, t, -1))
                   for comp, (src, tgt) in enumerate(components)
                   for i, t in enumerate(tgt) for j, s in enumerate(src)]
@@ -768,11 +762,6 @@ def _hom_basis(ring: RingWithPotential, blocks, n: int):
             for exps in _monomial_table(key, *_add_pairs(key[0], forced, d, l))]
 
 
-def _terms(p: Polynomial):
-    """(exps, coeff) pairs of a polynomial, integral coefficients as ints."""
-    return [(e, c.numerator if c.denominator == 1 else c) for e, c in p.terms.items()]
-
-
 def _structure_terms(E: Factorization, F: Factorization):
     """The structure maps as term lists, in the form `_differential_matrix` reads.
 
@@ -781,10 +770,10 @@ def _structure_terms(E: Factorization, F: Factorization):
     phi0 for comp 1); left[k][i] lists (row, exps, coeff) of column i of the
     F map phi0 (k = 0) or phi_neg (k = 1).
     """
-    right = tuple([[(jj, e, c) for jj, p in enumerate(row) for e, c in _terms(p)]
+    right = tuple([[(jj, e, c) for jj, p in enumerate(row) for e, c in p.terms.items()]
                    for row in M] for M in (E.phi_neg, E.phi0))
-    left = tuple([[(ii, e, c) for ii, row in enumerate(M) for e, c in _terms(row[i])]
-                  for i in range(cols)]
+    left = tuple([[(ii, e, c) for ii, row in enumerate(M)
+                   for e, c in row[i].terms.items()] for i in range(cols)]
                  for M, cols in ((F.phi0, F.e_neg.rank), (F.phi_neg, F.e_zero.rank)))
     return right, left
 
@@ -820,14 +809,12 @@ def _differential_matrix(terms, n, basis_n, basis_np1):
 
 def default_window(E: Factorization, F: Factorization) -> int:
     """Twist-index window: generator-degree spread plus two potential degrees."""
-    ring = E.ring
-    degs = [ring.degree_of(u) for u in
+    spec = E.ring.spec
+    degs = [spec.degree(u) for u in
             E.e_neg.twists + E.e_zero.twists + F.e_neg.twists + F.e_zero.twists]
     if not degs:
         return 2
-    spread = max(degs) - min(degs)
-    dd = ring.degree_of(ring.spec.potential_degree)
-    return spread // dd + 2
+    return (max(degs) - min(degs)) // E.ring._potential_pair[1] + 2
 
 
 def _in_image(ring, columns, src, tgt, i, mono, element) -> bool:
@@ -860,29 +847,28 @@ def _in_image(ring, columns, src, tgt, i, mono, element) -> bool:
     return len(cols) not in linalg.independent_rows(cols + [{target: 1}])
 
 
-def _annihilator_powers(ring, matrix, src: GradedFreeModule, tgt: GradedFreeModule):
+def _annihilator_powers(ring, matrix, src, tgt):
     """Per-variable powers annihilating coker(matrix), or None.
 
-    Searches m with x_k^m e_i in the image for every target generator; the
-    bound is generous enough for the shipped batteries and failure simply
-    means 'not certified'.
+    `src` and `tgt` are the degree pairs of the source and target
+    generators.  Searches m with x_k^m e_i in the image for every target
+    generator; the bound is generous enough for the shipped batteries and
+    failure simply means 'not certified'.
     """
     nv = ring.nvars()
     factors, gens = ring._grading_key
     dd = ring._potential_pair[1]
-    src_pairs = [_degree_pair(ring.spec, u) for u in src.twists]
-    tgt_pairs = [_degree_pair(ring.spec, u) for u in tgt.twists]
-    columns = [[(r, e, c) for r, row in enumerate(matrix) for e, c in _terms(row[j])]
-               for j in range(src.rank)]
+    columns = [[(r, e, c) for r, row in enumerate(matrix)
+                for e, c in row[j].terms.items()] for j in range(len(src))]
     powers = []
     for k, a_k in enumerate(gens):
-        bound = (2 * dd * max(1, tgt.rank)) // a_k[1] + 2
+        bound = (2 * dd * max(1, len(tgt))) // a_k[1] + 2
         found = None
         for m in range(1, bound + 1):
             mono = tuple(m if v == k else 0 for v in range(nv))
-            if all(_in_image(ring, columns, src_pairs, tgt_pairs, i, mono,
+            if all(_in_image(ring, columns, src, tgt, i, mono,
                              _add_pairs(factors, t, a_k, m))
-                   for i, t in enumerate(tgt_pairs)):
+                   for i, t in enumerate(tgt)):
                 found = m
                 break
         if found is None:
@@ -891,13 +877,17 @@ def _annihilator_powers(ring, matrix, src: GradedFreeModule, tgt: GradedFreeModu
     return powers
 
 
-def _support_interval(ring, powers, tgt: GradedFreeModule):
-    """Degrees that can carry nonzero pieces of the (finite length) cokernel."""
-    degs = [ring.degree_of(u) for u in tgt.twists]
-    lo = min(degs)
-    hi = max(degs) + sum((m - 1) * ring.degree_of(a)
-                         for m, a in zip(powers, ring.spec.generator_degrees))
-    return lo, hi
+def _support_interval(ring, powers, tgt):
+    """Degrees that can carry nonzero pieces of the (finite length) cokernel.
+
+    `tgt` holds the degree pairs of the target generators; a zero target
+    has a zero cokernel, and the interval is None.
+    """
+    if not tgt:
+        return None
+    degs = [t[1] for t in tgt]
+    return min(degs), max(degs) + sum((m - 1) * a[1] for m, a in
+                                      zip(powers, ring._grading_key[1]))
 
 
 def _cokernel_support(obj: Factorization):
@@ -907,12 +897,12 @@ def _cokernel_support(obj: Factorization):
     """
     if obj._support is _UNKNOWN:
         ring = obj.ring
-        shifted = obj.e_neg.twist(ring.spec.potential_degree)
-        p0 = _annihilator_powers(ring, obj.phi0, obj.e_neg, obj.e_zero)
-        p1 = (_annihilator_powers(ring, obj.phi_neg, obj.e_zero, shifted)
+        neg, zero, shifted = _component_pairs(obj)
+        p0 = _annihilator_powers(ring, obj.phi0, neg, zero)
+        p1 = (_annihilator_powers(ring, obj.phi_neg, zero, shifted)
               if p0 is not None else None)
         obj._support = (None if p1 is None else
-                        (_support_interval(ring, p0, obj.e_zero),
+                        (_support_interval(ring, p0, zero),
                          _support_interval(ring, p1, shifted)))
     return obj._support
 
@@ -925,17 +915,16 @@ def _certified_range(E: Factorization, F: Factorization):
     support_F = _cokernel_support(F)
     if support_F is None:
         return None
-    dd = E.ring.degree_of(E.ring.spec.potential_degree)
-    l_lo, l_hi = None, None
-    for (loE, hiE) in support_E:
-        for (loF, hiF) in support_F:
-            # F-side pieces shift by -l*dd; overlap needs
-            # loE <= hiF - l*dd and loF - l*dd <= hiE
-            hi = (hiF - loE) // dd
-            lo = -((hiE - loF) // dd)
-            l_lo = lo if l_lo is None else min(l_lo, lo)
-            l_hi = hi if l_hi is None else max(l_hi, hi)
-    return l_lo - 1, l_hi + 1
+    dd = E.ring._potential_pair[1]
+    # F-side pieces shift by -l*dd; overlap needs
+    # loE <= hiF - l*dd and loF - l*dd <= hiE
+    overlaps = [(-((hiE - loF) // dd), (hiF - loE) // dd)
+                for loE, hiE in filter(None, support_E)
+                for loF, hiF in filter(None, support_F)]
+    if not overlaps:
+        # only the zero object has a zero cokernel: Hom(E, F) is zero
+        return 0, 0
+    return min(lo for lo, _ in overlaps) - 1, max(hi for _, hi in overlaps) + 1
 
 
 def strand_cohomology(E: Factorization, F: Factorization,

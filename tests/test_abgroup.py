@@ -123,6 +123,15 @@ def test_arithmetic_matches_reduce_element(case):
     n, rows, u, v, k = case
     G = group_from_relations(n, IntMatrix.from_rows(rows) if rows
                              else IntMatrix.zero(0, n))
+    snf = G.normal_form
+    diag = snf.diagonal()
+
+    def canonical_by_product(raw):
+        """Oracle: (residues, free) of raw from the product raw . V."""
+        y = IntMatrix.from_rows([raw]).mul(snf.V).row(0)
+        return (tuple(y[i] % diag[i] for i in range(snf.rank) if diag[i] > 1),
+                tuple(y[snf.rank:]))
+
     a, b = reduce_element(G, u), reduce_element(G, v)
     for got, raw in ((a + b, [x + y for x, y in zip(u, v)]),
                      (a - b, [x - y for x, y in zip(u, v)]),
@@ -130,7 +139,7 @@ def test_arithmetic_matches_reduce_element(case):
                      (k * a, [k * x for x in u]),
                      (a * k, [k * x for x in u])):
         want = reduce_element(G, raw)
-        assert got.canonical == want.canonical
+        assert got.canonical == want.canonical == canonical_by_product(raw)
         assert got.coordinates == want.coordinates
         assert got == want and hash(got) == hash(want)
     other = group_from_relations(n, IntMatrix.from_rows(rows + [[1] + [0] * (n - 1)]))

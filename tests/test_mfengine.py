@@ -6,7 +6,7 @@ import pytest
 
 from singlab import abgroup, cli, linalg, mfengine
 from singlab.mfengine import (_differential_matrix, _hom_basis, _hom_blocks,
-                              _hom_components, _matmul_poly, _structure_terms)
+                              _matmul_poly, _structure_terms)
 from singlab.mfengine import (Factorization, OrbitSpec, Polynomial,
                               RingWithPotential, cone,
                               default_window, endo_algebra_check,
@@ -20,6 +20,18 @@ from singlab.weightcalc import GradedRingSpec, WeightSequence
 
 def ring3():
     return one_variable_ring(3)
+
+
+def _hom_components(E, F, n):
+    """Oracle: source/target graded modules of the two blocks of Hom^n(E, F),
+    with F twisted as group elements."""
+    d = E.ring.spec.potential_degree
+    l, eps = divmod(n, 2)
+    if eps == 0:
+        return ((E.e_neg, F.e_neg.twist(l * d)),
+                (E.e_zero, F.e_zero.twist(l * d)))
+    return ((E.e_neg, F.e_zero.twist(l * d)),
+            (E.e_zero, F.e_neg.twist((l + 1) * d)))
 
 
 def test_make_factorization_accepts_valid():
@@ -62,6 +74,65 @@ def test_zero_factorization():
     assert E.rank_pair == (0, 0)
     t = strand_cohomology(E, E, window=2, certify=False)
     assert t.total() == 0
+
+
+def test_zero_factorization_against_any_object():
+    # both cokernels of the zero object are zero, so every table is the
+    # certified zero table, whichever side the zero object is on
+    ring = ring3()
+    Z = zero_factorization(ring)
+    E1, _ = standard_objects(ring)
+    for E, F in ((Z, E1), (E1, Z), (Z, Z)):
+        t = strand_cohomology(E, F)
+        assert t.certification[0] == "certified"
+        assert t.total() == 0 and t.nonzero() == []
+        assert t.dim(0, 7) == t.dim(1, -7) == 0
+
+
+def test_polynomial_rejects_negative_exponents():
+    ring = ring3()
+    g = ring.spec.generator_degrees[0]
+    zero = ring.grading.group.zero()
+    with pytest.raises(ValueError, match="negative exponent"):
+        # a Laurent "factorization" x^-1 * x^4 = x^3
+        make_factorization(ring, (-g,), (zero,), ((Polynomial.variable(1, 0, -1),),),
+                           ((Polynomial.variable(1, 0, 4),),))
+    with pytest.raises(ValueError, match="negative exponent"):
+        Polynomial(2, {(1, -2): 3})
+    assert Polynomial(2, {(1, -2): 0}).is_zero()
+
+
+def test_polynomial_coefficients_int_when_integral():
+    p = Polynomial(1, {(0,): 3, (1,): Fraction(4, 2), (2,): Fraction(1, 2)})
+    assert [type(p.terms[(e,)]) for e in range(3)] == [int, int, Fraction]
+    assert {type(c) for c in (p * 2).terms.values()} == {int}
+    half = Polynomial.monomial(1, (1,), Fraction(1, 2))
+    assert (half + half).terms == {(1,): 1} and type((half + half).terms[(1,)]) is int
+    a = Polynomial(2, {(1, 0): 2, (0, 1): -1})
+    b = Polynomial(2, {(1, 0): Fraction(2), (0, 1): Fraction(-3, 3)})
+    assert a == b and hash(a) == hash(b)
+    assert a.render(("x", "y")) == b.render(("x", "y")) == "-1*y + 2*x"
+
+
+def test_homogeneity_catches_torsion_only_mismatch():
+    # over x^3 + y^3, deg x and deg y have the same integer degree and
+    # differ by a torsion element
+    rx, ry = one_variable_ring(3, "x"), one_variable_ring(3, "y")
+    T = tensor_product(standard_objects(rx)[0], standard_objects(ry)[0])
+    gx, gy = T.ring.spec.generator_degrees
+    assert gx != gy and T.ring.spec.degree(gx) == T.ring.spec.degree(gy)
+    zero = Polynomial.zero(2)
+
+    def scalar(p):
+        return [[p if i == j else zero for j in range(2)] for i in range(2)]
+
+    x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    factorization_map(T, T.twist(gx), scalar(x), scalar(x), check=False)
+    with pytest.raises(ValueError, match="wrong degree"):
+        factorization_map(T, T.twist(gx), scalar(y), scalar(y), check=False)
+    # the potential check has the same strength: x^2 y has degree 3 too
+    with pytest.raises(ValueError, match="not homogeneous"):
+        RingWithPotential(T.ring.spec, T.ring.names, Polynomial(2, {(2, 1): 1}))
 
 
 def test_random_matrices_mostly_rejected():
@@ -166,8 +237,8 @@ def test_strand_cohomology_needs_no_reduce_element(monkeypatch):
     monkeypatch.setattr(mfengine, "reduce_element", counting)
     table = strand_cohomology(E, F)
     assert table.dim(0, 0) == 1 and table.total() == 1
-    # arithmetic acts on canonical coordinates; the parent of this change
-    # reduced raw coordinates 145 times here
+    # cokernel supports, windows and hom bases work on degree pairs, so no
+    # group element is built from raw coordinates here
     assert calls == []
     # with the cokernel supports known, the strand kernel works on integer
     # degree pairs and does no group arithmetic at all
@@ -541,3 +612,30 @@ def test_invariant_checks_survive_optimize_flag(run_optimized):
     """)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "nonzero strand at the certified boundary" in proc.stdout
+
+
+def test_degree_checks_survive_optimize_flag(run_optimized):
+    proc = run_optimized("""
+        from singlab import mfengine as mf
+        rx, ry = mf.one_variable_ring(3, "x"), mf.one_variable_ring(3, "y")
+        T = mf.tensor_product(mf.standard_objects(rx)[0], mf.standard_objects(ry)[0])
+        gx = T.ring.spec.generator_degrees[0]
+        y, z = mf.Polynomial.variable(2, 1), mf.Polynomial.zero(2)
+        y_id = [[y, z], [z, y]]
+        for attempt in (
+                lambda: mf.factorization_map(T, T.twist(gx), y_id, y_id, check=False),
+                lambda: mf.RingWithPotential(T.ring.spec, T.ring.names,
+                                             mf.Polynomial(2, {(2, 1): 1})),
+                lambda: mf.Polynomial(1, {(-1,): 1})):
+            try:
+                attempt()
+            except ValueError as exc:
+                print(exc)
+            else:
+                sys.exit(5)
+    """)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines() == [
+        "f_neg[0][0] has an entry of the wrong degree",
+        "potential is not homogeneous of the marked degree",
+        "negative exponent in a polynomial"]
