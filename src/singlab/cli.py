@@ -281,12 +281,12 @@ def _suite_counts(cfg) -> list:
         for combo in it.combinations_with_replacement(
                 range(1, cfg["max_entry"] + 1), k):
             d = WeightSequence(combo)
-            B = abgroup.weight_group(d.entries)
             spec = weightcalc.spec_from_weights(d)
             mu = weightcalc.gorenstein_parameter(spec).mu
             mu2 = weightcalc.mu_values(d)[1]
             lhs = weightcalc.exceptional_count(d)
-            rhs = math.prod(x - 1 for x in combo) + mu * B.group.torsion_order()
+            rhs = (math.prod(x - 1 for x in combo)
+                   + mu * spec.grading.group.torsion_order())
             if mu != mu2 or lhs != rhs:
                 bad = {"weights": list(combo), "mu": mu, "mu_values": mu2,
                        "count": lhs, "formula": rhs}
@@ -467,7 +467,7 @@ def _check_config(cfg: dict) -> None:
             raise UsageError(f"{key} must be an integer >= {low}, got {value!r}")
 
 
-def main(argv=None) -> int:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="singlab",
         description="exact invariants of graded hypersurface singularities")
@@ -503,8 +503,18 @@ def main(argv=None) -> int:
     p.add_argument("--max-entry", dest="max_entry", type=int, default=None)
     p.add_argument("--max-d", dest="max_d", type=int, default=None)
     p.add_argument("--window", type=int, default=None)
+    return parser
 
-    args = parser.parse_args(argv)
+
+# Built once at import and reused by every `main` call: argparse keeps no
+# state between parse_args calls, and building the parser costs more than
+# a small report.  A module constant, not a functools cache, so emptying
+# the caches never forces a rebuild.
+_PARSER = _build_parser()
+
+
+def main(argv=None) -> int:
+    args = _PARSER.parse_args(argv)
 
     try:
         cfg = load_config(args.config)

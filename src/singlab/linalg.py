@@ -10,11 +10,14 @@ One elimination, `_echelon`, serves `independent_rows`, `rank`,
 over the integers (Bareiss 1968; Dumas-Saunders-Villard 2001).  Rows are
 kept as {column: int} dicts, since the strand differentials have up to a
 few hundred rows and columns, about 5 % nonzero, with small entries.
-Kernel vectors come from one integer back-substitution over a common
-denominator, so no `Fraction` is built in either inner loop.  The set of
-pivot columns and the kernel vector with given free entries do not depend
-on the elimination, so the results equal those of dense Gauss-Jordan
-elimination, which the tests keep as `rref`, their oracle.
+Pivot rows are primitive with a positive leading entry, so a row reduced
+against a pivot led by 1, the common case for the +-1 entries of the strand
+differentials, is never rescaled.  Kernel vectors come from one integer
+back-substitution over a common denominator, so no `Fraction` is built in
+either inner loop.  The set of pivot columns and the kernel vector with
+given free entries do not depend on the elimination, so the results equal
+those of dense Gauss-Jordan elimination, which the tests keep as `rref`,
+their oracle.
 """
 
 from __future__ import annotations
@@ -61,35 +64,43 @@ def transpose(A):
 
 def _echelon(A):
     """(pivots, chosen): the row echelon form of A as primitive integer rows
-    {column: int} keyed by leading column, and the indices of the rows of A
-    that became pivots, i.e. those independent of all earlier rows.
+    {column: int} with positive leading entries, keyed by leading column,
+    and the indices of the rows of A that became pivots, i.e. those
+    independent of all earlier rows.
 
     A row is a sequence or a {column: value} dict, absent columns being 0.
     Each row, scaled by the lcm of its denominators if it has a non-int
     entry, is reduced against the pivots by r <- (p[c]/g) r - (r[c]/g) p
-    with g = gcd(p[c], r[c]); a row that does not reduce to zero becomes a
-    pivot, divided by its content.
+    with g = gcd(p[c], r[c]), so a pivot with leading entry 1 needs no
+    rescaling of r; a row that does not reduce to zero becomes a pivot,
+    divided by its content with the sign of its leading entry.
     """
     pivots: dict[int, dict[int, int]] = {}
     chosen = []
     for index, row in enumerate(A):
         r = {j: x for j, x in (row.items() if isinstance(row, dict)
                                else enumerate(row)) if x}
-        if not all(type(x) is int for x in r.values()):
-            den = lcm(*(x.denominator for x in r.values()))
-            r = {j: x.numerator * (den // x.denominator) for j, x in r.items()}
+        for x in r.values():
+            if type(x) is not int:
+                den = lcm(*(x.denominator for x in r.values()))
+                r = {j: x.numerator * (den // x.denominator) for j, x in r.items()}
+                break
         while r:
             c = min(r)
             p = pivots.get(c)
             if p is None:
                 g = gcd(*r.values())
+                if r[c] < 0:
+                    g = -g
                 pivots[c] = {j: x // g for j, x in r.items()} if g != 1 else r
                 chosen.append(index)
                 break
-            g = gcd(p[c], r[c])
-            a, b = p[c] // g, r[c] // g
+            a, b = p[c], r[c]
             if a != 1:
-                r = {j: a * x for j, x in r.items()}
+                g = gcd(a, b)
+                a, b = a // g, b // g
+                if a != 1:
+                    r = {j: a * x for j, x in r.items()}
             for j, x in p.items():
                 y = r.get(j, 0) - b * x
                 if y:
@@ -105,7 +116,7 @@ def _kernel_vector(pivots, free: dict[int, int], n: int) -> list[Fraction]:
 
     Pivot entries are solved right to left as X / D with one denominator:
     p[c] X[c] = -s for s = sum p[j] X[j] over the known entries, so X and D
-    are scaled by p[c] / gcd(s, p[c]).
+    are scaled by p[c] / gcd(s, p[c]) (p[c] > 0).
     """
     X = dict(free)
     D = 1
@@ -115,8 +126,6 @@ def _kernel_vector(pivots, free: dict[int, int], n: int) -> list[Fraction]:
         if not s:
             continue
         a = p[c]
-        if a < 0:
-            a, s = -a, -s
         g = gcd(s, a)
         if a != g:
             for j in X:

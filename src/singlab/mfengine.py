@@ -238,6 +238,7 @@ class RingWithPotential:
         if potential.nvars != spec.num_variables():
             raise ValueError("potential over the wrong number of variables")
         self.potential = potential
+        self._signature = None
         # what _monomial_table needs of the grading; rings with equal
         # signature() have equal keys, so they share its tables
         self._grading_key = (
@@ -260,9 +261,14 @@ class RingWithPotential:
         return _monomial_table(self._grading_key, *_degree_pair(self.spec, target))
 
     def signature(self):
-        return (self.grading.group.signature(), self.grading.marked.canonical,
+        """The ring's identity; computed once, since `strand_cohomology`
+        compares the rings of every pair it is given."""
+        if self._signature is None:
+            self._signature = (
+                self.grading.group.signature(), self.grading.marked.canonical,
                 tuple(a.canonical for a in self.spec.generator_degrees),
                 tuple(sorted(self.potential.terms.items())))
+        return self._signature
 
     def same_ring(self, other: "RingWithPotential") -> bool:
         return self.signature() == other.signature()
@@ -320,12 +326,17 @@ def _matmul_poly(A, B, nvars):
 
 
 def _component_pairs(E):
-    """Degree pairs of the generators of E_{-1}, E_0 and E_{-1}(d)."""
-    ring = E.ring
-    neg, zero = ([_degree_pair(ring.spec, u) for u in M.twists]
-                 for M in (E.e_neg, E.e_zero))
-    factors, d = ring._grading_key[0], ring._potential_pair
-    return neg, zero, [_add_pairs(factors, u, d, -1) for u in neg]
+    """Degree pairs of the generators of E_{-1}, E_0 and E_{-1}(d).
+
+    Computed on first use and kept on the object.
+    """
+    if E._pairs is None:
+        ring = E.ring
+        neg, zero = (tuple(_degree_pair(ring.spec, u) for u in M.twists)
+                     for M in (E.e_neg, E.e_zero))
+        factors, d = ring._grading_key[0], ring._potential_pair
+        E._pairs = neg, zero, tuple(_add_pairs(factors, u, d, -1) for u in neg)
+    return E._pairs
 
 
 def _check_homogeneous(ring: RingWithPotential, matrix, src, tgt, label: str):
@@ -350,9 +361,12 @@ _UNKNOWN = object()
 class Factorization:
     """A validated graded factorization of the ring's potential."""
 
-    # `_support` caches _cokernel_support; the other slots are never
-    # reassigned, and twists and shifts build new objects.
-    __slots__ = ("ring", "e_neg", "e_zero", "phi0", "phi_neg", "_support")
+    # `_pairs`, `_terms` and `_support` cache _component_pairs,
+    # _object_terms and _cokernel_support, each filled on first use; the
+    # other slots are never reassigned, and twists and shifts build new
+    # objects, so a cache never goes stale.
+    __slots__ = ("ring", "e_neg", "e_zero", "phi0", "phi_neg",
+                 "_pairs", "_terms", "_support")
 
     def __init__(self, ring, e_neg, e_zero, phi0, phi_neg, _validated=False):
         self.ring = ring
@@ -360,6 +374,8 @@ class Factorization:
         self.e_zero = e_zero
         self.phi0 = phi0
         self.phi_neg = phi_neg
+        self._pairs = None
+        self._terms = None
         self._support = _UNKNOWN
         if not _validated:
             _validate_factorization(self)
@@ -762,20 +778,30 @@ def _hom_basis(ring: RingWithPotential, blocks, n: int):
             for exps in _monomial_table(key, *_add_pairs(key[0], forced, d, l))]
 
 
-def _structure_terms(E: Factorization, F: Factorization):
-    """The structure maps as term lists, in the form `_differential_matrix` reads.
+def _object_terms(X: Factorization):
+    """X's structure maps as term lists (right, left), kept on the object.
 
-    (right, left): right[comp][j] lists (col, exps, coeff) of row j of the E
-    map that multiplies component comp from the right (phi_neg for comp 0,
-    phi0 for comp 1); left[k][i] lists (row, exps, coeff) of column i of the
-    F map phi0 (k = 0) or phi_neg (k = 1).
+    right[comp][j] lists (col, exps, coeff) of row j of the map that
+    multiplies component comp from the right (phi_neg for comp 0, phi0 for
+    comp 1); left[k][i] lists (row, exps, coeff) of column i of phi0
+    (k = 0) or phi_neg (k = 1).
     """
-    right = tuple([[(jj, e, c) for jj, p in enumerate(row) for e, c in p.terms.items()]
-                   for row in M] for M in (E.phi_neg, E.phi0))
-    left = tuple([[(ii, e, c) for ii, row in enumerate(M)
-                   for e, c in row[i].terms.items()] for i in range(cols)]
-                 for M, cols in ((F.phi0, F.e_neg.rank), (F.phi_neg, F.e_zero.rank)))
-    return right, left
+    if X._terms is None:
+        right = tuple([[(jj, e, c) for jj, p in enumerate(row)
+                        for e, c in p.terms.items()] for row in M]
+                      for M in (X.phi_neg, X.phi0))
+        left = tuple([[(ii, e, c) for ii, row in enumerate(M)
+                       for e, c in row[i].terms.items()] for i in range(cols)]
+                     for M, cols in ((X.phi0, X.e_neg.rank),
+                                     (X.phi_neg, X.e_zero.rank)))
+        X._terms = right, left
+    return X._terms
+
+
+def _structure_terms(E: Factorization, F: Factorization):
+    """The structure maps as term lists, in the form `_differential_matrix`
+    reads: E's right lists and F's left lists (`_object_terms`)."""
+    return _object_terms(E)[0], _object_terms(F)[1]
 
 
 def _differential_matrix(terms, n, basis_n, basis_np1):
@@ -785,9 +811,14 @@ def _differential_matrix(terms, n, basis_n, basis_np1):
     multiplication by the E map moves a block to the other component; left
     multiplication by the F map keeps it.  `terms` is
     `_structure_terms(E, F)`.  Returns one {row: coeff} dict per element
-    of `basis_n`, rows indexed by `basis_np1`, zero entries dropped: the
-    transpose of the matrix, which has the same rank.  Coefficients are
-    ints where the structure maps have integral coefficients.
+    of `basis_n`, rows indexed by `basis_np1`: the transpose of the matrix,
+    which has the same rank.  Coefficients are ints where the structure
+    maps have integral coefficients.
+
+    Each term of a column lands on its own row, so entries are stored, not
+    summed: right terms switch the component and left terms keep it, within
+    each kind the (generator, monomial) pairs are distinct, and a
+    `Polynomial` stores no zero coefficient.
     """
     right, left = terms
     index = {key: pos for pos, key in enumerate(basis_np1)}
@@ -796,22 +827,19 @@ def _differential_matrix(terms, n, basis_n, basis_np1):
     for comp, i, j, m in basis_n:
         col = {}
         for jj, e, c in right[comp][j]:
-            pos = index.get((1 - comp, i, jj, tuple(map(add, m, e))))
-            col[pos] = col.get(pos, 0) + c
+            col[index.get((1 - comp, i, jj, tuple(map(add, m, e))))] = c
         for ii, e, c in left[(n + comp) % 2][i]:
-            pos = index.get((comp, ii, j, tuple(map(add, m, e))))
-            col[pos] = col.get(pos, 0) + sign * c
+            col[index.get((comp, ii, j, tuple(map(add, m, e))))] = sign * c
         if None in col:
             raise AssertionError("differential left the graded window")
-        cols.append({pos: c for pos, c in col.items() if c})
+        cols.append(col)
     return cols
 
 
 def default_window(E: Factorization, F: Factorization) -> int:
     """Twist-index window: generator-degree spread plus two potential degrees."""
-    spec = E.ring.spec
-    degs = [spec.degree(u) for u in
-            E.e_neg.twists + E.e_zero.twists + F.e_neg.twists + F.e_zero.twists]
+    degs = [u[1] for X in (E, F) for pairs in _component_pairs(X)[:2]
+            for u in pairs]
     if not degs:
         return 2
     return (max(degs) - min(degs)) // E.ring._potential_pair[1] + 2

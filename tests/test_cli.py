@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -224,6 +225,34 @@ def test_library_value_error_exits_2(monkeypatch, capsys):
     assert captured.out == ""
     assert captured.err == "error: kernel is unreasonably large\n"
     assert "Traceback" not in captured.err
+
+
+def test_parser_reuse_keeps_no_state(capsys):
+    code, first = run_cli(capsys, "group", "2,3")
+    assert code == 0
+    code, text = run_cli(capsys, "--format", "text", "group", "2,3")
+    assert code == 0 and not text.startswith("{")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["group", "2,3", "--window", "x"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, again = run_cli(capsys, "group", "2,3")
+    assert code == 0 and again == first
+    json.loads(again)
+
+
+def test_main_builds_no_parser(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    assert cli.main(["group", "2,3"]) == 0
+    assert cli.main(["mf", "--max-d", "2"]) == 0
+    assert built == []
 
 
 def test_rationals_rendered_as_strings(capsys):

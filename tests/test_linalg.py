@@ -172,6 +172,45 @@ def test_mapping_rows_match_dense_rows():
     assert D == copy
 
 
+def negative_leads(A):
+    """A with every row whose first nonzero entry is positive negated."""
+    out = []
+    for row in A:
+        lead = next((x for x in row if x), 0)
+        out.append([-x for x in row] if lead > 0 else list(row))
+    return out
+
+
+def test_pivot_rows_primitive_with_positive_lead():
+    rng = random.Random(20268)
+    # strand-like +-1 matrices besides the mixed battery
+    unit = [[[rng.choice((0, 0, 0, 1, -1)) for _ in range(cols)]
+             for _ in range(rows)] for rows, cols in SHAPES for _ in range(20)]
+    seen_negative = 0
+    for A in itertools.chain(random_battery(20269, 30), unit):
+        for B in (A, negative_leads(A)):
+            seen_negative += any(next((x for x in row if x), 0) < 0 for row in B)
+            pivots, chosen = linalg._echelon(B)
+            for c, p in pivots.items():
+                assert min(p) == c and p[c] > 0, (B, p)
+                assert all(type(x) is int and x for x in p.values()), (B, p)
+                assert math.gcd(*p.values()) == 1, (B, p)
+            assert chosen == linalg.independent_rows(B) == greedy_rows(B), B
+            assert linalg.rank(B) == len(rref(B)[1]), B
+            assert linalg.nullspace(B) == rref_nullspace(B), B
+            b = [rng.randint(-3, 3) for _ in B]
+            assert linalg.solve(B, b) == rref_solve(B, b), (B, b)
+            if len(B) == len(B[0]):
+                try:
+                    want = rref_inverse(B)
+                except ValueError:
+                    with pytest.raises(ValueError, match="matrix is singular"):
+                        linalg.inverse(B)
+                else:
+                    assert linalg.inverse(B) == want, B
+    assert seen_negative
+
+
 def all_fractions(vectors):
     return all(type(x) is Fraction for v in vectors for x in v)
 

@@ -453,6 +453,54 @@ def test_restriction_commutes_with_twist():
     assert lhs == rhs
 
 
+def test_kept_object_data_matches_fresh_objects():
+    # T's degree pairs, term lists and cokernel supports are filled before
+    # anything is derived from it; each derived object must still carry its
+    # own, equal to those of the same object built fresh
+    rx, ry = one_variable_ring(3, "x"), one_variable_ring(3, "y")
+    T = tensor_product(standard_objects(rx)[0], standard_objects(ry)[0])
+    ring = T.ring
+    A = ring.grading
+    g = ring.spec.generator_degrees[0]
+    d = ring.spec.potential_degree
+    psi = OrbitSpec(A, [A.group.element([1, -1])])
+    pairs, terms = mfengine._component_pairs(T), mfengine._object_terms(T)
+    table = strand_cohomology(T, T, window=2)
+    quotient = RingWithPotential(
+        GradedRingSpec(abgroup.PointedAbelianGroup(psi.quotient, psi.apply(A.marked)),
+                       tuple(psi.apply(a) for a in ring.spec.generator_degrees)),
+        ring.names, ring.potential)
+
+    def neg(M):
+        return [[-p for p in row] for row in M]
+
+    cases = [
+        (T.twist(g), T,
+         make_factorization(ring, [u - g for u in T.e_neg.twists],
+                            [u - g for u in T.e_zero.twists], T.phi0, T.phi_neg)),
+        (T.shift_once(), T,
+         make_factorization(ring, T.e_zero.twists, [u - d for u in T.e_neg.twists],
+                            neg(T.phi_neg), neg(T.phi0))),
+        (restrict_grading(T, psi), restrict_grading(T.twist(g), psi),
+         make_factorization(quotient, [psi.apply(u) for u in T.e_neg.twists],
+                            [psi.apply(u) for u in T.e_zero.twists], T.phi0, T.phi_neg)),
+    ]
+    for derived, partner, fresh in cases:
+        assert derived == fresh
+        assert mfengine._component_pairs(derived) == mfengine._component_pairs(fresh)
+        assert mfengine._object_terms(derived) == mfengine._object_terms(fresh)
+        for X, Y in ((derived, partner), (partner, derived), (derived, derived)):
+            Xf = fresh if X is derived else X
+            Yf = fresh if Y is derived else Y
+            assert (strand_cohomology(X, Y, window=2)
+                    == strand_cohomology(Xf, Yf, window=2)), (X, Y)
+        assert default_window(derived, partner) == default_window(fresh, partner)
+    assert mfengine._component_pairs(T) == pairs
+    assert mfengine._object_terms(T) == terms
+    assert strand_cohomology(T, T, window=2) == table
+    assert mfengine._component_pairs(cases[0][0]) != pairs
+
+
 def test_orbit_spec_rejects_infinite_kernel():
     rx = one_variable_ring(3, "x")
     ry = one_variable_ring(3, "y")
