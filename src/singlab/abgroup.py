@@ -125,10 +125,13 @@ class IntMatrix:
                 if swap is None:
                     return 0
                 M[k], M[swap], sign = M[swap], M[k], -sign
+            pivot = M[k][k]
             for i in range(k + 1, n):
+                if not M[i][k] and pivot == prev:
+                    continue  # the update would be the identity on this row
                 for j in range(k + 1, n):
-                    M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
-            prev = M[k][k]
+                    M[i][j] = (M[i][j] * pivot - M[i][k] * M[k][j]) // prev
+            prev = pivot
         return sign * prev
 
     def __eq__(self, other):

@@ -197,10 +197,9 @@ def orbit_report(weights: WeightSequence, window: int) -> dict:
         raise UsageError("orbit check needs weights >= 2")
     rx = mfengine.one_variable_ring(a, "x")
     ry = mfengine.one_variable_ring(b, "y")
-    objs = [mfengine.tensor_product(u, v)
-            for u in mfengine.standard_objects(rx)
-            for v in mfengine.standard_objects(ry)]
-    A = objs[0].ring.grading
+    ys = mfengine.standard_objects(ry)
+    objs = [(u, v) for u in mfengine.standard_objects(rx) for v in ys]
+    A = mfengine.tensor_ring(rx, ry).grading
     # the grading group is Z^2 / (a, -b); g * gamma is that relation, so
     # gamma generates its torsion part Z/g (e_x - e_y is torsion only if a = b)
     g = math.gcd(a, b)

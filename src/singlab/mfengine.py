@@ -18,7 +18,10 @@ exact rational linear algebra on the finite homogeneous components, which
 are finite because the grading is positive.  Vanishing outside a computed
 support range is certified when the cokernels of all four structure maps
 are finite length (a power of every variable annihilates them); otherwise
-the table carries an explicit window tag.
+the table carries an explicit window tag.  For exterior products of
+one-variable factorizations the certified table also follows from the
+factors' tables by the Künneth formula (`kunneth_table`), with no linear
+algebra on the product.
 
 Group elements are the API: module twists, gradings and reports.  Inside,
 a degree is the pair (torsion residues, integer degree), which determines
@@ -61,6 +64,7 @@ __all__ = [
     "cone",
     "tensor_product",
     "strand_cohomology",
+    "kunneth_table",
     "default_window",
     "endo_algebra_check",
     "restrict_grading",
@@ -769,13 +773,21 @@ def _hom_basis(ring: RingWithPotential, blocks, n: int):
     """Monomial basis of Hom^n(E, F): entries (component, row, col, exps).
 
     `blocks` is `_hom_blocks(E, F)`; the degrees of its parity of n are
-    shifted by l*d for n = 2l + eps.
+    shifted by l*d for n = 2l + eps.  The shift is formed once; residues are
+    added per block only when the grading has torsion.
     """
     l, eps = divmod(n, 2)
     key = ring._grading_key
-    d = ring._potential_pair
-    return [(comp, i, j, exps) for comp, i, j, forced in blocks[eps]
-            for exps in _monomial_table(key, *_add_pairs(key[0], forced, d, l))]
+    factors = key[0]
+    d_res, d_deg = ring._potential_pair
+    shift_res, shift = [l * r for r in d_res], l * d_deg
+    out = []
+    for comp, i, j, (res, deg) in blocks[eps]:
+        if factors:
+            res = tuple([(x + y) % t for x, y, t in zip(res, shift_res, factors)])
+        out += [(comp, i, j, exps)
+                for exps in _monomial_table(key, res, deg + shift)]
+    return out
 
 
 def _object_terms(X: Factorization):
@@ -966,7 +978,10 @@ def strand_cohomology(E: Factorization, F: Factorization,
     and tagged as such.  Computation is exact linear algebra on the finite
     homogeneous components of the morphism complex.  The block degrees of
     Hom^n are computed once per parity (Hom^{n+2}(E, F) = Hom^n(E, F(d))),
-    and the structure maps are read into term lists once per call.
+    and the structure maps are read into term lists once per call.  For
+    exterior products of one-variable factors, `kunneth_table` gives the
+    certified table from the factors' tables instead; `orbit_hom_check`
+    uses this function, windowed, only for its restricted side.
     """
     if not E.ring.same_ring(F.ring):
         raise ValueError("factorizations over different rings")
@@ -1003,6 +1018,60 @@ def strand_cohomology(E: Factorization, F: Factorization,
                     raise AssertionError(
                         "nonzero strand at the certified boundary")
     return StrandCohomology(entries, certification)
+
+
+def _factor_table(E: Factorization, F: Factorization) -> StrandCohomology:
+    """The certified strand table of one Künneth factor pair."""
+    if E.ring.nvars() != 1:
+        raise ValueError("Künneth factors must be over one-variable rings")
+    table = strand_cohomology(E, F)
+    if table.certification[0] != "certified":
+        raise AssertionError("a Künneth factor table is not certified")
+    return table
+
+
+def _kunneth_product(tables) -> StrandCohomology:
+    """The certified table whose Poincaré series sum_n dim H^n t^n, with
+    n = 2l + eps, is the product of the certified `tables`' series.
+
+    Factor k is supported in l_lo_k < l < l_hi_k, so the product is
+    supported in degrees n from sum 2(l_lo_k + 1) to sum 2(l_hi_k - 1) + 1;
+    the range is widened by one strand on each side, so its boundary strands
+    are zero, as in `strand_cohomology`.
+    """
+    series = {0: 1}
+    n_min = n_max = 0
+    for table in tables:
+        factor = {2 * l + eps: dim for (eps, l), dim in table.entries.items() if dim}
+        product: dict = {}
+        for n1, c1 in series.items():
+            for n2, c2 in factor.items():
+                product[n1 + n2] = product.get(n1 + n2, 0) + c1 * c2
+        series = product
+        lo, hi = table.certification[1]
+        n_min += 2 * (lo + 1)
+        n_max += 2 * (hi - 1) + 1
+    l_lo, l_hi = n_min // 2 - 1, n_max // 2 + 1
+    entries = {(eps, l): series.get(2 * l + eps, 0)
+               for l in range(l_lo, l_hi + 1) for eps in (0, 1)}
+    return StrandCohomology(entries, ("certified", (l_lo, l_hi)))
+
+
+def kunneth_table(factors_E, factors_F) -> StrandCohomology:
+    """Strand cohomology of Hom(E_1 ⊠ ... ⊠ E_m, F_1 ⊠ ... ⊠ F_m) by Künneth.
+
+    The factors are one-variable factorizations, E_k and F_k over the same
+    ring.  The morphism complex of the exterior products is the tensor
+    product of the factors' complexes (Ballard-Favero-Katzarkov,
+    arXiv:1105.3177), so dim H^n = sum over n_1 + ... + n_m = n of the
+    products of the factors' dim H^{n_k}, read from their certified tables;
+    no linear algebra on the product is done.  A factor table that is not
+    certified is an invariant breach and raises AssertionError.
+    """
+    if not factors_E or len(factors_E) != len(factors_F):
+        raise ValueError("Künneth needs one F factor per E factor")
+    return _kunneth_product([_factor_table(E, F)
+                             for E, F in zip(factors_E, factors_F)])
 
 
 def endo_algebra_check(d: int) -> dict:
@@ -1129,26 +1198,51 @@ def restrict_grading(E: Factorization, psi: OrbitSpec) -> Factorization:
 def orbit_hom_check(objects, psi: OrbitSpec, window: int) -> list:
     """Check dim H^n(Hom(RE, RF)) = sum over Gamma of dim H^n(Hom(E, F(g))).
 
-    Runs over every ordered pair (E, F) of `objects`.  Each object is
-    regraded once and each F twisted once by each g in Gamma; both sides
-    are computed independently, strand by strand, in the window.  Returns
-    {"pair": [i, j], "ok", "mismatches"} for each pair, in row-major order.
+    Each object is a tuple (E_1, ..., E_m) of one-variable factors standing
+    for E_1 ⊠ ... ⊠ E_m, over the tensor ring whose grading psi restricts.
+    Runs over every ordered pair (E, F) of `objects`, and the two sides are
+    computed by different routes:
+
+    * the restricted side by windowed linear algebra (`strand_cohomology`)
+      on the folded `tensor_product`, regraded once per object;
+    * the orbit-sum side as the sum over g in Gamma of `kunneth_table`.  A
+      twist by g twists factor k by coordinate w_k of `g.coordinates` times
+      its generator; another lift of g differs by d_i e_i - d_j e_j, which
+      moves two factors' strands by +2 and -2 and leaves the product alone.
+      Factor tables are kept per (E factor, F factor, w_k) for the battery.
+
+    Returns {"pair": [i, j], "ok", "mismatches"} for each pair, in
+    row-major order, over the strands of the window.
     """
-    restricted = [restrict_grading(E, psi) for E in objects]
-    orbits = [[F.twist(g) for g in psi.kernel] for F in objects]
+    restricted = [restrict_grading(functools.reduce(tensor_product, obj), psi)
+                  for obj in objects]
+    lifts = [g.coordinates for g in psi.kernel]
+    if any(len(w) != len(obj) for obj in objects for w in lifts):
+        raise ValueError("a lift of g needs one coordinate per factor")
+    memo: dict = {}
+
+    def factor_table(E, F, w):
+        # keyed by identity: the objects hold every factor for the whole call
+        key = (id(E), id(F), w)
+        if key not in memo:
+            twisted = F.twist(w * F.ring.spec.generator_degrees[0]) if w else F
+            memo[key] = _factor_table(E, twisted)
+        return memo[key]
+
     out = []
     for i, (E, RE) in enumerate(zip(objects, restricted)):
-        for j, RF in enumerate(restricted):
+        for j, (F, RF) in enumerate(zip(objects, restricted)):
             lhs = strand_cohomology(RE, RF, window=window, certify=False)
-            rhs: dict = {}
-            for Fg in orbits[j]:
-                t = strand_cohomology(E, Fg, window=window, certify=False)
-                for key, dim in t.entries.items():
-                    rhs[key] = rhs.get(key, 0) + dim
-            mismatches = [{"strand": list(key), "restricted": lhs.entries[key],
-                           "orbit_sum": rhs.get(key, 0)}
-                          for key in sorted(lhs.entries, key=lambda k: (k[1], k[0]))
-                          if lhs.entries[key] != rhs.get(key, 0)]
+            orbit = [_kunneth_product([factor_table(*factors)
+                                       for factors in zip(E, F, w)])
+                     for w in lifts]
+            mismatches = []
+            for key in sorted(lhs.entries, key=lambda k: (k[1], k[0])):
+                rhs = sum(t.dim(*key) for t in orbit)
+                if lhs.entries[key] != rhs:
+                    mismatches.append({"strand": list(key),
+                                       "restricted": lhs.entries[key],
+                                       "orbit_sum": rhs})
             out.append({"pair": [i, j], "ok": not mismatches,
                         "mismatches": mismatches})
     return out

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -5,6 +6,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from singlab import abgroup
+from singlab.decompose import ADEType
+from singlab.quiverlab import ade_quiver, cartan_matrix, tensor_cartan
 from singlab.abgroup import (IntMatrix, boxminus, group_from_relations,
                              pointed_Z, reduce_element, smith_normal_form,
                              torsion_order, weight_group)
@@ -53,6 +56,34 @@ def test_snf_random_battery():
             assert diag[i + 1] % diag[i] == 0
         assert all(x == 0 for x in diag[s.rank:])
         assert all(x > 0 for x in diag[:s.rank])
+
+
+def _leibniz_det(rows):
+    """Oracle: sum over permutations of sign(p) * prod_i rows[i][p(i)]."""
+    n = len(rows)
+    total = 0
+    for p in itertools.permutations(range(n)):
+        inversions = sum(p[i] > p[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * math.prod(rows[i][p[i]] for i in range(n))
+    return total
+
+
+def test_det_matches_leibniz():
+    rng = random.Random(5)
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        # many zeros, so rows skipped below a pivot equal to the previous
+        # pivot and rows rescaled below a new pivot both occur
+        rows = [[rng.choice((0, 0, 0, 1, -1, 2, -3, 7)) for _ in range(n)]
+                for _ in range(n)]
+        assert IntMatrix.from_rows(rows).det() == _leibniz_det(rows), rows
+    # the Cartan matrices that `verify quiver` checks, tensor products included
+    A = {m: cartan_matrix(ade_quiver(ADEType("A", m))) for m in (2, 3, 4, 5)}
+    cartans = [A[5], A[2], A[3], A[4]] + [
+        cartan_matrix(ade_quiver(ADEType(*t))) for t in (("D", 4), ("E", 6), ("E", 8))]
+    cartans += [tensor_cartan(A[2], A[m]) for m in (2, 3, 4)]
+    for C in cartans:
+        assert C.det() == _leibniz_det(C.to_rows()) == 1
 
 
 def test_group_from_relations_basics():

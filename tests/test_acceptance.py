@@ -17,7 +17,7 @@ from singlab.abgroup import weight_group
 from singlab.decompose import (ADEType, brute_force_min_parts, min_partition,
                                rouquier_verdict)
 from singlab.mfengine import (OrbitSpec, endo_algebra_check, one_variable_ring,
-                              orbit_hom_check, standard_objects, tensor_product)
+                              orbit_hom_check, standard_objects, tensor_ring)
 from singlab.quiverlab import (DerivedMorphism, DerivedObject, GhostCertificate,
                                ade_quiver, cartan_matrix, coxeter_polynomial,
                                ext_rep, ghost_lower_bound, projective_rep,
@@ -113,9 +113,9 @@ def test_criterion_6_orbit_identity_battery():
     t0 = time.monotonic()
     rx = one_variable_ring(3, "x")
     ry = one_variable_ring(3, "y")
-    objs = [tensor_product(a, b)
-            for a in standard_objects(rx) for b in standard_objects(ry)]
-    A = objs[0].ring.grading
+    ys = standard_objects(ry)
+    objs = [(a, b) for a in standard_objects(rx) for b in ys]
+    A = tensor_ring(rx, ry).grading
     psi = OrbitSpec(A, [A.group.element([1, -1])])
     assert psi.order() == 3
     pairs = 0

@@ -1,4 +1,6 @@
 import functools
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -11,10 +13,12 @@ from singlab.mfengine import (Factorization, OrbitSpec, Polynomial,
                               RingWithPotential, cone,
                               default_window, endo_algebra_check,
                               factorization_map, fermat_ring, k_object,
+                              kunneth_table,
                               make_factorization, one_variable_ring,
                               orbit_hom_check, restrict_grading,
                               standard_objects, strand_cohomology,
-                              tensor_product, translate, zero_factorization)
+                              tensor_product, tensor_ring, translate,
+                              zero_factorization)
 from singlab.weightcalc import GradedRingSpec, WeightSequence
 
 
@@ -214,9 +218,16 @@ def test_endo_algebra_check_builds_objects_once(monkeypatch):
 
 def test_orbit_check_regrades_each_object_once(monkeypatch):
     regraded = _counting(monkeypatch, "restrict_grading")
+    built = _counting(monkeypatch, "standard_objects")
+    factor_tables = _counting(monkeypatch, "_factor_table")
     rep = cli.orbit_report(WeightSequence([3, 3]), 1)
-    # the 4 objects E_i (x) E_j of x^3 + y^3, each regraded once
+    # the 4 objects E_i (x) E_j of x^3 + y^3, each regraded once, from one
+    # list of standard objects per variable
     assert len(regraded) == 4
+    assert len(built) == 2
+    # one table per (E factor, F factor, lift): 2 x 2 factor pairs in each
+    # variable, 3 lifts of Gamma = Z/3
+    assert len(factor_tables) == 2 * 2 * 2 * 3
     assert [p["pair"] for p in rep["pairs"]] == [[i, j] for i in range(4)
                                                  for j in range(4)]
     assert rep["ok"]
@@ -514,7 +525,7 @@ def test_orbit_hom_check_trivial_gamma():
     ring = ring3()
     E1, E2 = standard_objects(ring)
     psi = OrbitSpec(ring.grading, [])
-    reps = orbit_hom_check([E1, E2], psi, window=2)
+    reps = orbit_hom_check([(E1,), (E2,)], psi, window=2)
     assert psi.order() == 1
     assert all(rep["ok"] for rep in reps)
 
@@ -524,12 +535,119 @@ def test_orbit_hom_check_z3():
     ry = one_variable_ring(3, "y")
     Ex = standard_objects(rx)
     Ey = standard_objects(ry)
-    T11 = tensor_product(Ex[0], Ey[0])
-    T22 = tensor_product(Ex[1], Ey[1])
-    A = T11.ring.grading
+    A = tensor_ring(rx, ry).grading
     psi = OrbitSpec(A, [A.group.element([1, -1])])
-    for rep in orbit_hom_check([T11, T22], psi, window=3):
+    for rep in orbit_hom_check([(Ex[0], Ey[0]), (Ex[1], Ey[1])], psi, window=3):
         assert rep["ok"], rep["mismatches"]
+
+
+def _twisted_factors(factors, g):
+    """F_1, ..., F_m twisted by the lift g.coordinates of g, factor by factor."""
+    return [F.twist(w * F.ring.spec.generator_degrees[0])
+            for F, w in zip(factors, g.coordinates)]
+
+
+def _orbit_battery(a, b):
+    """Factor pairs E_i, E_j of x^a + y^b, their tensor objects, and Gamma."""
+    rx, ry = one_variable_ring(a, "x"), one_variable_ring(b, "y")
+    ys = standard_objects(ry)
+    factors = [(u, v) for u in standard_objects(rx) for v in ys]
+    A = tensor_ring(rx, ry).grading
+    g = math.gcd(a, b)
+    psi = OrbitSpec(A, [A.group.element([a // g, -(b // g)])])
+    return factors, [tensor_product(*f) for f in factors], psi
+
+
+def _agrees(table, oracle):
+    """Every strand of the windowed oracle reads the same in `table`."""
+    return all(table.dim(*key) == dim for key, dim in oracle.entries.items())
+
+
+def test_kunneth_table_matches_windowed_oracle():
+    for a, b in ((2, 2), (2, 3), (3, 3), (2, 4), (3, 4), (4, 4), (3, 5), (4, 6)):
+        factors, objects, psi = _orbit_battery(a, b)
+        for E, TE in zip(factors, objects):
+            for F, TF in zip(factors, objects):
+                for g in psi.kernel:
+                    table = kunneth_table(E, _twisted_factors(F, g))
+                    assert table.certification[0] == "certified"
+                    TFg = TF.twist(g)
+                    for window in (0, 1, 2):
+                        oracle = strand_cohomology(TE, TFg, window=window,
+                                                   certify=False)
+                        assert _agrees(table, oracle), (a, b, E, F, g, window)
+
+
+def test_kunneth_table_vanishes_past_certified_range():
+    outside = 0
+    for a, b in ((2, 4), (3, 3)):
+        factors, objects, psi = _orbit_battery(a, b)
+        g = psi.kernel[-1]
+        assert not g.is_zero()
+        for E, TE in list(zip(factors, objects))[::2]:
+            F, TF = factors[-1], objects[-1]
+            table = kunneth_table(E, _twisted_factors(F, g))
+            l_lo, l_hi = table.certification[1]
+            window = max(-l_lo, l_hi) + 1
+            oracle = strand_cohomology(TE, TF.twist(g), window=window,
+                                       certify=False)
+            beyond = [key for key in oracle.entries
+                      if not l_lo <= key[1] <= l_hi]
+            assert beyond and all(oracle.entries[key] == 0 for key in beyond)
+            assert _agrees(table, oracle)
+            outside += len(beyond)
+    assert outside
+
+
+def test_kunneth_table_three_factors():
+    rings = [one_variable_ring(3, name) for name in "xyz"]
+    objs = [standard_objects(r) for r in rings]
+    A = tensor_ring(tensor_ring(rings[0], rings[1]), rings[2]).grading
+    lifts = itertools.cycle(([1, -1, 0], [2, 0, -1], [1, 1, -2], [-1, 2, 1],
+                             [0, 0, 3]))
+    indices = list(itertools.product((0, 1), repeat=3))
+    for (ie, jf), coords in zip(itertools.product(indices, indices), lifts):
+        E = [objs[k][i] for k, i in enumerate(ie)]
+        F = [objs[k][j] for k, j in enumerate(jf)]
+        g = A.group.element(coords)
+        table = kunneth_table(E, _twisted_factors(F, g))
+        TE = functools.reduce(tensor_product, E)
+        TF = functools.reduce(tensor_product, F)
+        oracle = strand_cohomology(TE, TF.twist(g), window=1, certify=False)
+        assert _agrees(table, oracle), (ie, jf, coords)
+
+
+def test_kunneth_table_of_one_factor_is_its_table():
+    ring = one_variable_ring(4)
+    objs = standard_objects(ring)
+    gen = ring.spec.generator_degrees[0]
+    for E in objs:
+        for F in objs:
+            for w in (-3, 0, 5):
+                assert (kunneth_table([E], [F.twist(w * gen)])
+                        == strand_cohomology(E, F.twist(w * gen)))
+
+
+def test_kunneth_table_rejects_bad_factors():
+    rx, ry = one_variable_ring(2, "x"), one_variable_ring(3, "y")
+    E, F = standard_objects(rx)[0], standard_objects(ry)[0]
+    with pytest.raises(ValueError):
+        kunneth_table([E], [E, E])
+    with pytest.raises(ValueError):
+        kunneth_table([], [])
+    with pytest.raises(ValueError):
+        kunneth_table([E], [F])
+    T = tensor_product(E, F)
+    with pytest.raises(ValueError):
+        kunneth_table([T], [T])
+
+
+def test_windowed_factor_table_is_an_invariant_breach(monkeypatch, capsys):
+    monkeypatch.setattr(mfengine, "_certified_range", lambda E, F: None)
+    E = standard_objects(ring3())[0]
+    with pytest.raises(AssertionError):
+        kunneth_table([E], [E])
+    assert cli.main(["orbit", "--weights", "2,2", "--window", "0"]) == 3
 
 
 def test_orbit_left_side_twist_invariance():
