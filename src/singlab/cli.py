@@ -82,8 +82,8 @@ class UsageError(ValueError):
 
 def analyze_report(d: WeightSequence, node_limit: int) -> dict:
     mu_bar, mu, sign = weightcalc.mu_values(d)
-    B = abgroup.weight_group(d.entries)
     spec = weightcalc.spec_from_weights(d)
+    B = spec.grading
     g = weightcalc.gorenstein_parameter(spec)
     if g.mu != mu:
         raise InternalCheckFailure("Gorenstein degree disagrees with mu")

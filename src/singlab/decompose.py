@@ -69,7 +69,7 @@ class SearchBudgetExceeded(RuntimeError):
 
 def is_nonpositive(d: WeightSequence) -> bool:
     """Exact test of sum 1/d_i <= 1 (zero sequences count as nonpositive)."""
-    return sum(Fraction(1, x) for x in d.entries) <= 1
+    return _is_nonpositive_part(d.entries)
 
 
 @lru_cache(maxsize=None)

@@ -15,13 +15,15 @@ untouched.
 The morphism complex between two factorizations is 2-periodic up to a twist
 by d; its cohomology ("strand cohomology") is computed strand by strand by
 exact rational linear algebra on the finite homogeneous components, which
-are finite because the grading is positive.  Vanishing outside a computed
-support range is certified when the cokernels of all four structure maps
-are finite length (a power of every variable annihilates them); otherwise
-the table carries an explicit window tag.  For exterior products of
-one-variable factorizations the certified table also follows from the
-factors' tables by the Künneth formula (`kunneth_table`), with no linear
-algebra on the product.
+are finite because the grading is positive.  Over one variable x the
+support range is certified from generator degrees alone: a structure map
+phi is square with det phi = c x^e, nonzero since phi phi' = w I, and by
+the adjugate x^e (and w) kill coker phi, which therefore lives in finitely
+many degrees.  A nonzero factorization in two or more variables has
+cokernels of positive dimension, so its table carries an explicit window
+tag; for exterior products of one-variable factorizations the certified
+table follows from the factors' tables by the Künneth formula
+(`kunneth_table`), with no linear algebra on the product.
 
 Group elements are the API: module twists, gradings and reports.  Inside,
 a degree is the pair (torsion residues, integer degree), which determines
@@ -231,7 +233,7 @@ class RingWithPotential:
 
     Wraps a GradedRingSpec (grading group pointed at the potential degree,
     one degree per variable) together with variable names and the potential
-    itself, which must be homogeneous of the marked degree.
+    itself, which must be nonzero and homogeneous of the marked degree.
     """
 
     def __init__(self, spec: GradedRingSpec, names, potential: Polynomial):
@@ -241,6 +243,8 @@ class RingWithPotential:
             raise ValueError("one name per variable required")
         if potential.nvars != spec.num_variables():
             raise ValueError("potential over the wrong number of variables")
+        if potential.is_zero():
+            raise ValueError("potential must be nonzero")
         self.potential = potential
         self._signature = None
         # what _monomial_table needs of the grading; rings with equal
@@ -358,19 +362,16 @@ def _check_homogeneous(ring: RingWithPotential, matrix, src, tgt, label: str):
                         f"{label}[{i}][{j}] has an entry of the wrong degree")
 
 
-# Marks a Factorization whose cokernel support has not been computed yet.
-_UNKNOWN = object()
-
-
 class Factorization:
     """A validated graded factorization of the ring's potential."""
 
-    # `_pairs`, `_terms` and `_support` cache _component_pairs,
-    # _object_terms and _cokernel_support, each filled on first use; the
-    # other slots are never reassigned, and twists and shifts build new
-    # objects, so a cache never goes stale.
+    # `_pairs` and `_terms` cache _component_pairs and _object_terms, each
+    # filled on first use; the other slots are never reassigned, and twists
+    # and shifts build new objects, so a cache never goes stale.  Cokernel
+    # supports need no slot: over one variable det phi = c x^e kills
+    # coker phi by the adjugate, and e is read off the cached degree pairs.
     __slots__ = ("ring", "e_neg", "e_zero", "phi0", "phi_neg",
-                 "_pairs", "_terms", "_support")
+                 "_pairs", "_terms")
 
     def __init__(self, ring, e_neg, e_zero, phi0, phi_neg, _validated=False):
         self.ring = ring
@@ -380,7 +381,6 @@ class Factorization:
         self.phi_neg = phi_neg
         self._pairs = None
         self._terms = None
-        self._support = _UNKNOWN
         if not _validated:
             _validate_factorization(self)
 
@@ -857,94 +857,34 @@ def default_window(E: Factorization, F: Factorization) -> int:
     return (max(degs) - min(degs)) // E.ring._potential_pair[1] + 2
 
 
-def _in_image(ring, columns, src, tgt, i, mono, element) -> bool:
-    """Whether mono . e_i = matrix . v for some v in a fixed homogeneous degree.
-
-    `columns[j]` lists (row, exps, coeff) of column j of the matrix; `src`
-    and `tgt` are the degree pairs of the source and target generators and
-    `element` that of the sought module element, so v_j runs over
-    monomials of element - src[j].  Coordinates are (target generator,
-    monomial) pairs; each monomial of each v_j gives one sparse column.
-    """
-    key = ring._grading_key
-    index = {}
-    for r, t in enumerate(tgt):
-        for e in _monomial_table(key, *_add_pairs(key[0], element, t, -1)):
-            index[(r, e)] = len(index)
-    cols = []
-    for j, s in enumerate(src):
-        for m in _monomial_table(key, *_add_pairs(key[0], element, s, -1)):
-            col = {}
-            for r, exps, c in columns[j]:
-                k = index.get((r, tuple(map(add, exps, m))))
-                if k is None:
-                    raise AssertionError("graded product left its component")
-                col[k] = c
-            cols.append(col)
-    target = index.get((i, mono))
-    if target is None:
-        return False
-    return len(cols) not in linalg.independent_rows(cols + [{target: 1}])
-
-
-def _annihilator_powers(ring, matrix, src, tgt):
-    """Per-variable powers annihilating coker(matrix), or None.
-
-    `src` and `tgt` are the degree pairs of the source and target
-    generators.  Searches m with x_k^m e_i in the image for every target
-    generator; the bound is generous enough for the shipped batteries and
-    failure simply means 'not certified'.
-    """
-    nv = ring.nvars()
-    factors, gens = ring._grading_key
-    dd = ring._potential_pair[1]
-    columns = [[(r, e, c) for r, row in enumerate(matrix)
-                for e, c in row[j].terms.items()] for j in range(len(src))]
-    powers = []
-    for k, a_k in enumerate(gens):
-        bound = (2 * dd * max(1, len(tgt))) // a_k[1] + 2
-        found = None
-        for m in range(1, bound + 1):
-            mono = tuple(m if v == k else 0 for v in range(nv))
-            if all(_in_image(ring, columns, src, tgt, i, mono,
-                             _add_pairs(factors, t, a_k, m))
-                   for i, t in enumerate(tgt)):
-                found = m
-                break
-        if found is None:
-            return None
-        powers.append(found)
-    return powers
-
-
-def _support_interval(ring, powers, tgt):
-    """Degrees that can carry nonzero pieces of the (finite length) cokernel.
-
-    `tgt` holds the degree pairs of the target generators; a zero target
-    has a zero cokernel, and the interval is None.
-    """
-    if not tgt:
-        return None
-    degs = [t[1] for t in tgt]
-    return min(degs), max(degs) + sum((m - 1) * a[1] for m, a in
-                                      zip(powers, ring._grading_key[1]))
-
-
 def _cokernel_support(obj: Factorization):
     """Support intervals of coker(phi0) and coker(phi_neg), or None.
 
-    Computed on first use and kept on the object.
+    Over one variable x of degree a each structure map phi is square, and
+    det phi = c x^e with e = (sum of source degrees - sum of target degrees)
+    / a is nonzero, because phi phi' = w I with w = c' x^D nonzero.  By the
+    adjugate, adj(phi) phi = det(phi) I, so x^e kills coker phi, as does
+    w = phi phi'; hence x^m with m = max(1, min(e, D)) does, and coker phi
+    lives in degrees min tgt to max tgt + (m - 1) a.  The zero object has
+    two zero cokernels (intervals None).  A nonzero object over two or more
+    variables has a cokernel of positive dimension (a maximal Cohen-Macaulay
+    module over R/(w)), so it is not certified.
     """
-    if obj._support is _UNKNOWN:
-        ring = obj.ring
-        neg, zero, shifted = _component_pairs(obj)
-        p0 = _annihilator_powers(ring, obj.phi0, neg, zero)
-        p1 = (_annihilator_powers(ring, obj.phi_neg, zero, shifted)
-              if p0 is not None else None)
-        obj._support = (None if p1 is None else
-                        (_support_interval(ring, p0, zero),
-                         _support_interval(ring, p1, shifted)))
-    return obj._support
+    neg, zero, shifted = _component_pairs(obj)
+    if not zero:
+        return None, None
+    ring = obj.ring
+    if ring.nvars() != 1:
+        return None
+    a = ring._grading_key[1][0][1]
+    top = ring._potential_pair[1] // a
+
+    def interval(src, tgt):
+        e = (sum(s[1] for s in src) - sum(t[1] for t in tgt)) // a
+        degs = [t[1] for t in tgt]
+        return min(degs), max(degs) + (max(1, min(e, top)) - 1) * a
+
+    return interval(neg, zero), interval(zero, shifted)
 
 
 def _certified_range(E: Factorization, F: Factorization):
@@ -972,10 +912,12 @@ def strand_cohomology(E: Factorization, F: Factorization,
                       certify: bool = True) -> StrandCohomology:
     """Dimension of every strand H^{2l+eps}(Hom(E, F)) in range.
 
-    With `certify` (and finite-length cokernels on both sides) the result
-    carries a proven support range and strands outside it read as zero;
-    otherwise the window `window` (default `default_window`) is inspected
-    and tagged as such.  Computation is exact linear algebra on the finite
+    With `certify`, when each object is zero or over one variable, the
+    result carries a proven support range and strands outside it read as
+    zero: each structure map phi has det phi = c x^e, and by the
+    adjugate x^min(e, deg_x w) kills coker phi, which bounds its degrees
+    (`_cokernel_support`).  Otherwise the window `window` (default
+    `default_window`) is inspected and tagged as such.  Computation is exact linear algebra on the finite
     homogeneous components of the morphism complex.  The block degrees of
     Hom^n are computed once per parity (Hom^{n+2}(E, F) = Hom^n(E, F(d))),
     and the structure maps are read into term lists once per call.  For

@@ -118,6 +118,12 @@ def test_polynomial_coefficients_int_when_integral():
     assert a.render(("x", "y")) == b.render(("x", "y")) == "-1*y + 2*x"
 
 
+def test_ring_refuses_zero_potential():
+    spec = ring3().spec
+    with pytest.raises(ValueError, match="nonzero"):
+        RingWithPotential(spec, ("x",), Polynomial.zero(1))
+
+
 def test_homogeneity_catches_torsion_only_mismatch():
     # over x^3 + y^3, deg x and deg y have the same integer degree and
     # differ by a torsion element
@@ -199,11 +205,146 @@ def _counting(monkeypatch, name):
     return calls
 
 
-def test_cokernel_support_computed_once_per_object(monkeypatch):
-    calls = _counting(monkeypatch, "_annihilator_powers")
-    endo_algebra_check(4)
-    # objects: E_1, E_2, E_3 (k(0) is E_3); two cokernels each
-    assert len(calls) <= 2 * 3
+def _in_image(ring, columns, src, tgt, i, mono, element) -> bool:
+    """Oracle: whether mono . e_i = matrix . v for some v in a fixed
+    homogeneous degree.
+
+    `columns[j]` lists (row, exps, coeff) of column j of the matrix; `src`
+    and `tgt` are the degree pairs of the source and target generators and
+    `element` that of the sought module element, so v_j runs over
+    monomials of element - src[j].  Coordinates are (target generator,
+    monomial) pairs; each monomial of each v_j gives one sparse column.
+    """
+    key = ring._grading_key
+    index = {}
+    for r, t in enumerate(tgt):
+        for e in mfengine._monomial_table(key, *mfengine._add_pairs(key[0], element, t, -1)):
+            index[(r, e)] = len(index)
+    cols = []
+    for j, s in enumerate(src):
+        for m in mfengine._monomial_table(key, *mfengine._add_pairs(key[0], element, s, -1)):
+            col = {}
+            for r, exps, c in columns[j]:
+                k = index.get((r, tuple(a + b for a, b in zip(exps, m))))
+                if k is None:
+                    raise AssertionError("graded product left its component")
+                col[k] = c
+            cols.append(col)
+    target = index.get((i, mono))
+    if target is None:
+        return False
+    return len(cols) not in linalg.independent_rows(cols + [{target: 1}])
+
+
+def _annihilator_powers(ring, matrix, src, tgt):
+    """Oracle: the least power m_k of each variable x_k with x_k^m e_i in the
+    image for every target generator, or None when some search up to a
+    generous bound fails."""
+    nv = ring.nvars()
+    factors, gens = ring._grading_key
+    dd = ring._potential_pair[1]
+    columns = [[(r, e, c) for r, row in enumerate(matrix)
+                for e, c in row[j].terms.items()] for j in range(len(src))]
+    powers = []
+    for k, a_k in enumerate(gens):
+        bound = (2 * dd * max(1, len(tgt))) // a_k[1] + 2
+        found = None
+        for m in range(1, bound + 1):
+            mono = tuple(m if v == k else 0 for v in range(nv))
+            if all(_in_image(ring, columns, src, tgt, i, mono,
+                             mfengine._add_pairs(factors, t, a_k, m))
+                   for i, t in enumerate(tgt)):
+                found = m
+                break
+        if found is None:
+            return None
+        powers.append(found)
+    return powers
+
+
+def _oracle_support(obj):
+    """Cokernel support intervals from the searched powers, in the format of
+    `mfengine._cokernel_support`, or None when a search fails."""
+    ring = obj.ring
+    neg, zero, shifted = mfengine._component_pairs(obj)
+    out = []
+    for matrix, src, tgt in ((obj.phi0, neg, zero), (obj.phi_neg, zero, shifted)):
+        powers = _annihilator_powers(ring, matrix, src, tgt)
+        if powers is None:
+            return None
+        out.append(None if not tgt else (
+            min(t[1] for t in tgt),
+            max(t[1] for t in tgt) + sum((m - 1) * a[1] for m, a in
+                                         zip(powers, ring._grading_key[1]))))
+    return tuple(out)
+
+
+def test_cokernel_support_matches_search_on_standard_objects():
+    for d in range(2, 9):
+        ring = one_variable_ring(d)
+        gen = ring.spec.generator_degrees[0]
+        for E in standard_objects(ring):
+            for w in range(-d, d + 1):
+                Ew = E.twist(w * gen)
+                assert mfengine._cokernel_support(Ew) == _oracle_support(Ew), (d, E, w)
+
+
+def _monomial_cones(d):
+    """Cones of x^t: E_i -> E_j(t) (closed when t >= max(0, j - i)) and of
+    the zero map E_i -> E_j(-j), over x^d."""
+    ring = one_variable_ring(d)
+    gen = ring.spec.generator_degrees[0]
+    objs = standard_objects(ring)
+    zero = [[Polynomial.zero(1)]]
+    out = []
+    for i, E in enumerate(objs, 1):
+        for j, F in enumerate(objs, 1):
+            for t in range(max(0, j - i), d + 1):
+                f_neg = [[Polynomial.variable(1, 0, i - j + t)]]
+                f_zero = [[Polynomial.variable(1, 0, t)]]
+                out.append(cone(factorization_map(E, F.twist(t * gen), f_neg, f_zero)))
+            out.append(cone(factorization_map(E, F.twist(-j * gen), zero, zero)))
+    return out
+
+
+def test_cokernel_support_contains_search_on_cones():
+    wider = 0
+    for d in range(2, 6):
+        for C in _monomial_cones(d):
+            assert C.rank_pair == (2, 2)
+            bound, searched = mfengine._cokernel_support(C), _oracle_support(C)
+            for (lo, hi), (s_lo, s_hi) in zip(bound, searched):
+                assert lo == s_lo and hi >= s_hi, C
+                wider += hi > s_hi
+    # the determinant power may exceed the least annihilating power
+    assert wider
+    # a certified range, wider or not, reads the same as a wider window
+    for C in _monomial_cones(3)[::3]:
+        for E, F in ((C, C), (standard_objects(C.ring)[0], C)):
+            t = strand_cohomology(E, F)
+            lo, hi = t.certification[1]
+            wide = strand_cohomology(E, F, window=max(-lo, hi) + 1, certify=False)
+            assert all(dim == t.dim(eps, l) for (eps, l), dim in wide.entries.items())
+
+
+def test_multi_variable_objects_are_not_certified():
+    rx, ry = one_variable_ring(3, "x"), one_variable_ring(3, "y")
+    T = tensor_product(standard_objects(rx)[0], standard_objects(ry)[0])
+    for E in [T] + _xy_objects():
+        # no power of a variable kills a cokernel of positive dimension
+        assert _oracle_support(E) is None
+        assert mfengine._cokernel_support(E) is None
+        assert strand_cohomology(E, E, window=1).certification == ("windowed", 1)
+
+
+def test_certified_range_needs_no_linear_algebra(monkeypatch):
+    objs = standard_objects(one_variable_ring(4)) + _monomial_cones(3)[:4]
+    for name in ("rank", "independent_rows"):
+        monkeypatch.setattr(linalg, name, lambda *args: pytest.fail("linear algebra"))
+    for E in objs:
+        for F in objs:
+            lo, hi = mfengine._certified_range(E, F)
+            assert lo < hi
 
 
 def test_endo_algebra_check_builds_objects_once(monkeypatch):
@@ -251,16 +392,13 @@ def test_strand_cohomology_needs_no_reduce_element(monkeypatch):
     # cokernel supports, windows and hom bases work on degree pairs, so no
     # group element is built from raw coordinates here
     assert calls == []
-    # with the cokernel supports known, the strand kernel works on integer
-    # degree pairs and does no group arithmetic at all
+    # with the degree pairs kept on the objects by the first call, the
+    # strand kernel, certification included, does no group arithmetic
     ops = []
     for name in ("__add__", "__sub__", "__mul__", "__rmul__"):
         op = getattr(abgroup.GroupElement, name)
         monkeypatch.setattr(abgroup.GroupElement, name,
                             lambda a, b, op=op, name=name: ops.append(name) or op(a, b))
-    for obj in (E, F):
-        mfengine._cokernel_support(obj)
-    ops.clear()
     assert strand_cohomology(E, F).entries == table.entries
     assert ops == []
 
