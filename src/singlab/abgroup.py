@@ -40,8 +40,7 @@ __all__ = [
     "group_from_relations",
     "reduce_element",
     "boxminus",
-    "degree",
-    "torsion_order",
+    "boxminus_pair",
     "weight_group",
     "pointed_Z",
 ]
@@ -401,28 +400,16 @@ def reduce_element(G: FGAbelianGroup, v) -> GroupElement:
     return GroupElement(G, tuple(v), (residues, free), G.signature())
 
 
-def torsion_order(G: FGAbelianGroup) -> int:
-    """Product of the invariant factors.
-
-    For the weight group of (d_0, ..., d_n) this equals
-    d_0 ... d_n / lcm(d_0, ..., d_n).
-    """
-    return G.torsion_order()
-
-
 @dataclass(frozen=True)
 class PointedAbelianGroup:
     """A group with a distinguished non-torsion element and a degree map.
 
     When the free rank is one, `degree` is the normalized quotient by the
     torsion subgroup, oriented so the marked element has positive degree.
-    `embeddings` records the component maps into a box-minus product (one
-    column map per component).
     """
 
     group: FGAbelianGroup
     marked: GroupElement
-    embeddings: tuple = ()
 
     def __post_init__(self):
         if self.marked.is_torsion():
@@ -438,15 +425,6 @@ class PointedAbelianGroup:
         if e._sig != self.marked._sig:
             raise ValueError("element of a different group")
         return self._degree_sign() * e.canonical[1][0]
-
-    def embed(self, component: int, coords) -> GroupElement:
-        """Image of a component element under the recorded embedding."""
-        M = self.embeddings[component]
-        coords = list(coords)
-        if len(coords) != M.cols:
-            raise ValueError("coordinate length mismatch")
-        v = [sum(M[i, j] * coords[j] for j in range(M.cols)) for i in range(M.rows)]
-        return reduce_element(self.group, v)
 
     def elements_of_degree(self, k: int):
         """All elements of a given degree (a torsion coset)."""
@@ -466,42 +444,33 @@ class PointedAbelianGroup:
         return rep
 
 
-def degree(A: PointedAbelianGroup, e: GroupElement) -> int:
-    return A.degree(e)
-
-
 def boxminus(A: PointedAbelianGroup, B: PointedAbelianGroup) -> PointedAbelianGroup:
     """A boxminus B: (A + B) / (marked_A, -marked_B), marked at the common image.
 
-    The degree map of the result is the normalized one; on embedded
-    elements it agrees with
+    Coordinates of A boxminus B are A's followed by B's (`boxminus_pair`).
+    The degree map of the result is the normalized one; on the images of
+    elements a of A and b of B it agrees with
     (deg(d') deg(a) + deg(d) deg(b)) / gcd(deg(d), deg(d')).
     """
     if A.marked.is_torsion() or B.marked.is_torsion():
         raise ValueError("marked element is torsion")
     nA, nB = A.group.num_generators, B.group.num_generators
-    n = nA + nB
     rows = []
     for i in range(A.group.relations.rows):
         rows.append(list(A.group.relations.row(i)) + [0] * nB)
     for i in range(B.group.relations.rows):
         rows.append([0] * nA + list(B.group.relations.row(i)))
     rows.append(list(A.marked.coordinates) + [-c for c in B.marked.coordinates])
-    G = group_from_relations(n, IntMatrix.from_rows(rows))
-    marked = reduce_element(G, list(A.marked.coordinates) + [0] * nB)
+    G = group_from_relations(nA + nB, IntMatrix.from_rows(rows))
+    return PointedAbelianGroup(G, boxminus_pair(G, A.marked, B.group.zero()))
 
-    def inject(offset: int, small: int) -> IntMatrix:
-        return IntMatrix(n, small,
-                         [1 if i == offset + j else 0
-                          for i in range(n) for j in range(small)])
 
-    embA, embB = inject(0, nA), inject(nA, nB)
-    embeddings = []
-    for M in (A.embeddings or (IntMatrix.identity(nA),)):
-        embeddings.append(embA.mul(M))
-    for M in (B.embeddings or (IntMatrix.identity(nB),)):
-        embeddings.append(embB.mul(M))
-    return PointedAbelianGroup(G, marked, tuple(embeddings))
+def boxminus_pair(G: FGAbelianGroup, a: GroupElement, b: GroupElement) -> GroupElement:
+    """The element (a, b) of the group G of A boxminus B (`boxminus`).
+
+    Its coordinates are a's followed by b's.
+    """
+    return reduce_element(G, a.coordinates + b.coordinates)
 
 
 def pointed_Z(marked: int) -> PointedAbelianGroup:
@@ -534,7 +503,4 @@ def weight_group(d) -> PointedAbelianGroup:
     G = group_from_relations(n, rel)
     marked = [0] * n
     marked[0] = d[0]
-    embeddings = tuple(
-        IntMatrix(n, 1, [1 if i == j else 0 for i in range(n)]) for j in range(n)
-    )
-    return PointedAbelianGroup(G, reduce_element(G, marked), embeddings)
+    return PointedAbelianGroup(G, reduce_element(G, marked))

@@ -199,7 +199,7 @@ def orbit_report(weights: WeightSequence, window: int) -> dict:
     ry = mfengine.one_variable_ring(b, "y")
     ys = mfengine.standard_objects(ry)
     objs = [(u, v) for u in mfengine.standard_objects(rx) for v in ys]
-    A = mfengine.tensor_ring(rx, ry).grading
+    A = abgroup.boxminus(rx.grading, ry.grading)
     # the grading group is Z^2 / (a, -b); g * gamma is that relation, so
     # gamma generates its torsion part Z/g (e_x - e_y is torsion only if a = b)
     g = math.gcd(a, b)
@@ -261,10 +261,12 @@ def _suite_groups(cfg) -> list:
         p = pa.degree(pa.marked)
         q = pb.degree(pb.marked)
         g = math.gcd(p, q)
-        for coords, expect in (((1, 0), q // g), ((0, 1), p // g)):
-            e = box.group.element(list(coords))
+        one_a, one_b = pa.group.generator(0), pb.group.generator(0)
+        for (a, b), expect in (((one_a, pb.group.zero()), q // g),
+                               ((pa.group.zero(), one_b), p // g)):
+            e = abgroup.boxminus_pair(box.group, a, b)
             if box.degree(e) != expect:
-                bad = {"p": p, "q": q, "coords": list(coords),
+                bad = {"p": p, "q": q, "coords": list(e.coordinates),
                        "got": box.degree(e), "want": expect}
         if bad:
             break

@@ -42,9 +42,9 @@ from fractions import Fraction
 from operator import add
 
 from . import linalg
-from .abgroup import GroupElement, PointedAbelianGroup, boxminus, group_from_relations
+from .abgroup import GroupElement, PointedAbelianGroup, boxminus_pair, group_from_relations
 from .abgroup import IntMatrix, reduce_element
-from .weightcalc import GradedRingSpec, WeightSequence
+from .weightcalc import GradedRingSpec, WeightSequence, thom_sebastiani
 
 __all__ = [
     "Polynomial",
@@ -500,30 +500,18 @@ class FactorizationMap:
     f_neg: tuple
     f_zero: tuple
 
-    def closedness_defect(self):
+    def is_closed(self) -> bool:
+        """f_0 phi0^E = phi0^F f_{-1} and f_{-1} phi_neg^E = phi_neg^F f_0."""
         E, F = self.source, self.target
         nv = E.ring.nvars()
-        c1 = _sub_poly(_matmul_poly(self.f_zero, E.phi0, nv),
-                       _matmul_poly(F.phi0, self.f_neg, nv))
-        c2 = _sub_poly(_matmul_poly(self.f_neg, E.phi_neg, nv),
-                       _matmul_poly(F.phi_neg, self.f_zero, nv))
-        return c1, c2
-
-    def is_closed(self) -> bool:
-        c1, c2 = self.closedness_defect()
-        return _all_zero(c1) and _all_zero(c2)
+        return (_matmul_poly(self.f_zero, E.phi0, nv)
+                == _matmul_poly(F.phi0, self.f_neg, nv)
+                and _matmul_poly(self.f_neg, E.phi_neg, nv)
+                == _matmul_poly(F.phi_neg, self.f_zero, nv))
 
 
-def _sub_poly(A, B):
-    return tuple(tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(A, B))
-
-
-def _all_zero(A) -> bool:
-    return all(p.is_zero() for row in A for p in row)
-
-
-def factorization_map(E: Factorization, F: Factorization, f_neg, f_zero,
-                      check: bool = True) -> FactorizationMap:
+def factorization_map(E: Factorization, F: Factorization,
+                      f_neg, f_zero) -> FactorizationMap:
     if not E.ring.same_ring(F.ring):
         raise ValueError("factorizations over different rings")
     f = FactorizationMap(E, F,
@@ -532,7 +520,7 @@ def factorization_map(E: Factorization, F: Factorization, f_neg, f_zero,
     (e_neg, e_zero, _), (f_neg, f_zero, _) = map(_component_pairs, (E, F))
     _check_homogeneous(E.ring, f.f_neg, e_neg, f_neg, "f_neg")
     _check_homogeneous(E.ring, f.f_zero, e_zero, f_zero, "f_zero")
-    if check and not f.is_closed():
+    if not f.is_closed():
         raise ValueError("map does not commute with the structure maps")
     return f
 
@@ -642,20 +630,12 @@ def tensor_product(E: Factorization, F: Factorization) -> Factorization:
     Components  X_{-1} = E_{-1} F_0 + E_0 F_{-1},
                 X_0    = E_0 F_0 + (E_{-1} F_{-1})(d)
     with the usual signed Koszul blocks; the ambient ring is the tensor
-    ring graded by the box-minus product of the two gradings.
+    ring graded by the box-minus product of the two gradings, where a
+    generator of degree (u, v) is placed by `boxminus_pair`.
     """
     ring = tensor_ring(E.ring, F.ring)
     nv = ring.nvars()
-    A = ring.grading
-    nE_gen = E.ring.grading.group.num_generators
-    nF_gen = F.ring.grading.group.num_generators
-
-    def pair(u: GroupElement, v: GroupElement) -> GroupElement:
-        return reduce_element(A.group, list(u.coordinates) + list(v.coordinates))
-
-    if nE_gen + nF_gen != A.group.num_generators:
-        raise AssertionError("tensor grading has the wrong number of generators")
-
+    pair = functools.partial(boxminus_pair, ring.grading.group)
     d = ring.spec.potential_degree
     x_neg = tuple(pair(u, v) for u in E.e_neg.twists for v in F.e_zero.twists) + \
         tuple(pair(u, v) for u in E.e_zero.twists for v in F.e_neg.twists)
@@ -693,16 +673,9 @@ def tensor_product(E: Factorization, F: Factorization) -> Factorization:
 
 
 def tensor_ring(R1: RingWithPotential, R2: RingWithPotential) -> RingWithPotential:
-    """The tensor ring with grading R1 boxminus R2 and potential w + v."""
-    A = boxminus(R1.grading, R2.grading)
-    n1 = R1.grading.group.num_generators
-    n2 = R2.grading.group.num_generators
-    gens = []
-    for a in R1.spec.generator_degrees:
-        gens.append(reduce_element(A.group, list(a.coordinates) + [0] * n2))
-    for a in R2.spec.generator_degrees:
-        gens.append(reduce_element(A.group, [0] * n1 + list(a.coordinates)))
-    spec = GradedRingSpec(A, tuple(gens))
+    """The tensor ring of the sum w + v (`thom_sebastiani`), graded by
+    R1 boxminus R2."""
+    spec = thom_sebastiani(R1.spec, R2.spec)
     k1, k2 = R1.nvars(), R2.nvars()
     w = Polynomial(k1 + k2, {exps + (0,) * k2: c
                              for exps, c in R1.potential.terms.items()})
@@ -908,16 +881,17 @@ def _certified_range(E: Factorization, F: Factorization):
 
 
 def strand_cohomology(E: Factorization, F: Factorization,
-                      window: int | None = None,
-                      certify: bool = True) -> StrandCohomology:
+                      window: int | None = None) -> StrandCohomology:
     """Dimension of every strand H^{2l+eps}(Hom(E, F)) in range.
 
-    With `certify`, when each object is zero or over one variable, the
+    With no `window`, when each object is zero or over one variable, the
     result carries a proven support range and strands outside it read as
-    zero: each structure map phi has det phi = c x^e, and by the
-    adjugate x^min(e, deg_x w) kills coker phi, which bounds its degrees
-    (`_cokernel_support`).  Otherwise the window `window` (default
-    `default_window`) is inspected and tagged as such.  Computation is exact linear algebra on the finite
+    zero: each structure map phi has det phi = c x^e, and by the adjugate
+    x^min(e, deg_x w) kills coker phi, which bounds its degrees
+    (`_cokernel_support`); for other objects the window `default_window`
+    is used.  A given `window` L >= 0 asks for the strands with
+    -L <= l <= L, tagged as windowed, whatever the objects; a negative one
+    raises ValueError.  Computation is exact linear algebra on the finite
     homogeneous components of the morphism complex.  The block degrees of
     Hom^n are computed once per parity (Hom^{n+2}(E, F) = Hom^n(E, F(d))),
     and the structure maps are read into term lists once per call.  For
@@ -927,14 +901,14 @@ def strand_cohomology(E: Factorization, F: Factorization,
     """
     if not E.ring.same_ring(F.ring):
         raise ValueError("factorizations over different rings")
-    certification = None
-    if certify:
-        rng = _certified_range(E, F)
-        if rng is not None:
-            l_lo, l_hi = rng
-            certification = ("certified", (l_lo, l_hi))
-    if certification is None:
-        L = window if window is not None else default_window(E, F)
+    if window is not None and window < 0:
+        raise ValueError(f"window must be >= 0, got {window}")
+    rng = _certified_range(E, F) if window is None else None
+    if rng is not None:
+        l_lo, l_hi = rng
+        certification = ("certified", rng)
+    else:
+        L = default_window(E, F) if window is None else window
         l_lo, l_hi = -L, L
         certification = ("windowed", L)
 
@@ -1174,7 +1148,7 @@ def orbit_hom_check(objects, psi: OrbitSpec, window: int) -> list:
     out = []
     for i, (E, RE) in enumerate(zip(objects, restricted)):
         for j, (F, RF) in enumerate(zip(objects, restricted)):
-            lhs = strand_cohomology(RE, RF, window=window, certify=False)
+            lhs = strand_cohomology(RE, RF, window=window)
             orbit = [_kunneth_product([factor_table(*factors)
                                        for factors in zip(E, F, w)])
                      for w in lifts]

@@ -615,9 +615,7 @@ class DerivedMorphism:
         self.target = target
         self.components = {}
         for (i, j), (kind, data) in components.items():
-            ri, si = source.summands[i]
-            rj, sj = target.summands[j]
-            diff = sj - si
+            diff = target.summands[j][1] - source.summands[i][1]
             if kind == "hom" and diff != 0:
                 raise ValueError("hom component needs equal shifts")
             if kind == "ext" and diff != 1:
@@ -666,24 +664,19 @@ class DerivedMorphism:
                                      for idx, (s, t) in enumerate(Q.arrows)})
                 else:
                     continue  # Ext^1 . Ext^1 lands in Ext^2 = 0
-                out[(i, k)] = _add_component(out.get((i, k)), piece, ri, rk, Q)
+                out[(i, k)] = _add_component(out.get((i, k)), piece)
         return DerivedMorphism(self.source, g.target, out)
 
 
-def _add_component(existing, piece, ri, rk, Q: Quiver):
+def _add_component(existing, piece):
     if existing is None:
         return piece
     kind, data = existing
     kind2, data2 = piece
     if kind != kind2:
         raise AssertionError(f"cannot add a {kind} component to a {kind2} one")
-    if kind == "hom":
-        merged = {v: [[a + b for a, b in zip(r1, r2)]
-                      for r1, r2 in zip(data[v], data2[v])] for v in Q.vertices()}
-    else:
-        merged = {idx: [[a + b for a, b in zip(r1, r2)]
-                        for r1, r2 in zip(data[idx], data2[idx])]
-                  for idx in range(len(Q.arrows))}
+    merged = {key: [[a + b for a, b in zip(r1, r2)]
+                    for r1, r2 in zip(data[key], data2[key])] for key in data}
     return (kind, merged)
 
 
@@ -822,7 +815,7 @@ def split_complex(C: ComplexOfReps):
                 image = [list(col) for col in img_cols]
             else:
                 image = []
-            h_data[v] = _quotient_basis(kernel, image, dim_v)
+            h_data[v] = _quotient_basis(kernel, image)
             h_dims.append(len(h_data[v][0]))
         maps = []
         for k, (s, t) in enumerate(C.quiver.arrows):
@@ -844,20 +837,20 @@ def split_complex(C: ComplexOfReps):
     return out
 
 
-def _quotient_basis(kernel, image, ambient_dim):
-    """(complement basis vectors, independent image vectors, ambient_dim).
+def _quotient_basis(kernel, image):
+    """(complement basis vectors, independent image vectors).
 
     The complement extends the image by kernel vectors; the independent
     image vectors are what projection solves against.
     """
     image = [list(v) for v in image]
     complement = _extend_span(image, [list(v) for v in kernel])
-    return complement, _extend_span([], image), ambient_dim
+    return complement, _extend_span([], image)
 
 
 def _project_to_quotient(h_datum, vec):
     """Coordinates of vec in the complement basis modulo the image."""
-    complement, img_basis, ambient = h_datum
+    complement, img_basis = h_datum
     cols = img_basis + complement
     if not cols:
         if any(x != 0 for x in vec):

@@ -5,8 +5,9 @@ weight group grades the polynomial ring with deg x_i = e_i.  This module
 computes the attached numerology exactly: the hypersurface parameter
 mu = lcm(d) * (-1 + sum 1/d_i), the Gorenstein twist eta = -d + sum a_i of a
 graded ring presentation, counts of exceptional objects and complementary
-blocks, decomposition summaries for the three sign cases, and the graded
-doubling that adds two quadric variables to force mu > 0.
+blocks, decomposition summaries for the three sign cases, Thom-Sebastiani
+sums of graded rings, and the graded doubling that adds two quadric
+variables to force mu > 0.
 
 All rationals are exact (`fractions.Fraction`); mu is asserted integral and
 the code fails loudly rather than rounding.
@@ -18,8 +19,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .abgroup import (GroupElement, PointedAbelianGroup, boxminus, pointed_Z,
-                      weight_group)
+from .abgroup import (GroupElement, PointedAbelianGroup, boxminus, boxminus_pair,
+                      pointed_Z, weight_group)
 
 __all__ = [
     "WeightSequence",
@@ -32,6 +33,7 @@ __all__ = [
     "exceptional_count",
     "complement_count",
     "knoerrer_double",
+    "thom_sebastiani",
     "concat",
     "spec_from_weights",
 ]
@@ -234,22 +236,30 @@ def complement_count(d: WeightSequence) -> int:
     return abs(mu) * torsion
 
 
-def knoerrer_double(spec: GradedRingSpec) -> GradedRingSpec:
-    """Add two quadric variables: grading A -> A [] (Z,2) [] (Z,2).
+def thom_sebastiani(s: GradedRingSpec, t: GradedRingSpec) -> GradedRingSpec:
+    """The ring of a sum w(x) + v(y) in disjoint variables.
 
-    The two new generators are the images of 1 in the Z factors; the new
-    potential degree is the common marked element.  The resulting Gorenstein
-    degree is strictly positive.
+    The grading is s's boxminus t's, marked at the common potential degree;
+    the generator degrees are s's followed by t's, each a pair with zero in
+    the other component (`boxminus_pair`).
     """
-    A1 = boxminus(spec.grading, pointed_Z(2))
-    A2 = boxminus(A1, pointed_Z(2))
-    n_old = spec.grading.group.num_generators
-    gens = []
-    for a in spec.generator_degrees:
-        gens.append(A2.group.element(list(a.coordinates) + [0, 0]))
-    gens.append(A2.group.element([0] * n_old + [1, 0]))
-    gens.append(A2.group.element([0] * n_old + [0, 1]))
-    doubled = GradedRingSpec(A2, tuple(gens))
+    A = boxminus(s.grading, t.grading)
+    zero_s, zero_t = s.grading.group.zero(), t.grading.group.zero()
+    gens = tuple(boxminus_pair(A.group, a, zero_t) for a in s.generator_degrees) + \
+        tuple(boxminus_pair(A.group, zero_s, b) for b in t.generator_degrees)
+    return GradedRingSpec(A, gens)
+
+
+def knoerrer_double(spec: GradedRingSpec) -> GradedRingSpec:
+    """Add two quadric variables: the sum with u^2, then with v^2.
+
+    The grading becomes A [] (Z,2) [] (Z,2) and the two new generators are
+    the images of 1 in the Z factors.  The resulting Gorenstein degree is
+    strictly positive.
+    """
+    Z2 = pointed_Z(2)
+    quadric = GradedRingSpec(Z2, (Z2.group.generator(0),))
+    doubled = thom_sebastiani(thom_sebastiani(spec, quadric), quadric)
     g = gorenstein_parameter(doubled)
     if g.mu <= 0:
         raise AssertionError("doubled Gorenstein degree must be positive")

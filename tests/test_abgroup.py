@@ -8,9 +8,9 @@ from hypothesis import example, given, settings, strategies as st
 from singlab import abgroup
 from singlab.decompose import ADEType
 from singlab.quiverlab import ade_quiver, cartan_matrix, tensor_cartan
-from singlab.abgroup import (IntMatrix, boxminus, group_from_relations,
-                             pointed_Z, reduce_element, smith_normal_form,
-                             torsion_order, weight_group)
+from singlab.abgroup import (IntMatrix, boxminus, boxminus_pair,
+                             group_from_relations, pointed_Z, reduce_element,
+                             smith_normal_form, weight_group)
 
 
 def test_snf_identity():
@@ -184,8 +184,8 @@ def test_boxminus_mixed_degrees():
     A = boxminus(pointed_Z(3), pointed_Z(2))
     # explicit isomorphism Z^2/(3,-2) = Z via (a,b) -> 2a+3b
     assert A.group.free_rank == 1 and A.group.invariant_factors == ()
-    assert A.degree(A.embed(0, [1])) == 2
-    assert A.degree(A.embed(1, [1])) == 3
+    assert A.degree(A.group.generator(0)) == 2
+    assert A.degree(A.group.generator(1)) == 3
     assert A.degree(A.marked) == 6
 
 
@@ -193,8 +193,8 @@ def test_boxminus_equal_degrees():
     A = boxminus(pointed_Z(4), pointed_Z(4))
     assert A.group.free_rank == 1
     assert A.group.invariant_factors == (4,)
-    assert A.degree(A.embed(0, [1])) == 1
-    assert A.degree(A.embed(1, [1])) == 1
+    assert A.degree(A.group.generator(0)) == 1
+    assert A.degree(A.group.generator(1)) == 1
 
 
 def test_boxminus_triple():
@@ -231,7 +231,31 @@ def test_boxminus_associative():
         assert A1.group.free_rank == A2.group.free_rank == 1
         assert A1.group.invariant_factors == A2.group.invariant_factors
         for i in range(3):
-            assert A1.degree(A1.embed(i, [1])) == A2.degree(A2.embed(i, [1]))
+            assert A1.degree(A1.group.generator(i)) == A2.degree(A2.group.generator(i))
+
+
+def test_boxminus_pair_concatenates_coordinates():
+    # (a, b) in (A [] B) [] C and A [] (B [] C) is the element with the
+    # concatenated coordinates, and its degree follows
+    # deg(a, b) = (deg(d') deg(a) + deg(d) deg(b)) / gcd(deg(d), deg(d'))
+    rng = random.Random(29)
+    for _ in range(40):
+        A = weight_group([rng.randint(1, 6) for _ in range(rng.randint(1, 3))])
+        B = pointed_Z(rng.randint(1, 6))
+        C = weight_group([rng.randint(1, 6) for _ in range(rng.randint(1, 2))])
+        for left, right in ((boxminus(A, B), C), (A, boxminus(B, C))):
+            AB = boxminus(left, right)
+            a = left.group.element([rng.randint(-4, 4)
+                                    for _ in range(left.group.num_generators)])
+            b = right.group.element([rng.randint(-4, 4)
+                                     for _ in range(right.group.num_generators)])
+            e = boxminus_pair(AB.group, a, b)
+            assert e == AB.group.element(list(a.coordinates + b.coordinates))
+            assert e.coordinates == a.coordinates + b.coordinates
+            p, q = left.degree(left.marked), right.degree(right.marked)
+            assert AB.degree(e) * math.gcd(p, q) == q * left.degree(a) + p * right.degree(b)
+            assert boxminus_pair(AB.group, left.marked, right.group.zero()) == AB.marked
+            assert boxminus_pair(AB.group, left.group.zero(), right.marked) == AB.marked
 
 
 def test_boxminus_positive_grading():
@@ -294,8 +318,8 @@ def test_weight_group_values():
     assert B.group.free_rank == 1 and B.group.invariant_factors == (3,)
     assert [B.degree(B.group.generator(i)) for i in range(2)] == [1, 1]
     assert len(B.elements_of_degree(0)) == 3
-    assert torsion_order(weight_group([4, 4, 4, 4]).group) == 64
-    assert torsion_order(weight_group([2, 3, 5]).group) == 1
+    assert weight_group([4, 4, 4, 4]).group.torsion_order() == 64
+    assert weight_group([2, 3, 5]).group.torsion_order() == 1
     with pytest.raises(ValueError):
         weight_group([])
     with pytest.raises(ValueError):

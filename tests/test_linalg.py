@@ -362,9 +362,9 @@ def test_checks_survive_optimize_flag(run_optimized):
         from singlab import linalg, quiverlab
         checks = [
             lambda: linalg.matmul([[1, 2, 3]], [[1], [2]]),
-            lambda: quiverlab._project_to_quotient(([], [], 1), [Fraction(1)]),
+            lambda: quiverlab._project_to_quotient(([], []), [Fraction(1)]),
             lambda: quiverlab._project_to_quotient(
-                ([[Fraction(1), Fraction(0)]], [], 2), [0, Fraction(1)]),
+                ([[Fraction(1), Fraction(0)]], []), [0, Fraction(1)]),
         ]
         for check in checks:
             try:

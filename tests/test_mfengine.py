@@ -76,7 +76,7 @@ def test_make_factorization_rejects_inhomogeneous():
 def test_zero_factorization():
     E = zero_factorization(ring3())
     assert E.rank_pair == (0, 0)
-    t = strand_cohomology(E, E, window=2, certify=False)
+    t = strand_cohomology(E, E, window=2)
     assert t.total() == 0
 
 
@@ -137,9 +137,9 @@ def test_homogeneity_catches_torsion_only_mismatch():
         return [[p if i == j else zero for j in range(2)] for i in range(2)]
 
     x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
-    factorization_map(T, T.twist(gx), scalar(x), scalar(x), check=False)
+    factorization_map(T, T.twist(gx), scalar(x), scalar(x))
     with pytest.raises(ValueError, match="wrong degree"):
-        factorization_map(T, T.twist(gx), scalar(y), scalar(y), check=False)
+        factorization_map(T, T.twist(gx), scalar(y), scalar(y))
     # the potential check has the same strength: x^2 y has degree 3 too
     with pytest.raises(ValueError, match="not homogeneous"):
         RingWithPotential(T.ring.spec, T.ring.names, Polynomial(2, {(2, 1): 1}))
@@ -323,7 +323,7 @@ def test_cokernel_support_contains_search_on_cones():
         for E, F in ((C, C), (standard_objects(C.ring)[0], C)):
             t = strand_cohomology(E, F)
             lo, hi = t.certification[1]
-            wide = strand_cohomology(E, F, window=max(-lo, hi) + 1, certify=False)
+            wide = strand_cohomology(E, F, window=max(-lo, hi) + 1)
             assert all(dim == t.dim(eps, l) for (eps, l), dim in wide.entries.items())
 
 
@@ -483,8 +483,8 @@ def test_translate_identities():
     assert translate(translate(E1, 1), -1) == E1
     # E[2] coincides with E(d) on the nose for this sign convention
     assert translate(E1, 2) == E1.twist(d)
-    tw = strand_cohomology(translate(E1, 2), E2, window=2, certify=False)
-    td = strand_cohomology(E1.twist(d), E2, window=2, certify=False)
+    tw = strand_cohomology(translate(E1, 2), E2, window=2)
+    td = strand_cohomology(E1.twist(d), E2, window=2)
     assert tw.entries == td.entries
 
 
@@ -492,8 +492,8 @@ def test_two_periodicity():
     ring = ring3()
     E1, E2 = standard_objects(ring)
     d = ring.spec.potential_degree
-    tA = strand_cohomology(E1, E2, window=3, certify=False).entries
-    tB = strand_cohomology(E1, E2.twist(d), window=3, certify=False).entries
+    tA = strand_cohomology(E1, E2, window=3).entries
+    tB = strand_cohomology(E1, E2.twist(d), window=3).entries
     for (eps, l), dim in tB.items():
         if (eps, l + 1) in tA:
             assert tA[(eps, l + 1)] == dim
@@ -504,8 +504,8 @@ def test_cone_of_identity_vanishes():
     E1, _ = standard_objects(ring)
     one = Polynomial(1, {(0,): 1})
     c = cone(factorization_map(E1, E1, ((one,),), ((one,),)))
-    assert strand_cohomology(c, c, window=3, certify=False).total() == 0
-    assert strand_cohomology(E1, c, window=3, certify=False).total() == 0
+    assert strand_cohomology(c, c, window=3).total() == 0
+    assert strand_cohomology(E1, c, window=3).total() == 0
 
 
 def test_cone_of_zero_is_sum():
@@ -514,10 +514,9 @@ def test_cone_of_zero_is_sum():
     z = ((Polynomial.zero(1),),)
     c = cone(factorization_map(E1, E2, z, z))
     for probe in (E1, E2):
-        ta = strand_cohomology(probe, c, window=3, certify=False).entries
-        tb = strand_cohomology(probe, translate(E1, 1), window=3,
-                               certify=False).entries
-        tc = strand_cohomology(probe, E2, window=3, certify=False).entries
+        ta = strand_cohomology(probe, c, window=3).entries
+        tb = strand_cohomology(probe, translate(E1, 1), window=3).entries
+        tc = strand_cohomology(probe, E2, window=3).entries
         assert ta == {k: tb[k] + tc[k] for k in ta}
 
 
@@ -529,11 +528,9 @@ def test_cone_of_multiplication_by_x():
     x = Polynomial.variable(1, 0, 1)
     c = cone(factorization_map(E1, E1.twist(g), ((x,),), ((x,),)))
     for probe in (E1, E2):
-        ta = strand_cohomology(probe, c, window=3, certify=False).entries
-        tb = strand_cohomology(probe, translate(E1, 1), window=3,
-                               certify=False).entries
-        tc = strand_cohomology(probe, E1.twist(g), window=3,
-                               certify=False).entries
+        ta = strand_cohomology(probe, c, window=3).entries
+        tb = strand_cohomology(probe, translate(E1, 1), window=3).entries
+        tc = strand_cohomology(probe, E1.twist(g), window=3).entries
         assert ta == {k: tb[k] + tc[k] for k in ta}
 
 
@@ -553,7 +550,7 @@ def test_certified_tables_stable_under_widening():
             t = strand_cohomology(E, F)
             assert t.certification[0] == "certified"
             lo, hi = t.certification[1]
-            wide = strand_cohomology(E, F, window=hi - lo + 4, certify=False)
+            wide = strand_cohomology(E, F, window=hi - lo + 4)
             for (eps, l), dim in wide.entries.items():
                 assert dim == t.dim(eps, l)
 
@@ -668,6 +665,27 @@ def test_orbit_hom_check_trivial_gamma():
     assert all(rep["ok"] for rep in reps)
 
 
+def test_negative_window_is_refused():
+    # a window [-L, L] with L < 0 holds no strand: the identity check would
+    # compare nothing and answer ok
+    ring = ring3()
+    E1, E2 = standard_objects(ring)
+    with pytest.raises(ValueError, match="window"):
+        strand_cohomology(E1, E2, window=-1)
+    psi = OrbitSpec(ring.grading, [])
+    with pytest.raises(ValueError, match="window"):
+        orbit_hom_check([(E1,), (E2,)], psi, window=-1)
+
+
+def test_given_window_is_windowed():
+    # no window: certified over one variable; a given window: that window
+    E1, E2 = standard_objects(ring3())
+    assert strand_cohomology(E1, E2).certification[0] == "certified"
+    table = strand_cohomology(E1, E2, window=1)
+    assert table.certification == ("windowed", 1)
+    assert sorted(table.entries) == [(eps, l) for eps in (0, 1) for l in (-1, 0, 1)]
+
+
 def test_orbit_hom_check_z3():
     rx = one_variable_ring(3, "x")
     ry = one_variable_ring(3, "y")
@@ -711,8 +729,7 @@ def test_kunneth_table_matches_windowed_oracle():
                     assert table.certification[0] == "certified"
                     TFg = TF.twist(g)
                     for window in (0, 1, 2):
-                        oracle = strand_cohomology(TE, TFg, window=window,
-                                                   certify=False)
+                        oracle = strand_cohomology(TE, TFg, window=window)
                         assert _agrees(table, oracle), (a, b, E, F, g, window)
 
 
@@ -727,8 +744,7 @@ def test_kunneth_table_vanishes_past_certified_range():
             table = kunneth_table(E, _twisted_factors(F, g))
             l_lo, l_hi = table.certification[1]
             window = max(-l_lo, l_hi) + 1
-            oracle = strand_cohomology(TE, TF.twist(g), window=window,
-                                       certify=False)
+            oracle = strand_cohomology(TE, TF.twist(g), window=window)
             beyond = [key for key in oracle.entries
                       if not l_lo <= key[1] <= l_hi]
             assert beyond and all(oracle.entries[key] == 0 for key in beyond)
@@ -751,7 +767,7 @@ def test_kunneth_table_three_factors():
         table = kunneth_table(E, _twisted_factors(F, g))
         TE = functools.reduce(tensor_product, E)
         TF = functools.reduce(tensor_product, F)
-        oracle = strand_cohomology(TE, TF.twist(g), window=1, certify=False)
+        oracle = strand_cohomology(TE, TF.twist(g), window=1)
         assert _agrees(table, oracle), (ie, jf, coords)
 
 
@@ -796,10 +812,10 @@ def test_orbit_left_side_twist_invariance():
     gamma = A.group.element([1, -1])
     psi = OrbitSpec(A, [gamma])
     base = strand_cohomology(restrict_grading(T, psi),
-                             restrict_grading(T, psi), window=3, certify=False)
+                             restrict_grading(T, psi), window=3)
     twisted = strand_cohomology(restrict_grading(T, psi),
                                 restrict_grading(T.twist(gamma), psi),
-                                window=3, certify=False)
+                                window=3)
     assert base.entries == twisted.entries
 
 
@@ -927,7 +943,7 @@ def test_degree_checks_survive_optimize_flag(run_optimized):
         y, z = mf.Polynomial.variable(2, 1), mf.Polynomial.zero(2)
         y_id = [[y, z], [z, y]]
         for attempt in (
-                lambda: mf.factorization_map(T, T.twist(gx), y_id, y_id, check=False),
+                lambda: mf.factorization_map(T, T.twist(gx), y_id, y_id),
                 lambda: mf.RingWithPotential(T.ring.spec, T.ring.names,
                                              mf.Polynomial(2, {(2, 1): 1})),
                 lambda: mf.Polynomial(1, {(-1,): 1})):

@@ -1,11 +1,12 @@
-"""The strand benchmark's jobs still print their reference output.
+"""The benchmark's jobs still print their reference output.
 
-All 15 strand jobs (`orbit`, and the certified one-variable tables of `mf`
-and `verify mf`) run as the benchmark runs them (`perfbench/jobs.run_job`,
-caches emptied), and the digest of each job's stdout
-(`jobs.output_digest`) must equal the one recorded in
-`perfbench/data/reference.json`.  The harness files are only read; nothing
-under `perfbench/` is changed.
+Each job runs as the benchmark runs it (`perfbench/jobs.run_job`, caches
+emptied), and the digest of its stdout (`jobs.output_digest`) must equal the
+recorded one: the 15 strand jobs (`orbit`, and the certified one-variable
+tables of `mf` and `verify mf`) and `verify groups` / `verify counts`
+against `perfbench/data/reference.json`, and the 48 `analyze` entries of
+`perfbench/data/partition_pool.json` against their `sha256`.  The harness
+files are only read; nothing under `perfbench/` is changed.
 """
 
 import importlib
@@ -17,17 +18,38 @@ from singlab import cli
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def test_strand_jobs_match_reference_digests(monkeypatch):
+def _harness(monkeypatch):
+    """The `jobs` module and the reference digests by job key."""
     # jobs.py imports its sibling speed.py as a top-level module
     monkeypatch.syspath_prepend(str(PERFBENCH))
     jobs = importlib.import_module("jobs")
     with open(PERFBENCH / "data" / "reference.json", encoding="utf-8") as fh:
-        digests = json.load(fh)["digests"]
+        return jobs, json.load(fh)["digests"]
+
+
+def _check_digests(jobs, wanted):
+    """Run each job of `wanted` (job -> digest) and compare its digest."""
+    clearers = jobs.cache_clearers()
+    for job, digest in wanted.items():
+        outcome = jobs.run_job(cli.main, job, clearers)
+        assert outcome.error is None and outcome.rc == 0, (job.key, outcome.error)
+        assert jobs.output_digest(outcome.stdout) == digest, job.key
+
+
+def test_strand_jobs_match_reference_digests(monkeypatch):
+    jobs, digests = _harness(monkeypatch)
     strand_jobs = [jobs.Job(argv) for argv in jobs.STRAND_JOBS]
     assert len(strand_jobs) == 15
     assert sum(job.argv[0] == "orbit" for job in strand_jobs) == 6
-    clearers = jobs.cache_clearers()
-    for job in strand_jobs:
-        outcome = jobs.run_job(cli.main, job, clearers)
-        assert outcome.error is None and outcome.rc == 0, (job.key, outcome.error)
-        assert jobs.output_digest(outcome.stdout) == digests[job.key], job.key
+    _check_digests(jobs, {job: digests[job.key] for job in strand_jobs})
+
+
+def test_grading_jobs_match_reference_digests(monkeypatch):
+    jobs, digests = _harness(monkeypatch)
+    wanted = {jobs.Job(argv): digests[" ".join(argv)]
+              for argv in jobs.VERIFY_PARTITION}
+    assert len(wanted) == 2
+    analyze = [e for e in jobs.load_pool()["entries"] if e["command"] == "analyze"]
+    assert len(analyze) == 48
+    wanted.update({jobs.Job(("analyze", e["weights"])): e["sha256"] for e in analyze})
+    _check_digests(jobs, wanted)

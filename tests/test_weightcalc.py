@@ -5,11 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from singlab.abgroup import pointed_Z, weight_group
+from singlab.abgroup import boxminus, pointed_Z, weight_group
 from singlab.weightcalc import (GradedRingSpec, WeightSequence, complement_count,
                                 concat, exceptional_count, gorenstein_parameter,
                                 knoerrer_double, mu_values, sod_summary,
-                                spec_from_weights)
+                                spec_from_weights, thom_sebastiani)
 
 W = WeightSequence
 
@@ -175,16 +175,51 @@ def test_knoerrer_double_composes():
     assert twice.num_variables() == spec.num_variables() + 4
 
 
-def test_knoerrer_positivity_random():
+def _random_specs():
+    """The random battery of graded rings: weight groups and (Z, d)."""
     rng = random.Random(17)
     for _ in range(120):
         if rng.random() < 0.5:
             ws = [rng.randint(1, 7) for _ in range(rng.randint(1, 4))]
-            spec = spec_from_weights(W(ws))
+            yield spec_from_weights(W(ws))
         else:
             Z = pointed_Z(rng.randint(1, 9))
             gens = tuple(rng.randint(1, 5) * Z.group.generator(0)
                          for _ in range(rng.randint(1, 4)))
-            spec = GradedRingSpec(Z, gens)
+            yield GradedRingSpec(Z, gens)
+
+
+def test_knoerrer_positivity_random():
+    for spec in _random_specs():
         doubled = knoerrer_double(spec)
         assert gorenstein_parameter(doubled).mu > 0
+
+
+def _padded_double(spec):
+    """Oracle: the doubling with every coordinate padded by hand."""
+    A2 = boxminus(boxminus(spec.grading, pointed_Z(2)), pointed_Z(2))
+    n = spec.grading.group.num_generators
+    gens = [A2.group.element(list(a.coordinates) + [0, 0])
+            for a in spec.generator_degrees]
+    gens += [A2.group.element([0] * n + [1, 0]), A2.group.element([0] * n + [0, 1])]
+    return GradedRingSpec(A2, tuple(gens))
+
+
+def test_knoerrer_double_matches_padded_construction():
+    for spec in _random_specs():
+        got, want = knoerrer_double(spec), _padded_double(spec)
+        assert got.grading.group.signature() == want.grading.group.signature()
+        assert got.grading.marked.canonical == want.grading.marked.canonical
+        assert ([a.canonical for a in got.generator_degrees]
+                == [a.canonical for a in want.generator_degrees])
+
+
+def test_thom_sebastiani_degrees():
+    # x^3 + y^2 over Z^2 / (3, -2): deg x = 2, deg y = 3, d = 6, mu = -1
+    s = spec_from_weights(W([3]))
+    t = spec_from_weights(W([2]))
+    sum_spec = thom_sebastiani(s, t)
+    assert [sum_spec.degree(a) for a in sum_spec.generator_degrees] == [2, 3]
+    assert sum_spec.degree(sum_spec.potential_degree) == 6
+    assert [a.coordinates for a in sum_spec.generator_degrees] == [(1, 0), (0, 1)]
+    assert gorenstein_parameter(sum_spec).mu == -1
