@@ -26,9 +26,6 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, field
-from fractions import Fraction
-
-from . import linalg
 
 __all__ = [
     "IntMatrix",
@@ -153,6 +150,8 @@ class SmithForm:
     V: IntMatrix
     invariant_factors: tuple  # diagonal entries > 1
     rank: int                 # number of nonzero diagonal entries
+    # rows of V^{-1}, recorded next to V, checked when a group first reads it
+    V_inverse: tuple = field(repr=False)
 
     def diagonal(self):
         return [self.S[i, i] for i in range(min(self.S.rows, self.S.cols))]
@@ -164,12 +163,15 @@ def _snf_rows(M):
     Pivots on the smallest nonzero entry of the remaining block and insists
     the pivot divide that whole block, so the diagonal comes out with the
     divisibility chain and zeros at the end.  Deterministic for fixed input.
+    Returns U, S, V and V^{-1}: each column operation on V is recorded as
+    the inverse row operation on V^{-1}.
     """
     S = [row[:] for row in M]
     n = len(S)
     m = len(S[0]) if S else 0
     U = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     V = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    V_inv = [row[:] for row in V]
 
     t = 0
     while t < min(n, m):
@@ -192,6 +194,7 @@ def _snf_rows(M):
                 row[t], row[pj] = row[pj], row[t]
             for row in V:
                 row[t], row[pj] = row[pj], row[t]
+            V_inv[t], V_inv[pj] = V_inv[pj], V_inv[t]
         if S[t][t] < 0:
             S[t] = [-a for a in S[t]]
             U[t] = [-a for a in U[t]]
@@ -210,6 +213,7 @@ def _snf_rows(M):
                     row[j] -= q * row[t]
                 for row in V:
                     row[j] -= q * row[t]
+                V_inv[t] = [a + q * b for a, b in zip(V_inv[t], V_inv[j])]
                 dirty = dirty or S[t][j] != 0
         if dirty:
             continue
@@ -228,7 +232,7 @@ def _snf_rows(M):
             U[t] = [a + b for a, b in zip(U[t], U[offender])]
             continue
         t += 1
-    return U, S, V
+    return U, S, V, V_inv
 
 
 def smith_normal_form(M: IntMatrix) -> SmithForm:
@@ -238,9 +242,10 @@ def smith_normal_form(M: IntMatrix) -> SmithForm:
     fixed input.
     """
     if M.rows == 0:
-        return SmithForm(IntMatrix.identity(0), IntMatrix.zero(0, M.cols),
-                         IntMatrix.identity(M.cols), (), 0)
-    U_rows, S_rows, V_rows = _snf_rows(M.to_rows())
+        V = IntMatrix.identity(M.cols)
+        return SmithForm(IntMatrix.identity(0), IntMatrix.zero(0, M.cols), V, (), 0,
+                         tuple(map(V.row, range(M.cols))))
+    U_rows, S_rows, V_rows, V_inv_rows = _snf_rows(M.to_rows())
     U = IntMatrix.from_rows(U_rows)
     S = IntMatrix.from_rows(S_rows)
     V = IntMatrix.from_rows(V_rows)
@@ -252,7 +257,7 @@ def smith_normal_form(M: IntMatrix) -> SmithForm:
         if diag[i + 1] % diag[i] != 0:
             raise AssertionError("divisibility chain broken")
     factors = tuple(d for d in diag if d > 1)
-    return SmithForm(U, S, V, factors, rank)
+    return SmithForm(U, S, V, factors, rank, tuple(map(tuple, V_inv_rows)))
 
 
 @dataclass(frozen=True)
@@ -285,12 +290,12 @@ class FGAbelianGroup:
 
     @functools.cached_property
     def _v_inverse(self):
-        """V^{-1} as integer rows, computed once per group."""
-        V = self.normal_form.V.to_rows()
-        Vinv = linalg.inverse([[Fraction(x) for x in row] for row in V])
-        if any(x.denominator != 1 for row in Vinv for x in row):
-            raise AssertionError("inverse of the SNF transform V is not integral")
-        return tuple(tuple(int(x) for x in row) for row in Vinv)
+        """The recorded V^{-1} as integer rows, checked against V once per
+        group, when first read."""
+        V, V_inv = self.normal_form.V, self.normal_form.V_inverse
+        if V.mul(IntMatrix.from_rows(V_inv)) != IntMatrix.identity(V.rows):
+            raise AssertionError("recorded inverse of the SNF transform V is wrong")
+        return V_inv
 
     def from_canonical(self, residues, free) -> "GroupElement":
         """Rebuild an element from canonical (torsion residues, free) data."""

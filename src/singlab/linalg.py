@@ -6,7 +6,7 @@ to `_echelon` (and so to `independent_rows` and `rank`) may also be sparse
 {column: value} dicts.
 
 One elimination, `_echelon`, serves `independent_rows`, `rank`,
-`nullspace`, `solve` and `inverse`: sparse, fraction-free row echelon form
+`nullspace` and `solve`: sparse, fraction-free row echelon form
 over the integers (Bareiss 1968; Dumas-Saunders-Villard 2001).  Rows are
 kept as {column: int} dicts, since the strand differentials have up to a
 few hundred rows and columns, about 5 % nonzero, with small entries.
@@ -160,34 +160,3 @@ def solve(A, b):
     n = len(A[0])
     pivots, _ = _echelon([list(row) + [y] for row, y in zip(A, b)])
     return None if n in pivots else _kernel_vector(pivots, {n: -1}, n)
-
-
-def inverse(A):
-    """Column j of A^{-1} is the kernel vector of [A | I] with -1 on column
-    n + j; A is singular when [A | I] has a pivot beyond column n - 1."""
-    n = len(A)
-    pivots, _ = _echelon([list(row) + [int(i == j) for j in range(n)]
-                          for i, row in enumerate(A)])
-    if max(pivots, default=-1) >= n:
-        raise ValueError("matrix is singular")
-    return transpose([_kernel_vector(pivots, {n + j: -1}, n) for j in range(n)])
-
-
-def charpoly(A) -> list[Fraction]:
-    """Characteristic polynomial det(xI - A), coefficients ascending in x.
-
-    Faddeev-LeVerrier recursion; exact over the rationals.
-    """
-    n = len(A)
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    M = identity(n)
-    for k in range(1, n + 1):
-        AM = matmul(A, M)
-        tr = sum(AM[i][i] for i in range(n))
-        c = -tr / k
-        coeffs[n - k] = c
-        M = [row[:] for row in AM]
-        for i in range(n):
-            M[i][i] += c
-    return coeffs

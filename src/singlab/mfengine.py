@@ -946,6 +946,41 @@ def _factor_table(E: Factorization, F: Factorization) -> StrandCohomology:
     return table
 
 
+def _factor_tables():
+    """A memo for one battery: table(E, F, w) is `_factor_table` of
+    (E, F twisted by w times the degree a of the variable).
+
+    The memo is keyed by value, not by object: by the ring's grading and
+    potential degree pairs, the degree pairs and structure maps of E and of
+    F, and w mod m for the potential x^m, since the table depends on nothing
+    else.  So factors of x^m and y^m, which differ only in the name of the
+    variable, share their tables.  For w = q m + r, F(w a) is F(r a) twisted
+    by q deg(x^m), and H^{n-2q}(Hom(E, F(w a))) = H^n(Hom(E, F(r a))), so the
+    table of r is read with every strand index l (and the certified range)
+    moved down by q.
+    """
+    memo: dict = {}
+
+    def table(E, F, w):
+        ring = E.ring
+        q, r = divmod(w, ring._potential_pair[1] // ring._grading_key[1][0][1])
+        key = (ring._grading_key, ring._potential_pair, r,
+               _component_pairs(E), E.phi0, E.phi_neg,
+               _component_pairs(F), F.phi0, F.phi_neg)
+        if key not in memo:
+            twisted = F.twist(r * F.ring.spec.generator_degrees[0]) if r else F
+            memo[key] = _factor_table(E, twisted)
+        found = memo[key]
+        if not q:
+            return found
+        lo, hi = found.certification[1]
+        return StrandCohomology({(eps, l - q): dim
+                                 for (eps, l), dim in found.entries.items()},
+                                ("certified", (lo - q, hi - q)))
+
+    return table
+
+
 def _kunneth_product(tables) -> StrandCohomology:
     """The certified table whose Poincaré series sum_n dim H^n t^n, with
     n = 2l + eps, is the product of the certified `tables`' series.
@@ -1125,7 +1160,7 @@ def orbit_hom_check(objects, psi: OrbitSpec, window: int) -> list:
       twist by g twists factor k by coordinate w_k of `g.coordinates` times
       its generator; another lift of g differs by d_i e_i - d_j e_j, which
       moves two factors' strands by +2 and -2 and leaves the product alone.
-      Factor tables are kept per (E factor, F factor, w_k) for the battery.
+      Factor tables are kept for the battery by value (`_factor_tables`).
 
     Returns {"pair": [i, j], "ok", "mismatches"} for each pair, in
     row-major order, over the strands of the window.
@@ -1135,16 +1170,7 @@ def orbit_hom_check(objects, psi: OrbitSpec, window: int) -> list:
     lifts = [g.coordinates for g in psi.kernel]
     if any(len(w) != len(obj) for obj in objects for w in lifts):
         raise ValueError("a lift of g needs one coordinate per factor")
-    memo: dict = {}
-
-    def factor_table(E, F, w):
-        # keyed by identity: the objects hold every factor for the whole call
-        key = (id(E), id(F), w)
-        if key not in memo:
-            twisted = F.twist(w * F.ring.spec.generator_degrees[0]) if w else F
-            memo[key] = _factor_table(E, twisted)
-        return memo[key]
-
+    factor_table = _factor_tables()
     out = []
     for i, (E, RE) in enumerate(zip(objects, restricted)):
         for j, (F, RF) in enumerate(zip(objects, restricted)):

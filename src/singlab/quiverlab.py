@@ -187,24 +187,94 @@ def cartan_matrix(Q: Quiver) -> IntMatrix:
                                 for i in range(1, n + 1)])
 
 
-def coxeter_polynomial(C: IntMatrix):
-    """Characteristic polynomial of -C^{-T} C, ascending integer coefficients.
+def _unitriangular_order(C: IntMatrix):
+    """A vertex order in which the Cartan matrix C is upper unitriangular.
 
-    A derived-equivalence invariant used one-sidedly: equality is necessary
-    for equivalence, inequality refutes it.
+    C must be square with ones on the diagonal, and its off-diagonal support
+    (i -> j when C[i, j] != 0) must be acyclic; otherwise ValueError.
     """
     n = C.rows
     if n != C.cols:
         raise ValueError("Cartan matrix must be square")
-    rows = [[Fraction(x) for x in C.row(i)] for i in range(n)]
-    if C.det() == 0:
-        raise ValueError("singular Cartan matrix")
-    Cinv_T = linalg.transpose(linalg.inverse(rows))
-    phi = [[-x for x in row] for row in linalg.matmul(Cinv_T, rows)]
-    coeffs = linalg.charpoly(phi)
-    if any(c.denominator != 1 for c in coeffs):
-        raise AssertionError("Coxeter polynomial has non-integer coefficients")
-    return [int(c) for c in coeffs]
+    if any(C[i, i] != 1 for i in range(n)):
+        raise ValueError("Cartan matrix must have ones on the diagonal")
+    succ = [[j for j in range(n) if j != i and C[i, j]] for i in range(n)]
+    indeg = [0] * n
+    for js in succ:
+        for j in js:
+            indeg[j] += 1
+    order = [i for i in range(n) if not indeg[i]]
+    for i in order:  # Kahn: the list grows while it is read
+        for j in succ[i]:
+            indeg[j] -= 1
+            if not indeg[j]:
+                order.append(j)
+    if len(order) != n:
+        raise ValueError("Cartan matrix support has a directed cycle")
+    return order
+
+
+def _charpoly(A):
+    """det(xI - A) of an integer matrix, ascending int coefficients.
+
+    Faddeev-LeVerrier: M_1 = I, c_{n-k} = -tr(A M_k) / k and
+    M_{k+1} = A M_k + c_{n-k} I.  The c_{n-k} are the coefficients of the
+    characteristic polynomial, integers for integer A, so every M_k is an
+    integer matrix and every division is exact; a remainder is an invariant
+    breach (AssertionError).
+    """
+    n = len(A)
+    coeffs = [0] * n + [1]
+    M = [[int(i == j) for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        AM = [[sum(A[i][t] * M[t][j] for t in range(n)) for j in range(n)]
+              for i in range(n)]
+        c, r = divmod(-sum(AM[i][i] for i in range(n)), k)
+        if r:
+            raise AssertionError("Faddeev-LeVerrier trace not divisible by k")
+        coeffs[n - k] = c
+        for i in range(n):
+            AM[i][i] += c
+        M = AM
+    return coeffs
+
+
+def coxeter_polynomial(C: IntMatrix):
+    """Characteristic polynomial of Phi = -C^{-T} C, ascending int coefficients.
+
+    C must be the Cartan matrix of an acyclic quiver, its vertices in any
+    order: square, ones on the diagonal, and an acyclic off-diagonal
+    support; anything else raises ValueError.  In a topological order of
+    the support C is upper unitriangular, and reordering the vertices
+    conjugates Phi, which leaves its characteristic polynomial alone.
+    Everything is integer arithmetic: C^{-1} by back-substitution, Phi as
+    int rows, and the exact-division recursion of `_charpoly`.
+
+    A derived-equivalence invariant used one-sidedly: equality is necessary
+    for equivalence, inequality refutes it.
+    """
+    order = _unitriangular_order(C)
+    n = len(order)
+    U = [[C[i, j] for j in order] for i in order]
+    # X = U^{-1}, upper unitriangular: row i is e_i - sum_{k>i} U[i][k] X[k]
+    X = [None] * n
+    for i in reversed(range(n)):
+        row = [int(i == j) for j in range(n)]
+        for k in range(i + 1, n):
+            u = U[i][k]
+            if u:
+                row = [x - u * y for x, y in zip(row, X[k])]
+        X[i] = row
+    # Phi[i] = -sum_k X[k][i] U[k], with X[k][i] = 0 for k > i
+    phi = []
+    for i in range(n):
+        row = [0] * n
+        for k in range(i + 1):
+            x = X[k][i]
+            if x:
+                row = [y - x * z for y, z in zip(row, U[k])]
+        phi.append(row)
+    return _charpoly(phi)
 
 
 def tensor_cartan(C_A: IntMatrix, C_B: IntMatrix) -> IntMatrix:

@@ -283,25 +283,42 @@ def test_degree_map_properties():
 
 
 def test_torsion_elements_invert_v_once(monkeypatch):
-    calls = []
-    inverse = abgroup.linalg.inverse
-
-    def counting(A):
-        calls.append(A)
-        return inverse(A)
-
-    monkeypatch.setattr(abgroup.linalg, "inverse", counting)
     # Z^3 / <(2, 4, 0), (0, 3, 3)>: torsion Z/6, free rank 1, V not the identity
-    G = group_from_relations(3, IntMatrix.from_rows([[2, 4, 0], [0, 3, 3]]))
+    relations = IntMatrix.from_rows([[2, 4, 0], [0, 3, 3]])
+    G = group_from_relations(3, relations)
     assert G.invariant_factors == (6,) and G.free_rank == 1
     assert G.normal_form.V != IntMatrix.identity(3)
+    checks = []
+    mul = IntMatrix.mul
+
+    def counting(A, B):
+        checks.append((A, B))
+        return mul(A, B)
+
+    monkeypatch.setattr(IntMatrix, "mul", counting)
     elements = G.torsion_elements()
     assert [e.canonical for e in elements] == [((r,), (0,)) for r in range(6)]
     assert all(e == reduce_element(G, e.coordinates) for e in elements)
-    # V^{-1} is computed once per group, not once per element
-    assert len(calls) == 1
+    # the recorded V^{-1} is checked against V once per group, on first read,
+    # not once per element
+    assert checks == [(G.normal_form.V, IntMatrix.from_rows(G.normal_form.V_inverse))]
     G.from_canonical((5,), (2,))
-    assert len(calls) == 1
+    assert len(checks) == 1
+    monkeypatch.setattr(IntMatrix, "mul", mul)
+
+    # a wrong recorded V^{-1} passes the SNF transform check (which never
+    # reads it) and is caught by that first read
+    snf_rows = abgroup._snf_rows
+
+    def corrupted(M):
+        U, S, V, V_inv = snf_rows(M)
+        V_inv[0][0] += 1
+        return U, S, V, V_inv
+
+    monkeypatch.setattr(abgroup, "_snf_rows", corrupted)
+    H = group_from_relations(3, relations)
+    with pytest.raises(AssertionError, match="recorded inverse"):
+        H.torsion_elements()
 
 
 def test_degree_needs_free_rank_one():
@@ -345,20 +362,25 @@ def test_group_report_shape():
 
 def test_invariant_checks_survive_optimize_flag(run_optimized):
     proc = run_optimized("""
-        from fractions import Fraction
         from singlab import abgroup, cli, mfengine
-        G = abgroup.group_from_relations(1, abgroup.IntMatrix.from_rows([[3]]))
         snf_rows = abgroup._snf_rows
 
         def corrupted(M):
-            U, S, V = snf_rows(M)
+            U, S, V, V_inv = snf_rows(M)
             U[0][0] += 1
-            return U, S, V
+            return U, S, V, V_inv
 
         abgroup._snf_rows = corrupted
         print(cli.main(["group", "3,3"]))
-        abgroup.linalg.inverse = lambda A: [[Fraction(1, 2)]]
-        for check in (lambda: G.from_canonical([1], []),
+
+        def wrong_v_inverse(M):
+            U, S, V, V_inv = snf_rows(M)
+            V_inv[0][0] += 1
+            return U, S, V, V_inv
+
+        abgroup._snf_rows = wrong_v_inverse
+        H = abgroup.group_from_relations(1, abgroup.IntMatrix.from_rows([[3]]))
+        for check in (lambda: H.from_canonical([1], []),
                       lambda: mfengine._block_matrix([[((1,),), ((1,), (2,))]])):
             try:
                 check()
@@ -369,6 +391,6 @@ def test_invariant_checks_survive_optimize_flag(run_optimized):
     """)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.splitlines() == [
-        "3", "inverse of the SNF transform V is not integral",
+        "3", "recorded inverse of the SNF transform V is wrong",
         "blocks in one block row differ in height"]
     assert "SNF transform check failed" in proc.stderr

@@ -77,6 +77,37 @@ def rref_inverse(A):
     return [row[n:] for row in R]
 
 
+# Dense Fraction routes, kept as oracles: the inverse through `_echelon`
+# (checked against `rref_inverse`), and the Faddeev-LeVerrier recursion over
+# the rationals, against which `quiverlab.coxeter_polynomial` is checked.
+
+def inverse(A):
+    """Column j of A^{-1} is the kernel vector of [A | I] with -1 on column
+    n + j; A is singular when [A | I] has a pivot beyond column n - 1."""
+    n = len(A)
+    pivots, _ = linalg._echelon([list(row) + [int(i == j) for j in range(n)]
+                                 for i, row in enumerate(A)])
+    if max(pivots, default=-1) >= n:
+        raise ValueError("matrix is singular")
+    return linalg.transpose([linalg._kernel_vector(pivots, {n + j: -1}, n)
+                             for j in range(n)])
+
+
+def charpoly(A):
+    """det(xI - A), ascending Fraction coefficients (Faddeev-LeVerrier)."""
+    n = len(A)
+    coeffs = [Fraction(0)] * n + [Fraction(1)]
+    M = linalg.identity(n)
+    for k in range(1, n + 1):
+        AM = linalg.matmul(A, M)
+        c = -sum(AM[i][i] for i in range(n)) / k
+        coeffs[n - k] = c
+        M = [row[:] for row in AM]
+        for i in range(n):
+            M[i][i] += c
+    return coeffs
+
+
 def greedy_rows(A):
     """Rows independent of all earlier rows, chosen one at a time with rref."""
     chosen = []
@@ -205,9 +236,9 @@ def test_pivot_rows_primitive_with_positive_lead():
                     want = rref_inverse(B)
                 except ValueError:
                     with pytest.raises(ValueError, match="matrix is singular"):
-                        linalg.inverse(B)
+                        inverse(B)
                 else:
-                    assert linalg.inverse(B) == want, B
+                    assert inverse(B) == want, B
     assert seen_negative
 
 
@@ -255,16 +286,25 @@ def test_inverse_matches_rref_oracle():
         except ValueError:
             singular += 1
             with pytest.raises(ValueError, match="matrix is singular"):
-                linalg.inverse(A)
+                inverse(A)
             continue
         regular += 1
-        inv = linalg.inverse(A)
+        inv = inverse(A)
         assert inv == want, A
         assert all_fractions(inv)
     assert singular and regular
-    assert linalg.inverse([]) == []
+    assert inverse([]) == []
     with pytest.raises(ValueError, match="matrix is singular"):
-        linalg.inverse([[1, 2], [Fraction(1, 2), 1]])
+        inverse([[1, 2], [Fraction(1, 2), 1]])
+
+
+def test_charpoly_oracle_small_cases():
+    assert charpoly([]) == [1]
+    assert charpoly([[Fraction(3)]]) == [-3, 1]
+    # x^2 - tr x + det
+    assert charpoly([[1, 2], [3, 4]]) == [-2, -5, 1]
+    # companion matrix of x^3 - 2x + 5
+    assert charpoly([[0, 0, -5], [1, 0, 2], [0, 1, 0]]) == [5, -2, 0, 1]
 
 
 def leibniz_det(M):
@@ -332,9 +372,9 @@ def test_inverse_property(A):
     n = len(A)
     if linalg.rank(A) < n:
         with pytest.raises(ValueError):
-            linalg.inverse(A)
+            inverse(A)
         return
-    assert linalg.matmul(linalg.inverse(A), A) == linalg.identity(n)
+    assert linalg.matmul(inverse(A), A) == linalg.identity(n)
 
 
 @st.composite

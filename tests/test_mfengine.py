@@ -366,12 +366,33 @@ def test_orbit_check_regrades_each_object_once(monkeypatch):
     # list of standard objects per variable
     assert len(regraded) == 4
     assert len(built) == 2
-    # one table per (E factor, F factor, lift): 2 x 2 factor pairs in each
-    # variable, 3 lifts of Gamma = Z/3
-    assert len(factor_tables) == 2 * 2 * 2 * 3
+    # one table per (E factor, F factor, lift mod 3): the factors of x^3 and
+    # y^3 are equal up to the variable's name, so 2 x 2 factor pairs and the
+    # 3 residues of the lifts of Gamma = Z/3
+    assert len(factor_tables) == 2 * 2 * 3
     assert [p["pair"] for p in rep["pairs"]] == [[i, j] for i in range(4)
                                                  for j in range(4)]
     assert rep["ok"]
+
+
+def test_factor_tables_by_value_match_unmemoized():
+    for a, b in ((2, 2), (3, 3), (4, 6)):
+        rx, ry = one_variable_ring(a, "x"), one_variable_ring(b, "y")
+        objs = [(u, v) for u in standard_objects(rx) for v in standard_objects(ry)]
+        A = abgroup.boxminus(rx.grading, ry.grading)
+        g = math.gcd(a, b)
+        psi = OrbitSpec(A, [A.group.element([a // g, -(b // g)])])
+        # the lifts of Gamma and their translates by the relation (a, -b),
+        # so some coordinates reach past one period of the potential
+        lifts = {tuple(x + k * y for x, y in zip(e.coordinates, (a, -b)))
+                 for e in psi.kernel for k in (-1, 0, 1)}
+        table = mfengine._factor_tables()
+        for E, F in itertools.product(objs, repeat=2):
+            for w in lifts:
+                for Ek, Fk, wk in zip(E, F, w):
+                    twisted = Fk.twist(wk * Fk.ring.spec.generator_degrees[0])
+                    assert table(Ek, Fk, wk) == mfengine._factor_table(Ek, twisted), \
+                        (a, b, w)
 
 
 def test_strand_cohomology_needs_no_reduce_element(monkeypatch):

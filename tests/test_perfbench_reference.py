@@ -3,10 +3,12 @@
 Each job runs as the benchmark runs it (`perfbench/jobs.run_job`, caches
 emptied), and the digest of its stdout (`jobs.output_digest`) must equal the
 recorded one: the 15 strand jobs (`orbit`, and the certified one-variable
-tables of `mf` and `verify mf`) and `verify groups` / `verify counts`
-against `perfbench/data/reference.json`, and the 48 `analyze` entries of
-`perfbench/data/partition_pool.json` against their `sha256`.  The harness
-files are only read; nothing under `perfbench/` is changed.
+tables of `mf` and `verify mf`), the 15 coxeter jobs (`quiver` on the
+weight triples and ADE names, and `verify quiver`) and `verify groups` /
+`verify counts` against `perfbench/data/reference.json`, and the 48
+`analyze` entries of `perfbench/data/partition_pool.json` against their
+`sha256`.  The harness files are only read; nothing under `perfbench/` is
+changed.
 """
 
 import importlib
@@ -42,6 +44,18 @@ def test_strand_jobs_match_reference_digests(monkeypatch):
     assert len(strand_jobs) == 15
     assert sum(job.argv[0] == "orbit" for job in strand_jobs) == 6
     _check_digests(jobs, {job: digests[job.key] for job in strand_jobs})
+
+
+def test_coxeter_jobs_match_reference_digests(monkeypatch):
+    jobs, digests = _harness(monkeypatch)
+    argvs = [("quiver", ",".join(map(str, t))) for t in jobs.COXETER_TRIPLES]
+    argvs += [("quiver", name) for name in jobs.ADE_NAMES]
+    argvs.append(("verify", "quiver"))
+    wanted = {jobs.Job(argv): digests[" ".join(argv)] for argv in argvs}
+    assert len(wanted) == 15
+    assert {job.key for job in wanted} == {
+        job.key for job in jobs.workload_jobs("coxeter", 0)}
+    _check_digests(jobs, wanted)
 
 
 def test_grading_jobs_match_reference_digests(monkeypatch):

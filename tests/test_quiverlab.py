@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from singlab.abgroup import IntMatrix
 from singlab.decompose import ADEType
-from singlab import linalg
+from singlab import linalg, quiverlab
 from singlab.quiverlab import (ComplexOfReps, DerivedMorphism, DerivedObject,
                                GhostCertificate, Quiver, ade_quiver,
                                algebra_model, cartan_matrix, coxeter_polynomial,
@@ -53,9 +54,100 @@ def test_coxeter_polynomials():
     assert coxeter_polynomial(cartan_matrix(ade_quiver(D4))) == [1, 1, 0, 1, 1]
 
 
+def fraction_coxeter(C: IntMatrix):
+    """Oracle: the Fraction inverse and Faddeev-LeVerrier of the tests."""
+    from test_linalg import charpoly, inverse
+
+    rows = C.to_rows()
+    phi = linalg.matmul(linalg.transpose(inverse(rows)), rows)
+    return charpoly([[-x for x in row] for row in phi])
+
+
+def _kronecker_cartan(weights):
+    C = IntMatrix.identity(1)
+    for x in weights:
+        C = tensor_cartan(C, cartan_matrix(ade_quiver(A(x - 1))))
+    return C
+
+
+def test_coxeter_polynomial_matches_fraction_oracle():
+    # ADEType admits only the D4, E6 and E8 of the paper; the other D and E
+    # quivers take ade_quiver's orientations
+    quivers = [ade_quiver(A(n)) for n in range(1, 9)]
+    quivers += [Quiver(n, [(i, i + 1) for i in range(1, n - 2)]
+                       + [(n - 2, n - 1), (n - 2, n)]) for n in range(4, 9)]
+    quivers += [Quiver(n, [(1, 2), (2, 3), (3, 4), (3, 5)]
+                       + [(i, i + 1) for i in range(5, n)]) for n in (6, 7, 8)]
+    assert quivers[8] == ade_quiver(D4) and quivers[13] == ade_quiver(E6)
+    assert quivers[15] == ade_quiver(E8)
+    # the `quiver` triples of the benchmark's coxeter workload, 8 to 36
+    # vertices (4,5,6 with 60 vertices is left to the reference digests)
+    triples = ((2, 3, 5), (3, 3, 3), (3, 3, 5), (3, 4, 4), (3, 4, 5),
+               (4, 4, 4), (3, 5, 5), (4, 4, 5))
+    cartans = ([cartan_matrix(Q) for Q in quivers]
+               + [_kronecker_cartan(w) for w in triples])
+    for C in cartans:
+        got = coxeter_polynomial(C)
+        assert all(type(c) is int for c in got)
+        assert got == fraction_coxeter(C), C.rows
+
+
+def _random_acyclic_quiver(rng, n):
+    """Arrows (repeats allowed) go forward in a hidden order, and the vertex
+    labels are shuffled, so 1..n is rarely a topological order."""
+    labels = list(range(1, n + 1))
+    rng.shuffle(labels)
+    arrows = []
+    for _ in range(rng.randint(0, 2 * n) if n > 1 else 0):
+        i, j = sorted(rng.sample(range(n), 2))
+        arrows.append((labels[i], labels[j]))
+    return Quiver(n, arrows)
+
+
+def test_coxeter_polynomial_random_acyclic_quivers():
+    rng = random.Random(20271)
+    unordered = 0
+    for _ in range(150):
+        Q = _random_acyclic_quiver(rng, rng.randint(1, 9))
+        C = cartan_matrix(Q)
+        unordered += any(C[i, j] for i in range(C.rows) for j in range(i))
+        assert coxeter_polynomial(C) == fraction_coxeter(C), Q
+        # relabelling the vertices conjugates Phi
+        perm = list(range(C.rows))
+        rng.shuffle(perm)
+        P = IntMatrix.from_rows([[C[i, j] for j in perm] for i in perm])
+        assert coxeter_polynomial(P) == coxeter_polynomial(C), Q
+    assert unordered > 75
+
+
+def test_coxeter_polynomial_contract():
+    assert coxeter_polynomial(IntMatrix.from_rows([])) == [1]
+    for rows in ([[1, 0]],                     # not square
+                 [[2]], [[1, 1], [0, -1]],     # a diagonal entry != 1
+                 [[1, 1], [1, 1]],             # support 0 -> 1 -> 0
+                 [[1, 1, 0], [0, 1, 2], [3, 0, 1]]):
+        with pytest.raises(ValueError):
+            coxeter_polynomial(IntMatrix.from_rows(rows))
+    # a trace that k does not divide is an invariant breach
+    with pytest.raises(AssertionError):
+        quiverlab._charpoly([[Fraction(1, 2)]])
+
+
+def test_charpoly_check_survives_optimize_flag(run_optimized):
+    proc = run_optimized("""
+        from fractions import Fraction
+        from singlab import quiverlab
+        try:
+            quiverlab._charpoly([[Fraction(1, 2)]])
+        except AssertionError as exc:
+            print(exc)
+    """)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines() == ["Faddeev-LeVerrier trace not divisible by k"]
+
+
 def test_tensor_cartan():
     C2 = cartan_matrix(ade_quiver(A(2)))
-    from singlab.abgroup import IntMatrix
     assert tensor_cartan(C2, IntMatrix.identity(1)) == C2
     K = tensor_cartan(C2, C2)
     assert K.to_rows() == [[1, 1, 1, 1], [0, 1, 0, 1], [0, 0, 1, 1], [0, 0, 0, 1]]
