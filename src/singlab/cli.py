@@ -36,22 +36,15 @@ from .weightcalc import WeightSequence
 
 SCHEMA_VERSION = 1
 
-DEFAULTS = {
-    "window": 6,
-    "node_limit": 2_000_000,
-    "max_n": 4,
-    "max_entry": 6,
-    "max_d": 8,
-    "snf_samples": 150,
-}
-# Smallest accepted value of each setting; anything lower is a usage error.
-_MINIMUMS = {
-    "window": 0,
-    "node_limit": 1,
-    "max_n": 0,
-    "max_entry": 1,
-    "max_d": 2,
-    "snf_samples": 1,
+# Every setting as (default, smallest accepted value).  A config file may set
+# any of them; a command line sets only those its command reads.
+_SETTINGS = {
+    "window": (6, 0),
+    "node_limit": (2_000_000, 1),
+    "max_n": (4, 0),
+    "max_entry": (6, 1),
+    "max_d": (8, 2),
+    "snf_samples": (150, 1),
 }
 
 
@@ -199,7 +192,7 @@ def orbit_report(weights: WeightSequence, window: int) -> dict:
     ry = mfengine.one_variable_ring(b, "y")
     ys = mfengine.standard_objects(ry)
     objs = [(u, v) for u in mfengine.standard_objects(rx) for v in ys]
-    A = abgroup.boxminus(rx.grading, ry.grading)
+    A = mfengine.tensor_ring(rx, ry).grading
     # the grading group is Z^2 / (a, -b); g * gamma is that relation, so
     # gamma generates its torsion part Z/g (e_x - e_y is torsion only if a = b)
     g = math.gcd(a, b)
@@ -219,117 +212,103 @@ def orbit_report(weights: WeightSequence, window: int) -> dict:
 # verification suites
 
 
+def _check(name: str, cases) -> dict:
+    """The check `name`; `cases` yields None per case that holds, else a
+    counterexample, and the first counterexample fails the check."""
+    bad = next((c for c in cases if c is not None), None)
+    return {"name": name, "pass": bad is None, "counterexample": bad}
+
+
+def _weight_sequences(max_n: int, max_entry: int):
+    """Every weight multiset with 1..max_n + 1 entries, each in 1..max_entry."""
+    for k in range(1, max_n + 2):
+        yield from it.combinations_with_replacement(range(1, max_entry + 1), k)
+
+
 def _suite_groups(cfg) -> list:
-    checks = []
     rng = random.Random(20240229)
-    bad = None
-    for _ in range(cfg["snf_samples"]):
+
+    def snf(_):
         r, c = rng.randint(0, 6), rng.randint(0, 6)
         M = abgroup.IntMatrix(r, c, [rng.randint(-20, 20) for _ in range(r * c)])
         s = abgroup.smith_normal_form(M)
-        ok = (s.U.mul(M).mul(s.V) == s.S and abs(s.U.det()) == 1
-              and abs(s.V.det()) == 1)
         diag = s.diagonal()
-        ok = ok and all(diag[i + 1] % diag[i] == 0 for i in range(s.rank - 1))
-        if not ok:
-            bad = M.to_rows()
-            break
-    checks.append({"name": "snf-random-battery", "pass": bad is None,
-                   "counterexample": bad})
+        ok = (s.U.mul(M).mul(s.V) == s.S and abs(s.U.det()) == 1
+              and abs(s.V.det()) == 1
+              and all(diag[i + 1] % diag[i] == 0 for i in range(s.rank - 1)))
+        return None if ok else M.to_rows()
 
-    bad = None
-    for k in range(1, cfg["max_n"] + 2):
-        for combo in it.combinations_with_replacement(
-                range(1, cfg["max_entry"] + 1), k):
-            d = WeightSequence(combo)
-            B = abgroup.weight_group(d.entries)
-            want = d.product() // d.lcm()
-            if B.group.torsion_order() != want:
-                bad = {"weights": list(combo),
-                       "snf": B.group.torsion_order(), "formula": want}
-                break
-        if bad:
-            break
-    checks.append({"name": "torsion-order-formula", "pass": bad is None,
-                   "counterexample": bad})
+    def torsion(combo):
+        d = WeightSequence(combo)
+        got = abgroup.weight_group(d.entries).group.torsion_order()
+        want = d.product() // d.lcm()
+        return None if got == want else {"weights": list(combo), "snf": got,
+                                         "formula": want}
 
-    bad = None
-    for _ in range(60):
-        pa = abgroup.pointed_Z(rng.randint(1, 9))
-        pb = abgroup.pointed_Z(rng.randint(1, 9))
-        box = abgroup.boxminus(pa, pb)
-        p = pa.degree(pa.marked)
-        q = pb.degree(pb.marked)
-        g = math.gcd(p, q)
-        one_a, one_b = pa.group.generator(0), pb.group.generator(0)
-        for (a, b), expect in (((one_a, pb.group.zero()), q // g),
-                               ((pa.group.zero(), one_b), p // g)):
-            e = abgroup.boxminus_pair(box.group, a, b)
-            if box.degree(e) != expect:
-                bad = {"p": p, "q": q, "coords": list(e.coordinates),
-                       "got": box.degree(e), "want": expect}
-        if bad:
-            break
-    checks.append({"name": "boxminus-degree-formula", "pass": bad is None,
-                   "counterexample": bad})
-    return checks
+    def boxminus_degrees():
+        for _ in range(60):
+            pa = abgroup.pointed_Z(rng.randint(1, 9))
+            pb = abgroup.pointed_Z(rng.randint(1, 9))
+            box = abgroup.boxminus(pa, pb)
+            p, q = pa.degree(pa.marked), pb.degree(pb.marked)
+            g = math.gcd(p, q)
+            one_a, one_b = pa.group.generator(0), pb.group.generator(0)
+            for (a, b), want in (((one_a, pb.group.zero()), q // g),
+                                 ((pa.group.zero(), one_b), p // g)):
+                e = abgroup.boxminus_pair(box.group, a, b)
+                got = box.degree(e)
+                yield None if got == want else {
+                    "p": p, "q": q, "coords": list(e.coordinates),
+                    "got": got, "want": want}
+
+    sequences = _weight_sequences(cfg["max_n"], cfg["max_entry"])
+    return [_check("snf-random-battery", map(snf, range(cfg["snf_samples"]))),
+            _check("torsion-order-formula", map(torsion, sequences)),
+            _check("boxminus-degree-formula", boxminus_degrees())]
 
 
 def _suite_counts(cfg) -> list:
-    checks = []
-    bad = None
-    for k in range(1, min(cfg["max_n"], 3) + 2):
-        for combo in it.combinations_with_replacement(
-                range(1, cfg["max_entry"] + 1), k):
-            d = WeightSequence(combo)
-            spec = weightcalc.spec_from_weights(d)
-            mu = weightcalc.gorenstein_parameter(spec).mu
-            mu2 = weightcalc.mu_values(d)[1]
-            lhs = weightcalc.exceptional_count(d)
-            rhs = (math.prod(x - 1 for x in combo)
+    def exceptional(combo):
+        d = WeightSequence(combo)
+        spec = weightcalc.spec_from_weights(d)
+        mu = weightcalc.gorenstein_parameter(spec).mu
+        mu2 = weightcalc.mu_values(d)[1]
+        count = weightcalc.exceptional_count(d)
+        formula = (math.prod(x - 1 for x in combo)
                    + mu * spec.grading.group.torsion_order())
-            if mu != mu2 or lhs != rhs:
-                bad = {"weights": list(combo), "mu": mu, "mu_values": mu2,
-                       "count": lhs, "formula": rhs}
-                break
-        if bad:
-            break
-    checks.append({"name": "exceptional-count-formula", "pass": bad is None,
-                   "counterexample": bad})
+        if mu == mu2 and count == formula:
+            return None
+        return {"weights": list(combo), "mu": mu, "mu_values": mu2,
+                "count": count, "formula": formula}
 
-    bad = None
-    for combo in it.combinations_with_replacement(range(1, cfg["max_entry"] + 1), 3):
+    def dynkin(combo):
         d = WeightSequence(combo)
         if weightcalc.mu_values(d)[1] <= 0:
-            continue
+            return None
         want = sum(x - 1 for x in combo) + 2
         got = weightcalc.exceptional_count(d)
-        if got != want:
-            bad = {"weights": list(combo), "count": got, "vertices": want}
-            break
-    checks.append({"name": "dynkin-canonical-vertex-count", "pass": bad is None,
-                   "counterexample": bad})
+        return None if got == want else {"weights": list(combo), "count": got,
+                                         "vertices": want}
 
-    bad = None
-    for k in range(1, cfg["max_n"] + 2):
-        for combo in it.combinations_with_replacement(
-                range(1, cfg["max_entry"] + 1), k):
-            d = WeightSequence(combo)
-            spec = weightcalc.spec_from_weights(d)
-            s = weightcalc.sod_summary(spec)
-            mu = weightcalc.mu_values(d)[1]
-            tors = abgroup.weight_group(d.entries).group.torsion_order()
-            ok = (s.block_count() == abs(mu)
-                  and all(b[2] == tors for b in s.blocks)
-                  and s.complement_total() == weightcalc.complement_count(d))
-            if not ok:
-                bad = {"weights": list(combo), "summary": s.to_json()}
-                break
-        if bad:
-            break
-    checks.append({"name": "sod-block-counts", "pass": bad is None,
-                   "counterexample": bad})
-    return checks
+    def sod(combo):
+        d = WeightSequence(combo)
+        s = weightcalc.sod_summary(weightcalc.spec_from_weights(d))
+        mu = weightcalc.mu_values(d)[1]
+        tors = abgroup.weight_group(d.entries).group.torsion_order()
+        ok = (s.block_count() == abs(mu)
+              and all(b[2] == tors for b in s.blocks)
+              and s.complement_total() == weightcalc.complement_count(d))
+        return None if ok else {"weights": list(combo), "summary": s.to_json()}
+
+    max_n, max_entry = cfg["max_n"], cfg["max_entry"]
+    # the count formula stops at n <= 3 whatever max_n is: n = 4 would add
+    # nearly half again to the suite's time
+    capped = _weight_sequences(min(max_n, 3), max_entry)
+    triples = it.combinations_with_replacement(range(1, max_entry + 1), 3)
+    return [_check("exceptional-count-formula", map(exceptional, capped)),
+            _check("dynkin-canonical-vertex-count", map(dynkin, triples)),
+            _check("sod-block-counts",
+                   map(sod, _weight_sequences(max_n, max_entry)))]
 
 
 def _suite_quiver(cfg) -> list:
@@ -379,12 +358,14 @@ def _suite_orbit(cfg) -> list:
              "counterexample": None if rep["ok"] else rep["pairs"]}]
 
 
+# Each suite: its check function and the settings `verify SUITE` takes as
+# flags (snf_samples stays config-only).
 SUITES = {
-    "groups": _suite_groups,
-    "counts": _suite_counts,
-    "quiver": _suite_quiver,
-    "mf": _suite_mf,
-    "orbit": _suite_orbit,
+    "groups": (_suite_groups, ("max_n", "max_entry")),
+    "counts": (_suite_counts, ("max_n", "max_entry")),
+    "quiver": (_suite_quiver, ()),
+    "mf": (_suite_mf, ("max_d",)),
+    "orbit": (_suite_orbit, ("window",)),
 }
 
 
@@ -392,7 +373,7 @@ def verify_report(suite: str, cfg) -> dict:
     if suite not in SUITES:
         raise UsageError(f"unknown suite {suite!r}; choose from "
                          f"{sorted(SUITES)}")
-    checks = SUITES[suite](cfg)
+    checks = SUITES[suite][0](cfg)
     return {
         "suite": suite,
         "checks": checks,
@@ -445,7 +426,7 @@ def build_report(command: str, payload: dict, provenance: dict) -> dict:
 
 
 def load_config(path: str | None) -> dict:
-    cfg = dict(DEFAULTS)
+    cfg = {key: default for key, (default, _) in _SETTINGS.items()}
     if path:
         try:
             with open(path, "r", encoding="utf-8") as fh:
@@ -455,17 +436,23 @@ def load_config(path: str | None) -> dict:
         if not isinstance(data, dict):
             raise UsageError(f"config {path!r} must hold a JSON object")
         for key in data:
-            if key not in DEFAULTS:
+            if key not in _SETTINGS:
                 raise UsageError(f"unknown config key {key!r}")
         cfg.update(data)
     return cfg
 
 
 def _check_config(cfg: dict) -> None:
-    for key, low in _MINIMUMS.items():
+    for key, (_, low) in _SETTINGS.items():
         value = cfg[key]
         if isinstance(value, bool) or not isinstance(value, int) or value < low:
             raise UsageError(f"{key} must be an integer >= {low}, got {value!r}")
+
+
+def _add_flags(parser, keys) -> None:
+    """One integer flag per setting, --max-d for max_d; unset means None."""
+    for key in keys:
+        parser.add_argument("--" + key.replace("_", "-"), dest=key, type=int)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -492,18 +479,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec", help="ADE name (A5, D4, E6, E8) or weight list")
 
     p = sub.add_parser("mf", help="standard-object endomorphism check")
-    p.add_argument("--max-d", dest="max_d", type=int, default=None)
+    _add_flags(p, ("max_d",))
 
     p = sub.add_parser("orbit", help="restriction/orbit-sum identity")
     p.add_argument("--weights", default="3,3")
-    p.add_argument("--window", type=int, default=None)
+    _add_flags(p, ("window",))
 
     p = sub.add_parser("verify", help="run a verification battery")
-    p.add_argument("suite", choices=sorted(SUITES))
-    p.add_argument("--max-n", dest="max_n", type=int, default=None)
-    p.add_argument("--max-entry", dest="max_entry", type=int, default=None)
-    p.add_argument("--max-d", dest="max_d", type=int, default=None)
-    p.add_argument("--window", type=int, default=None)
+    suites = p.add_subparsers(dest="suite", required=True)
+    for name, (_, flags) in SUITES.items():
+        _add_flags(suites.add_parser(name), flags)
     return parser
 
 
@@ -519,7 +504,7 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_config(args.config)
-        for key in ("window", "max_n", "max_entry", "max_d"):
+        for key in _SETTINGS:
             if getattr(args, key, None) is not None:
                 cfg[key] = getattr(args, key)
         _check_config(cfg)
@@ -560,7 +545,7 @@ def main(argv=None) -> int:
     except decompose.SearchBudgetExceeded as exc:
         print(f"search budget exceeded: {exc}", file=sys.stderr)
         return 2
-    except (InternalCheckFailure, AssertionError) as exc:
+    except AssertionError as exc:
         print(f"internal invariant breach: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

@@ -405,10 +405,6 @@ class Factorization:
         return Factorization(self.ring, neg, zero, _neg_matrix(self.phi_neg),
                              _neg_matrix(self.phi0), _validated=True)
 
-    def unshift_once(self) -> "Factorization":
-        """E[-1]: the inverse of shift_once."""
-        return self.shift_once().twist(-self.ring.spec.potential_degree)
-
     def report(self):
         names = self.ring.names
         return {
@@ -476,12 +472,14 @@ def zero_factorization(ring: RingWithPotential) -> Factorization:
 
 def translate(E: Factorization, shift: int = 0,
               twist: GroupElement | None = None) -> Factorization:
-    """Shift by [shift] and twist by (twist); [2] acts like twisting by d."""
-    out = E
-    for _ in range(shift if shift > 0 else 0):
-        out = out.shift_once()
-    for _ in range(-shift if shift < 0 else 0):
-        out = out.unshift_once()
+    """Shift by [shift] and twist by (twist).
+
+    E[2] = E(d) on the nose, so E[2q + r] = E[r](q d) with r in {0, 1}.
+    """
+    half, odd = divmod(shift, 2)
+    out = E.shift_once() if odd else E
+    if half:
+        out = out.twist(E.ring.spec.potential_degree * half)
     if twist is not None:
         out = out.twist(twist)
     return out

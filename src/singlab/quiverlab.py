@@ -70,10 +70,26 @@ __all__ = [
 ]
 
 
+def _topological_order(vertices, succ):
+    """Kahn's order of `vertices` along the successor lists `succ[v]`, or
+    None when the graph has a directed cycle."""
+    indeg = {v: 0 for v in vertices}
+    for v in vertices:
+        for t in succ[v]:
+            indeg[t] += 1
+    order = [v for v in vertices if not indeg[v]]
+    for v in order:  # the list grows while it is read
+        for t in succ[v]:
+            indeg[t] -= 1
+            if not indeg[t]:
+                order.append(t)
+    return order if len(order) == len(indeg) else None
+
+
 class Quiver:
     """A finite quiver with vertices 1..n; must be acyclic where required."""
 
-    __slots__ = ("num_vertices", "arrows")
+    __slots__ = ("num_vertices", "arrows", "_succ")
 
     def __init__(self, num_vertices: int, arrows):
         arrows = tuple((int(s), int(t)) for s, t in arrows)
@@ -82,28 +98,16 @@ class Quiver:
                 raise ValueError(f"arrow ({s},{t}) out of range")
         self.num_vertices = num_vertices
         self.arrows = arrows
+        # _succ[s]: the targets of the arrows out of s, in arrow order
+        self._succ = [[] for _ in range(num_vertices + 1)]
+        for s, t in arrows:
+            self._succ[s].append(t)
 
     def vertices(self):
         return range(1, self.num_vertices + 1)
 
     def is_acyclic(self) -> bool:
-        return self._topological_order() is not None
-
-    def _topological_order(self):
-        indeg = {v: 0 for v in self.vertices()}
-        for _, t in self.arrows:
-            indeg[t] += 1
-        queue = [v for v in self.vertices() if indeg[v] == 0]
-        order = []
-        while queue:
-            v = queue.pop()
-            order.append(v)
-            for s, t in self.arrows:
-                if s == v:
-                    indeg[t] -= 1
-                    if indeg[t] == 0:
-                        queue.append(t)
-        return order if len(order) == self.num_vertices else None
+        return _topological_order(self.vertices(), self._succ) is not None
 
     def require_acyclic(self):
         if not self.is_acyclic():
@@ -116,11 +120,10 @@ class Quiver:
         counts = [[0] * (n + 1) for _ in range(n + 1)]
         for v in self.vertices():
             counts[v][v] = 1
-        for v in reversed(self._topological_order()):
-            for s, t in self.arrows:
-                if s == v:
-                    for u in self.vertices():
-                        counts[v][u] += counts[t][u]
+        for v in reversed(_topological_order(self.vertices(), self._succ)):
+            for t in self._succ[v]:
+                for u in self.vertices():
+                    counts[v][u] += counts[t][u]
         return counts
 
     def paths(self):
@@ -129,22 +132,16 @@ class Quiver:
         out = [(v,) for v in self.vertices()]
         frontier = [(v,) for v in self.vertices()]
         while frontier:
-            fresh = []
-            for p in frontier:
-                for s, t in self.arrows:
-                    if s == p[-1]:
-                        fresh.append(p + (t,))
-            out.extend(fresh)
-            frontier = fresh
+            frontier = [p + (t,) for p in frontier for t in self._succ[p[-1]]]
+            out.extend(frontier)
         return out
 
     def longest_path(self) -> int:
         self.require_acyclic()
         best = {v: 0 for v in self.vertices()}
-        for v in reversed(self._topological_order()):
-            for s, t in self.arrows:
-                if s == v:
-                    best[v] = max(best[v], 1 + best[t])
+        for v in reversed(_topological_order(self.vertices(), self._succ)):
+            for t in self._succ[v]:
+                best[v] = max(best[v], 1 + best[t])
         return max(best.values()) if best else 0
 
     def __eq__(self, other):
@@ -199,17 +196,8 @@ def _unitriangular_order(C: IntMatrix):
     if any(C[i, i] != 1 for i in range(n)):
         raise ValueError("Cartan matrix must have ones on the diagonal")
     succ = [[j for j in range(n) if j != i and C[i, j]] for i in range(n)]
-    indeg = [0] * n
-    for js in succ:
-        for j in js:
-            indeg[j] += 1
-    order = [i for i in range(n) if not indeg[i]]
-    for i in order:  # Kahn: the list grows while it is read
-        for j in succ[i]:
-            indeg[j] -= 1
-            if not indeg[j]:
-                order.append(j)
-    if len(order) != n:
+    order = _topological_order(range(n), succ)
+    if order is None:
         raise ValueError("Cartan matrix support has a directed cycle")
     return order
 

@@ -1,12 +1,16 @@
 import argparse
 import contextlib
 import io
+import itertools as it
 import json
+import math
+import pathlib
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from singlab import cli
+from singlab import abgroup, cli, mfengine, weightcalc
 from singlab.weightcalc import WeightSequence
 
 
@@ -143,6 +147,112 @@ def test_verify_mf_small(capsys):
     assert code == 0
 
 
+def _verify_checks(capsys, *argv):
+    code, out = run_cli(capsys, "verify", *argv)
+    results = json.loads(out)["results"]
+    assert results["ok"] is False
+    assert results["failed"] == sum(not c["pass"] for c in results["checks"])
+    return code, {c["name"]: c for c in results["checks"]}
+
+
+def test_verify_groups_reports_first_counterexample(monkeypatch, capsys):
+    real = abgroup.boxminus
+
+    def flipped(A, B):
+        # the same group with the degree map negated: every image degree fails
+        box = real(A, B)
+        return abgroup.PointedAbelianGroup(box.group, -box.marked)
+
+    monkeypatch.setattr(abgroup, "boxminus", flipped)
+    code, checks = _verify_checks(capsys, "groups", "--max-n", "0",
+                                  "--max-entry", "2")
+    assert code == 1
+    assert checks["snf-random-battery"]["pass"]
+    assert checks["torsion-order-formula"]["pass"]
+    bad = checks["boxminus-degree-formula"]
+    assert bad["pass"] is False
+    # both images of the first pair fail; the first one tried is (1, 0)
+    cx = bad["counterexample"]
+    assert cx["coords"] == [1, 0]
+    assert cx["got"] == -cx["want"] == -(cx["q"] // math.gcd(cx["p"], cx["q"]))
+
+
+def test_verify_counts_reports_first_counterexample(monkeypatch, capsys):
+    real = weightcalc.exceptional_count
+    monkeypatch.setattr(weightcalc, "exceptional_count",
+                        lambda d: real(d) + (3 in d.entries))
+    code, checks = _verify_checks(capsys, "counts", "--max-n", "1",
+                                  "--max-entry", "4")
+    assert code == 1
+    cx = checks["exceptional-count-formula"]["counterexample"]
+    assert cx["weights"] == [3] and cx["count"] == cx["formula"] + 1
+    first = next(list(c) for c in it.combinations_with_replacement(range(1, 5), 3)
+                 if 3 in c and weightcalc.mu_values(WeightSequence(c))[1] > 0)
+    cx = checks["dynkin-canonical-vertex-count"]["counterexample"]
+    assert cx["weights"] == first and cx["count"] == cx["vertices"] + 1
+    assert checks["sod-block-counts"]["pass"]
+
+
+def test_verify_mf_reports_each_failing_d(monkeypatch, capsys):
+    real = mfengine.endo_algebra_check
+
+    def broken(d):
+        if d == 3:
+            raise AssertionError("no Cartan matrix at d = 3")
+        rep = real(d)
+        return dict(rep, matches=rep["matches"] and d != 4)
+
+    monkeypatch.setattr(mfengine, "endo_algebra_check", broken)
+    code, checks = _verify_checks(capsys, "mf", "--max-d", "4")
+    assert code == 1
+    assert checks["endo-cartan-d2"]["pass"]
+    assert checks["endo-cartan-d3"] == {"name": "endo-cartan-d3", "pass": False,
+                                        "counterexample": "no Cartan matrix at d = 3"}
+    assert checks["endo-cartan-d4"]["pass"] is False
+
+
+def test_verify_orbit_reports_failing_pairs(monkeypatch, capsys):
+    real = mfengine.orbit_hom_check
+
+    def broken(objects, psi, window):
+        pairs = real(objects, psi, window)
+        pairs[1] = dict(pairs[1], ok=False)
+        return pairs
+
+    monkeypatch.setattr(mfengine, "orbit_hom_check", broken)
+    code, checks = _verify_checks(capsys, "orbit", "--window", "0")
+    assert code == 1
+    bad = checks["orbit-identity-x3-y3"]
+    assert bad["pass"] is False
+    assert [i for i, p in enumerate(bad["counterexample"]) if not p["ok"]] == [1]
+
+
+def test_verify_refuses_flags_a_suite_ignores(capsys):
+    values = {"max_n": "1", "max_entry": "2", "max_d": "3", "window": "1"}
+    assert {name: flags for name, (_, flags) in cli.SUITES.items()} == {
+        "groups": ("max_n", "max_entry"), "counts": ("max_n", "max_entry"),
+        "quiver": (), "mf": ("max_d",), "orbit": ("window",)}
+    refused = 0
+    for suite, (_, flags) in cli.SUITES.items():
+        for key in sorted(set(values) - set(flags)):
+            argv = ["verify", suite, "--" + key.replace("_", "-"), values[key]]
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == 2, argv
+            captured = capsys.readouterr()
+            assert captured.out == "" and "Traceback" not in captured.err, argv
+            refused += 1
+    assert refused == 14
+
+
+def test_readme_settings_table_matches_cli():
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    rows = re.findall(r"^\| `(\w+)` \| (\d+) \| (\d+) \|$", readme.read_text(),
+                      re.M)
+    assert {key: (int(default), int(low)) for key, default, low in rows} == \
+        cli._SETTINGS
+
+
 def test_usage_error_exit_code(capsys):
     assert cli.main(["analyze", "3,,x"]) == 2
 
@@ -270,12 +380,34 @@ def _weights(tokens, max_size):
     return st.lists(st.sampled_from(tokens), max_size=max_size).map(",".join)
 
 
-def _flags(**bounds):
+_BOUNDS = {"max_d": 5, "max_n": 2, "max_entry": 4, "window": 2}
+
+
+def _flags(names):
     """Every named flag, each with a value in -1..its bound."""
-    pairs = [st.integers(-1, hi).map(
+    pairs = [st.integers(-1, _BOUNDS[name]).map(
         lambda v, flag="--" + name.replace("_", "-"): [flag, str(v)])
-        for name, hi in bounds.items()]
+        for name in names]
     return st.tuples(*pairs).map(lambda ps: [x for p in ps for x in p])
+
+
+def _verify_argv(suite):
+    """verify SUITE with its own flags; about one in four examples adds a
+    flag the suite does not take."""
+    own = cli.SUITES[suite][1] if suite in cli.SUITES else ()
+    foreign = sorted(set(_BOUNDS) - set(own))
+    extra = st.tuples(st.integers(0, 3), st.sampled_from(foreign)).flatmap(
+        lambda t: _flags([t[1]]) if t[0] == 0 else st.just([]))
+    return st.tuples(_flags(own), extra).map(
+        lambda t: ["verify", suite] + t[0] + t[1])
+
+
+def _foreign_flag(argv):
+    """Whether argv passes a verify suite a flag that suite does not take."""
+    if argv[0] != "verify" or argv[1] not in cli.SUITES:
+        return False
+    own = {"--" + key.replace("_", "-") for key in cli.SUITES[argv[1]][1]}
+    return any(a.startswith("--") and a not in own for a in argv[2:])
 
 
 _ADE_LABELS = ([f"A{i}" for i in range(7)] + [f"D{i}" for i in range(3, 6)]
@@ -287,12 +419,10 @@ _ARGV = st.one_of(
               _weights(_TOKENS, 4)).map(list),
     st.tuples(st.just("quiver"),
               st.sampled_from(_ADE_LABELS) | _weights(_SMALL, 3)).map(list),
-    _flags(max_d=5).map(lambda fs: ["mf"] + fs),
-    st.tuples(_weights(_TINY, 4), _flags(window=2)).map(
+    _flags(["max_d"]).map(lambda fs: ["mf"] + fs),
+    st.tuples(_weights(_TINY, 4), _flags(["window"])).map(
         lambda t: ["orbit", "--weights", t[0]] + t[1]),
-    st.tuples(st.sampled_from(sorted(cli.SUITES) + ["bogus"]),
-              _flags(max_d=5, max_n=2, max_entry=4, window=2)).map(
-        lambda t: ["verify", t[0]] + t[1]),
+    st.sampled_from(sorted(cli.SUITES) + ["bogus"]).flatmap(_verify_argv),
 )
 
 
@@ -307,5 +437,7 @@ def test_main_fuzz_exits_cleanly(argv):
             code = exc.code
     assert code in (0, 1, 2), (argv, code, err.getvalue())
     assert "Traceback" not in err.getvalue()
+    if _foreign_flag(argv):
+        assert code == 2 and out.getvalue() == "", argv
     if code == 0:
         json.loads(out.getvalue())

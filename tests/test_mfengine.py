@@ -508,6 +508,19 @@ def test_translate_identities():
     td = strand_cohomology(E1.twist(d), E2, window=2)
     assert tw.entries == td.entries
 
+    def iterated(E, shift):
+        # E[-1] is E[1](-d), the inverse of one shift
+        for _ in range(abs(shift)):
+            E = E.shift_once() if shift > 0 else E.shift_once().twist(-d)
+        return E
+
+    g = ring.grading.group.generator(0)
+    for E in (E1, E2):
+        for shift in range(-5, 6):
+            assert translate(E, shift) == iterated(E, shift), shift
+            assert translate(E, shift, g) == iterated(E, shift).twist(g), shift
+            assert translate(translate(E, shift), -shift) == E, shift
+
 
 def test_two_periodicity():
     ring = ring3()
