@@ -27,12 +27,11 @@ import argparse
 import itertools as it
 import json
 import math
-import random
 import sys
-from fractions import Fraction
 
-from . import __version__, abgroup, decompose, mfengine, quiverlab, weightcalc
-from .weightcalc import WeightSequence
+# No engine is imported here: each report builder and suite imports the
+# engines it uses, so a command loads only its own.
+from . import __version__
 
 SCHEMA_VERSION = 1
 
@@ -53,11 +52,13 @@ class InternalCheckFailure(AssertionError):
 
 
 def _rat(x) -> str:
+    from fractions import Fraction
     f = Fraction(x)
     return f"{f.numerator}/{f.denominator}"
 
 
-def parse_weights(text: str) -> WeightSequence:
+def parse_weights(text: str):
+    from .weightcalc import WeightSequence
     try:
         entries = [int(tok) for tok in text.replace(" ", "").split(",") if tok]
         return WeightSequence(entries)
@@ -73,7 +74,8 @@ class UsageError(ValueError):
 # report builders
 
 
-def analyze_report(d: WeightSequence, node_limit: int) -> dict:
+def analyze_report(d, node_limit: int) -> dict:
+    from . import decompose, weightcalc
     mu_bar, mu, sign = weightcalc.mu_values(d)
     spec = weightcalc.spec_from_weights(d)
     B = spec.grading
@@ -102,7 +104,8 @@ def analyze_report(d: WeightSequence, node_limit: int) -> dict:
     return results
 
 
-def group_report(d: WeightSequence) -> dict:
+def group_report(d) -> dict:
+    from . import abgroup
     B = abgroup.weight_group(d.entries)
     rep = B.report()
     rep["torsion_order"] = B.group.torsion_order()
@@ -110,7 +113,8 @@ def group_report(d: WeightSequence) -> dict:
     return rep
 
 
-def decompose_report(d: WeightSequence, node_limit: int) -> dict:
+def decompose_report(d, node_limit: int) -> dict:
+    from . import decompose
     verdict = decompose.rouquier_verdict(d, node_limit)
     q_cert, h_cert = verdict.witnesses
     return {
@@ -123,7 +127,8 @@ def decompose_report(d: WeightSequence, node_limit: int) -> dict:
     }
 
 
-def sod_report(d: WeightSequence) -> dict:
+def sod_report(d) -> dict:
+    from . import weightcalc
     spec = weightcalc.spec_from_weights(d)
     out = weightcalc.sod_summary(spec).to_json()
     out["weights"] = list(d.entries)
@@ -131,6 +136,7 @@ def sod_report(d: WeightSequence) -> dict:
 
 
 def quiver_report(spec: str) -> dict:
+    from . import decompose, quiverlab
     spec = spec.strip()
     if spec and spec[0] in "ADEade":
         try:
@@ -166,6 +172,7 @@ def quiver_report(spec: str) -> dict:
 
 
 def mf_report(max_d: int) -> dict:
+    from . import mfengine
     per_d = []
     for d in range(2, max_d + 1):
         rep = mfengine.endo_algebra_check(d)
@@ -182,7 +189,8 @@ def mf_report(max_d: int) -> dict:
             "ok": all(x["strong_exceptional"] for x in per_d)}
 
 
-def orbit_report(weights: WeightSequence, window: int) -> dict:
+def orbit_report(weights, window: int) -> dict:
+    from . import mfengine
     if len(weights) != 2:
         raise UsageError("orbit check wants exactly two weights")
     a, b = weights.entries
@@ -226,6 +234,10 @@ def _weight_sequences(max_n: int, max_entry: int):
 
 
 def _suite_groups(cfg) -> list:
+    import random
+
+    from . import abgroup
+    from .weightcalc import WeightSequence
     rng = random.Random(20240229)
 
     def snf(_):
@@ -268,6 +280,9 @@ def _suite_groups(cfg) -> list:
 
 
 def _suite_counts(cfg) -> list:
+    from . import abgroup, weightcalc
+    from .weightcalc import WeightSequence
+
     def exceptional(combo):
         d = WeightSequence(combo)
         spec = weightcalc.spec_from_weights(d)
@@ -312,6 +327,7 @@ def _suite_counts(cfg) -> list:
 
 
 def _suite_quiver(cfg) -> list:
+    from . import decompose, quiverlab
     checks = []
     CA = {m: quiverlab.cartan_matrix(
         quiverlab.ade_quiver(decompose.ADEType("A", m))) for m in (2, 3, 4)}
@@ -340,6 +356,7 @@ def _suite_quiver(cfg) -> list:
 
 
 def _suite_mf(cfg) -> list:
+    from . import mfengine
     checks = []
     for d in range(2, cfg["max_d"] + 1):
         try:
@@ -353,6 +370,7 @@ def _suite_mf(cfg) -> list:
 
 
 def _suite_orbit(cfg) -> list:
+    from .weightcalc import WeightSequence
     rep = orbit_report(WeightSequence([3, 3]), cfg["window"])
     return [{"name": "orbit-identity-x3-y3", "pass": rep["ok"],
              "counterexample": None if rep["ok"] else rep["pairs"]}]
@@ -494,8 +512,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 # Built once at import and reused by every `main` call: argparse keeps no
 # state between parse_args calls, and building the parser costs more than
-# a small report.  A module constant, not a functools cache, so emptying
-# the caches never forces a rebuild.
+# a small report.
 _PARSER = _build_parser()
 
 
@@ -542,7 +559,12 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except decompose.SearchBudgetExceeded as exc:
+    except RuntimeError as exc:
+        # only the partition search raises SearchBudgetExceeded, and a
+        # command that never searched has not imported its module
+        search = sys.modules.get(f"{__package__}.decompose")
+        if search is None or not isinstance(exc, search.SearchBudgetExceeded):
+            raise
         print(f"search budget exceeded: {exc}", file=sys.stderr)
         return 2
     except AssertionError as exc:

@@ -16,18 +16,23 @@ exactly when n+1 = h(d) + 2q(d) - 1.
 
 Partitions are multiset partitions (parts unordered, entries drawn with
 multiplicity).  The search is a canonical-ordering branch-and-bound over
-multiset states with memoization and a greedy relaxation lower bound; a
-plain exhaustive enumerator doubles as the optimality oracle in the tests.
-Ties between equally small partitions are broken by the lexicographically
-smallest sorted part list, so certificates are reproducible.
+multiset states with a greedy relaxation lower bound.  Its memos of states
+and of predicate tests live for one call, so nothing outlives the call.  A
+search that would nest deeper than Python's recursion limit raises
+SearchBudgetExceeded, as an exhausted node limit does.  A plain exhaustive
+enumerator doubles as the optimality oracle in the tests.  Ties between
+equally small partitions are broken by the lexicographically smallest
+sorted part list, so certificates are reproducible.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .weightcalc import WeightSequence
 
@@ -64,7 +69,8 @@ class ADEType:
 
 
 class SearchBudgetExceeded(RuntimeError):
-    """Raised when the partition search exceeds its node limit."""
+    """Raised when the partition search exceeds its node limit or would
+    nest deeper than Python's recursion limit."""
 
 
 def is_nonpositive(d: WeightSequence) -> bool:
@@ -72,7 +78,6 @@ def is_nonpositive(d: WeightSequence) -> bool:
     return _is_nonpositive_part(d.entries)
 
 
-@lru_cache(maxsize=None)
 def _is_ade_part(entries: tuple) -> bool:
     rest = tuple(x for x in entries if x != 2)
     if len(rest) <= 1:
@@ -80,9 +85,10 @@ def _is_ade_part(entries: tuple) -> bool:
     return rest in ((3, 3), (3, 4), (3, 5))
 
 
-@lru_cache(maxsize=None)
 def _is_nonpositive_part(entries: tuple) -> bool:
-    return sum(Fraction(1, x) for x in entries) <= 1
+    """sum 1/d_i <= 1, as sum L/d_i <= L over L = lcm(d_i)."""
+    L = math.lcm(*entries)
+    return sum(L // x for x in entries) <= L
 
 
 _PREDICATES = {"ADE": _is_ade_part, "nonpositive": _is_nonpositive_part}
@@ -184,7 +190,7 @@ def min_partition(d: WeightSequence, predicate: str,
     """
     if predicate not in _PREDICATES:
         raise ValueError(f"unknown predicate {predicate!r}")
-    ok = _PREDICATES[predicate]
+    ok = functools.cache(_PREDICATES[predicate])
     stats = {"nodes": 0, "pruned": 0}
     memo: dict = {}
 
@@ -218,7 +224,12 @@ def min_partition(d: WeightSequence, predicate: str,
         memo[state] = best
         return best
 
-    size, parts = search(d.entries)
+    try:
+        size, parts = search(d.entries)
+    except RecursionError:
+        raise SearchBudgetExceeded(
+            "partition search nests deeper than the recursion limit "
+            f"{sys.getrecursionlimit()}") from None
     if tuple(sorted(x for p in parts for x in p)) != d.entries:
         raise AssertionError("partition parts do not reassemble the weights")
     if _greedy_lower_bound(d.entries, predicate) > size:
@@ -232,12 +243,12 @@ def min_partition(d: WeightSequence, predicate: str,
 def brute_force_min_parts(d: WeightSequence, predicate: str):
     """Oracle: minimum over a plain enumeration of all multiset partitions.
 
-    No memoization and no bound pruning; used to cross-check the
+    No state memoization and no bound pruning; used to cross-check the
     branch-and-bound answer.  Returns (size, sorted part lists) or None if
     no partition into predicate parts exists (never happens for the two
     shipped predicates).
     """
-    ok = _PREDICATES[predicate]
+    ok = functools.cache(_PREDICATES[predicate])
     best: list = [None]
 
     def enum(state: tuple, acc: tuple):

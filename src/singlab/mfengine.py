@@ -196,10 +196,10 @@ def _monomial_pair(grading_key, exps):
     return out
 
 
-@functools.lru_cache(maxsize=None)
 def _monomial_table(grading_key, residues, degree):
     """Exponent tuples e, in lexicographic order, with sum e_k a_k of the
     canonical torsion residues `residues` and of degree `degree`.
+    `_MonomialTables` keeps them for one ring.
 
     `grading_key` is (invariant factors, ((residues of a_k, deg a_k), ...)).
     Each a_k has positive degree, so the search stops once the degree left
@@ -228,6 +228,19 @@ def _monomial_table(grading_key, residues, degree):
     return tuple(found)
 
 
+class _MonomialTables(dict):
+    """`_monomial_table` of one grading key by (residues, degree), each
+    enumerated on first lookup."""
+
+    def __init__(self, grading_key):
+        super().__init__()
+        self.grading_key = grading_key
+
+    def __missing__(self, pair):
+        table = self[pair] = _monomial_table(self.grading_key, *pair)
+        return table
+
+
 class RingWithPotential:
     """A positively multigraded polynomial ring with a chosen potential.
 
@@ -247,11 +260,12 @@ class RingWithPotential:
             raise ValueError("potential must be nonzero")
         self.potential = potential
         self._signature = None
-        # what _monomial_table needs of the grading; rings with equal
-        # signature() have equal keys, so they share its tables
+        # what _monomial_table needs of the grading, and its tables, which
+        # live as long as the ring
         self._grading_key = (
             spec.grading.group.invariant_factors,
             tuple(_degree_pair(spec, a) for a in spec.generator_degrees))
+        self._tables = _MonomialTables(self._grading_key)
         self._potential_pair = _degree_pair(spec, spec.potential_degree)
         for exps in potential.terms:
             if _monomial_pair(self._grading_key, exps) != self._potential_pair:
@@ -266,7 +280,7 @@ class RingWithPotential:
 
     def monomials_of(self, target: GroupElement):
         """All exponent tuples of the given multidegree (finite: positive grading)."""
-        return _monomial_table(self._grading_key, *_degree_pair(self.spec, target))
+        return self._tables[_degree_pair(self.spec, target)]
 
     def signature(self):
         """The ring's identity; computed once, since `strand_cohomology`
@@ -748,8 +762,7 @@ def _hom_basis(ring: RingWithPotential, blocks, n: int):
     added per block only when the grading has torsion.
     """
     l, eps = divmod(n, 2)
-    key = ring._grading_key
-    factors = key[0]
+    factors, tables = ring._grading_key[0], ring._tables
     d_res, d_deg = ring._potential_pair
     shift_res, shift = [l * r for r in d_res], l * d_deg
     out = []
@@ -757,7 +770,7 @@ def _hom_basis(ring: RingWithPotential, blocks, n: int):
         if factors:
             res = tuple([(x + y) % t for x, y, t in zip(res, shift_res, factors)])
         out += [(comp, i, j, exps)
-                for exps in _monomial_table(key, res, deg + shift)]
+                for exps in tables[res, deg + shift]]
     return out
 
 
@@ -1096,6 +1109,9 @@ class OrbitSpec:
             G.num_generators,
             IntMatrix.from_rows(rows) if rows else IntMatrix.zero(0, G.num_generators))
         self.kernel = self._enumerate_kernel()
+        # restrict_grading's rings by source ring, so the objects of one
+        # battery land in one ring and share its monomial tables
+        self._rings = {}
 
     def _enumerate_kernel(self):
         zero = self.source.group.zero()
@@ -1125,18 +1141,23 @@ def restrict_grading(E: Factorization, psi: OrbitSpec) -> Factorization:
     """Regrade a factorization along psi, revalidating everything.
 
     The potential degree must stay non-torsion and all variables must keep
-    positive degree in the quotient grading.
+    positive degree in the quotient grading.  Objects over equal rings,
+    regraded along one psi, get one regraded ring.
     """
     ring = E.ring
-    if psi.source.group.signature() != ring.grading.group.signature():
-        raise ValueError("orbit map defined on a different grading group")
-    marked = psi.apply(ring.grading.marked)
-    if marked.is_torsion():
-        raise ValueError("potential degree becomes torsion in the quotient")
-    pointed = PointedAbelianGroup(psi.quotient, marked)
-    gens = tuple(psi.apply(a) for a in ring.spec.generator_degrees)
-    spec = GradedRingSpec(pointed, gens)  # rejects non-positive degrees
-    ring2 = RingWithPotential(spec, ring.names, ring.potential)
+    key = ring.signature(), ring.names
+    ring2 = psi._rings.get(key)
+    if ring2 is None:
+        if psi.source.group.signature() != ring.grading.group.signature():
+            raise ValueError("orbit map defined on a different grading group")
+        marked = psi.apply(ring.grading.marked)
+        if marked.is_torsion():
+            raise ValueError("potential degree becomes torsion in the quotient")
+        pointed = PointedAbelianGroup(psi.quotient, marked)
+        gens = tuple(psi.apply(a) for a in ring.spec.generator_degrees)
+        spec = GradedRingSpec(pointed, gens)  # rejects non-positive degrees
+        ring2 = psi._rings[key] = RingWithPotential(spec, ring.names,
+                                                    ring.potential)
     return make_factorization(
         ring2,
         tuple(psi.apply(u) for u in E.e_neg.twists),
@@ -1153,7 +1174,8 @@ def orbit_hom_check(objects, psi: OrbitSpec, window: int) -> list:
     computed by different routes:
 
     * the restricted side by windowed linear algebra (`strand_cohomology`)
-      on the folded `tensor_product`, regraded once per object;
+      on the folded `tensor_product`, regraded once per object into one
+      ring, whose monomial tables every pair shares;
     * the orbit-sum side as the sum over g in Gamma of `kunneth_table`.  A
       twist by g twists factor k by coordinate w_k of `g.coordinates` times
       its generator; another lift of g differs by d_i e_i - d_j e_j, which

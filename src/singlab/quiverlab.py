@@ -109,18 +109,21 @@ class Quiver:
     def is_acyclic(self) -> bool:
         return _topological_order(self.vertices(), self._succ) is not None
 
-    def require_acyclic(self):
-        if not self.is_acyclic():
+    def require_acyclic(self) -> list:
+        """A topological order of the vertices; ValueError on a cycle."""
+        order = _topological_order(self.vertices(), self._succ)
+        if order is None:
             raise ValueError("quiver has directed cycles")
+        return order
 
     def path_counts(self):
         """Matrix of path counts (trivial paths included on the diagonal)."""
-        self.require_acyclic()
+        order = self.require_acyclic()
         n = self.num_vertices
         counts = [[0] * (n + 1) for _ in range(n + 1)]
         for v in self.vertices():
             counts[v][v] = 1
-        for v in reversed(_topological_order(self.vertices(), self._succ)):
+        for v in reversed(order):
             for t in self._succ[v]:
                 for u in self.vertices():
                     counts[v][u] += counts[t][u]
@@ -137,9 +140,9 @@ class Quiver:
         return out
 
     def longest_path(self) -> int:
-        self.require_acyclic()
+        order = self.require_acyclic()
         best = {v: 0 for v in self.vertices()}
-        for v in reversed(_topological_order(self.vertices(), self._succ)):
+        for v in reversed(order):
             for t in self._succ[v]:
                 best[v] = max(best[v], 1 + best[t])
         return max(best.values()) if best else 0
@@ -338,7 +341,7 @@ def ext_simples(Q: Quiver, v: int, v_prime: int, t: int) -> int:
     if t == 0:
         return 1 if v == v_prime else 0
     if t == 1:
-        return sum(1 for s, tt in Q.arrows if s == v_prime and tt == v)
+        return Q._succ[v_prime].count(v)
     return 0
 
 

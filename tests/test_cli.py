@@ -2,10 +2,15 @@ import argparse
 import contextlib
 import io
 import itertools as it
+import importlib
 import json
 import math
+import os
 import pathlib
+import pkgutil
 import re
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -323,6 +328,72 @@ def test_search_budget_exceeded_exits_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "search budget exceeded" in captured.err
+
+
+def _fresh(*args):
+    """Run a fresh interpreter with this checkout's singlab importable."""
+    env = dict(os.environ)
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_search_budget_exceeded_exits_2_in_fresh_process(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"node_limit": 1}')
+    run = _fresh("-m", "singlab.cli", "--config", str(cfg), "decompose", "3,4,5")
+    assert run.returncode == 2 and run.stdout == ""
+    assert run.stderr.startswith("search budget exceeded: ")
+
+
+_ENGINES = {"abgroup", "weightcalc", "decompose", "quiverlab", "mfengine",
+            "linalg"}
+_LOADED = """
+import contextlib, io, json, sys
+from singlab import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(json.dumps([code, sorted(name[len("singlab."):] for name in sys.modules
+                               if name.startswith("singlab."))]))
+"""
+
+
+def test_import_cli_loads_no_engine():
+    run = _fresh("-c", "import json, sys, singlab.cli; print(json.dumps("
+                 "sorted(m for m in sys.modules if m.startswith('singlab'))))")
+    assert json.loads(run.stdout) == ["singlab", "singlab.cli"]
+
+
+@pytest.mark.parametrize("argv, engines", [
+    ("decompose 2,3,5", {"weightcalc", "abgroup", "decompose"}),
+    ("analyze 2,3,7", {"weightcalc", "abgroup", "decompose"}),
+    ("group 2,3,7", {"weightcalc", "abgroup"}),
+    ("sod 2,3,7", {"weightcalc", "abgroup"}),
+    ("verify groups --max-n 1", {"weightcalc", "abgroup"}),
+    ("verify counts --max-n 1", {"weightcalc", "abgroup"}),
+    ("quiver E8", _ENGINES - {"mfengine"}),
+    ("quiver 3,3,3", _ENGINES - {"mfengine"}),
+    ("verify quiver", _ENGINES - {"mfengine"}),
+    ("orbit --weights 2,2 --window 0", _ENGINES - {"quiverlab", "decompose"}),
+    ("verify orbit --window 0", _ENGINES - {"quiverlab", "decompose"}),
+    ("mf --max-d 2", _ENGINES),
+    ("verify mf --max-d 2", _ENGINES),
+])
+def test_command_loads_only_its_engines(argv, engines):
+    run = _fresh("-c", _LOADED, *argv.split())
+    code, loaded = json.loads(run.stdout)
+    assert code == 0, run.stderr
+    assert set(loaded) == engines | {"cli"}
+
+
+def test_no_module_level_caches():
+    import singlab
+    for info in pkgutil.iter_modules(singlab.__path__):
+        mod = importlib.import_module(f"singlab.{info.name}")
+        for name, obj in vars(mod).items():
+            assert not hasattr(obj, "cache_clear"), f"{mod.__name__}.{name}"
 
 
 def test_library_value_error_exits_2(monkeypatch, capsys):

@@ -1,5 +1,7 @@
+import inspect
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -75,6 +77,19 @@ def test_min_partition_reassembles_and_orders():
 def test_min_partition_budget():
     with pytest.raises(SearchBudgetExceeded):
         min_partition(W([2, 3, 4, 5, 6, 2, 3, 4]), "nonpositive", node_limit=2)
+
+
+def test_deep_search_refuses_instead_of_crashing():
+    # 400 twos need 200 nonpositive parts, so the search nests 200 deep
+    deep = W([2] * 400)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        with pytest.raises(SearchBudgetExceeded, match="recursion limit"):
+            min_partition(deep, "nonpositive")
+    finally:
+        sys.setrecursionlimit(limit)
+    assert min_partition(deep, "nonpositive").size == 200
 
 
 def test_bounds_and_monotonicity():

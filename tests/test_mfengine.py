@@ -459,27 +459,38 @@ def test_hom_basis_matches_group_element_listing():
 
 
 def test_monomial_tables_shared_between_equal_rings(monkeypatch):
+    # one orbit battery regrades every object into one ring, so each
+    # (residues, degree) table of the restricted side is enumerated once;
+    # the tables live on their ring, so another battery enumerates afresh
     enumerated = []
-    inner = mfengine._monomial_table.__wrapped__
+    inner = mfengine._monomial_table
 
     def counting(*args):
         enumerated.append(args)
         return inner(*args)
 
-    monkeypatch.setattr(mfengine, "_monomial_table",
-                        functools.lru_cache(maxsize=None)(counting))
+    monkeypatch.setattr(mfengine, "_monomial_table", counting)
+    assert cli.orbit_report(WeightSequence([3, 3]), 1)["ok"]
+    # the restricted ring has two variables, the factor rings one
+    restricted = [args for args in enumerated if len(args[0][1]) == 2]
+    assert restricted and len(set(restricted)) == len(restricted)
+
     rx, ry = one_variable_ring(3, "x"), one_variable_ring(3, "y")
     T = tensor_product(standard_objects(rx)[0], standard_objects(ry)[1])
     A = T.ring.grading
     psi = OrbitSpec(A, [A.group.element([1, -1])])
     R1, R2 = restrict_grading(T, psi), restrict_grading(T.twist(A.marked), psi)
-    assert R1.ring is not R2.ring and R1.ring.same_ring(R2.ring)
+    assert R1.ring is R2.ring
+    other = restrict_grading(T, OrbitSpec(A, [A.group.element([1, -1])]))
+    assert other.ring is not R1.ring and other.ring.same_ring(R1.ring)
     a, b = R1.ring.spec.generator_degrees
     targets = {i * a + j * b for i in range(5) for j in range(5)}
-    for R in (R1, R2):
+    enumerated.clear()
+    for R in (R1, R2, other):
         for t in targets:
-            assert R.ring.monomials_of(t) == R1.ring.monomials_of(t)
-    assert len(enumerated) == len(targets)
+            assert R.ring.monomials_of(t) == other.ring.monomials_of(t)
+    # once per target in each of the two rings
+    assert len(enumerated) == 2 * len(targets)
 
 
 def test_k_object_exceptional_all_twists():
