@@ -280,7 +280,7 @@ def _suite_groups(cfg) -> list:
 
 
 def _suite_counts(cfg) -> list:
-    from . import abgroup, weightcalc
+    from . import weightcalc
     from .weightcalc import WeightSequence
 
     def exceptional(combo):
@@ -309,7 +309,7 @@ def _suite_counts(cfg) -> list:
         d = WeightSequence(combo)
         s = weightcalc.sod_summary(weightcalc.spec_from_weights(d))
         mu = weightcalc.mu_values(d)[1]
-        tors = abgroup.weight_group(d.entries).group.torsion_order()
+        tors = d.product() // d.lcm()
         ok = (s.block_count() == abs(mu)
               and all(b[2] == tors for b in s.blocks)
               and s.complement_total() == weightcalc.complement_count(d))

@@ -19,7 +19,8 @@ multiplicity).  The search is a canonical-ordering branch-and-bound over
 multiset states with a greedy relaxation lower bound.  Its memos of states
 and of predicate tests live for one call, so nothing outlives the call.  A
 search that would nest deeper than Python's recursion limit raises
-SearchBudgetExceeded, as an exhausted node limit does.  A plain exhaustive
+SearchBudgetExceeded, as an exhausted node limit does; when the lower bound
+alone reaches the limit, it does so before searching.  A plain exhaustive
 enumerator doubles as the optimality oracle in the tests.  Ties between
 equally small partitions are broken by the lexicographically smallest
 sorted part list, so certificates are reproducible.
@@ -190,6 +191,7 @@ def min_partition(d: WeightSequence, predicate: str,
     """
     if predicate not in _PREDICATES:
         raise ValueError(f"unknown predicate {predicate!r}")
+    bound = _greedy_lower_bound(d.entries, predicate)
     ok = functools.cache(_PREDICATES[predicate])
     stats = {"nodes": 0, "pruned": 0}
     memo: dict = {}
@@ -225,6 +227,11 @@ def min_partition(d: WeightSequence, predicate: str,
         return best
 
     try:
+        # the search descends its first candidate to the empty state, one
+        # frame per part, so a bound at the recursion limit already proves
+        # that it would overflow: refuse before searching
+        if bound >= sys.getrecursionlimit():
+            raise RecursionError
         size, parts = search(d.entries)
     except RecursionError:
         raise SearchBudgetExceeded(
@@ -232,7 +239,7 @@ def min_partition(d: WeightSequence, predicate: str,
             f"{sys.getrecursionlimit()}") from None
     if tuple(sorted(x for p in parts for x in p)) != d.entries:
         raise AssertionError("partition parts do not reassemble the weights")
-    if _greedy_lower_bound(d.entries, predicate) > size:
+    if bound > size:
         raise AssertionError("partition smaller than its lower bound")
     stats["optimality"] = "exhaustive-with-bound"
     stats["lower_bound_proof"] = size

@@ -204,27 +204,29 @@ def _monomial_table(grading_key, residues, degree):
     `grading_key` is (invariant factors, ((residues of a_k, deg a_k), ...)).
     Each a_k has positive degree, so the search stops once the degree left
     is negative; it works on residue tuples and integer degrees, never on
-    group elements.
+    group elements.  The last exponent e is solved, not searched: the degree
+    left is e deg a_k and the residues left e times those of a_k, so a
+    one-variable table costs O(1).
     """
     factors, gens = grading_key
-    k = len(gens)
+    *head, (last_step, last_deg) = gens
     found = []
-    acc = []
 
-    def rec(idx, res, rem):
-        if idx == k:
-            if not rem and not any(res):
-                found.append(tuple(acc))
+    def rec(idx, res, rem, acc):
+        if idx == len(head):
+            e, left = divmod(rem, last_deg)
+            if (not left and e >= 0
+                    and not any((r - e * s) % t
+                                for r, s, t in zip(res, last_step, factors))):
+                found.append(acc + (e,))
             return
-        step, deg = gens[idx]
+        step, deg = head[idx]
         for e in range(rem // deg + 1):
-            acc.append(e)
-            rec(idx + 1, res, rem)
-            acc.pop()
+            rec(idx + 1, res, rem, acc + (e,))
             res = tuple((r - s) % t for r, s, t in zip(res, step, factors))
             rem -= deg
 
-    rec(0, residues, degree)
+    rec(0, residues, degree, ())
     return tuple(found)
 
 
@@ -259,7 +261,6 @@ class RingWithPotential:
         if potential.is_zero():
             raise ValueError("potential must be nonzero")
         self.potential = potential
-        self._signature = None
         # what _monomial_table needs of the grading, and its tables, which
         # live as long as the ring
         self._grading_key = (
@@ -270,6 +271,10 @@ class RingWithPotential:
         for exps in potential.terms:
             if _monomial_pair(self._grading_key, exps) != self._potential_pair:
                 raise ValueError("potential is not homogeneous of the marked degree")
+        self._signature = (
+            self.grading.group.signature(), self.grading.marked.canonical,
+            tuple(a.canonical for a in spec.generator_degrees),
+            tuple(sorted(potential.terms.items())))
 
     @property
     def grading(self) -> PointedAbelianGroup:
@@ -283,13 +288,8 @@ class RingWithPotential:
         return self._tables[_degree_pair(self.spec, target)]
 
     def signature(self):
-        """The ring's identity; computed once, since `strand_cohomology`
-        compares the rings of every pair it is given."""
-        if self._signature is None:
-            self._signature = (
-                self.grading.group.signature(), self.grading.marked.canonical,
-                tuple(a.canonical for a in self.spec.generator_degrees),
-                tuple(sorted(self.potential.terms.items())))
+        """The ring's identity, fixed when the ring is built, since
+        `strand_cohomology` compares the rings of every pair it is given."""
         return self._signature
 
     def same_ring(self, other: "RingWithPotential") -> bool:
@@ -347,20 +347,6 @@ def _matmul_poly(A, B, nvars):
     return tuple(out)
 
 
-def _component_pairs(E):
-    """Degree pairs of the generators of E_{-1}, E_0 and E_{-1}(d).
-
-    Computed on first use and kept on the object.
-    """
-    if E._pairs is None:
-        ring = E.ring
-        neg, zero = (tuple(_degree_pair(ring.spec, u) for u in M.twists)
-                     for M in (E.e_neg, E.e_zero))
-        factors, d = ring._grading_key[0], ring._potential_pair
-        E._pairs = neg, zero, tuple(_add_pairs(factors, u, d, -1) for u in neg)
-    return E._pairs
-
-
 def _check_homogeneous(ring: RingWithPotential, matrix, src, tgt, label: str):
     """Entry [i][j] must have degree src[j] - tgt[i] (generator degree pairs).
 
@@ -379,13 +365,17 @@ def _check_homogeneous(ring: RingWithPotential, matrix, src, tgt, label: str):
 class Factorization:
     """A validated graded factorization of the ring's potential."""
 
-    # `_pairs` and `_terms` cache _component_pairs and _object_terms, each
-    # filled on first use; the other slots are never reassigned, and twists
-    # and shifts build new objects, so a cache never goes stale.  Cokernel
-    # supports need no slot: over one variable det phi = c x^e kills
-    # coker phi by the adjugate, and e is read off the cached degree pairs.
+    # Every slot is set when the object is built and never reassigned;
+    # twists and shifts build new objects.  `pairs` holds the degree pairs
+    # of the generators of E_{-1}, E_0 and E_{-1}(d).  `right_terms[comp][j]`
+    # lists (col, exps, coeff) of row j of the map that multiplies
+    # component comp from the right (phi_neg for comp 0, phi0 for comp 1);
+    # `left_terms[k][i]` lists (row, exps, coeff) of column i of phi0
+    # (k = 0) or phi_neg (k = 1).  Cokernel supports need no slot: over one
+    # variable det phi = c x^e kills coker phi by the adjugate, and e is
+    # read off the degree pairs.
     __slots__ = ("ring", "e_neg", "e_zero", "phi0", "phi_neg",
-                 "_pairs", "_terms")
+                 "pairs", "right_terms", "left_terms")
 
     def __init__(self, ring, e_neg, e_zero, phi0, phi_neg, _validated=False):
         self.ring = ring
@@ -393,10 +383,21 @@ class Factorization:
         self.e_zero = e_zero
         self.phi0 = phi0
         self.phi_neg = phi_neg
-        self._pairs = None
-        self._terms = None
+        neg, zero = (tuple(_degree_pair(ring.spec, u) for u in M.twists)
+                     for M in (e_neg, e_zero))
+        factors, d = ring._grading_key[0], ring._potential_pair
+        self.pairs = neg, zero, tuple(_add_pairs(factors, u, d, -1) for u in neg)
         if not _validated:
             _validate_factorization(self)
+        # the term lists index by the shapes, so only after validation
+        self.right_terms = tuple([[(jj, e, c) for jj, p in enumerate(row)
+                                   for e, c in p.terms.items()] for row in M]
+                                 for M in (phi_neg, phi0))
+        self.left_terms = tuple([[(ii, e, c) for ii, row in enumerate(M)
+                                  for e, c in row[i].terms.items()]
+                                 for i in range(cols)]
+                                for M, cols in ((phi0, e_neg.rank),
+                                                (phi_neg, e_zero.rank)))
 
     @property
     def rank_pair(self):
@@ -432,10 +433,7 @@ class Factorization:
     def __eq__(self, other):
         return (isinstance(other, Factorization)
                 and self.ring.signature() == other.ring.signature()
-                and tuple(u.canonical for u in self.e_neg.twists)
-                == tuple(u.canonical for u in other.e_neg.twists)
-                and tuple(u.canonical for u in self.e_zero.twists)
-                == tuple(u.canonical for u in other.e_zero.twists)
+                and self.pairs == other.pairs
                 and self.phi0 == other.phi0 and self.phi_neg == other.phi_neg)
 
     def __repr__(self):
@@ -450,7 +448,7 @@ def _validate_factorization(E: Factorization):
         raise ValueError("phi0 has the wrong shape")
     if len(E.phi_neg) != r_neg or any(len(row) != r_zero for row in E.phi_neg):
         raise ValueError("phi_neg has the wrong shape")
-    neg, zero, shifted = _component_pairs(E)
+    neg, zero, shifted = E.pairs
     _check_homogeneous(ring, E.phi0, neg, zero, "phi0")
     _check_homogeneous(ring, E.phi_neg, zero, shifted, "phi_neg")
     w = ring.potential
@@ -529,7 +527,7 @@ def factorization_map(E: Factorization, F: Factorization,
     f = FactorizationMap(E, F,
                          tuple(tuple(p for p in row) for row in f_neg),
                          tuple(tuple(p for p in row) for row in f_zero))
-    (e_neg, e_zero, _), (f_neg, f_zero, _) = map(_component_pairs, (E, F))
+    (e_neg, e_zero, _), (f_neg, f_zero, _) = E.pairs, F.pairs
     _check_homogeneous(E.ring, f.f_neg, e_neg, f_neg, "f_neg")
     _check_homogeneous(E.ring, f.f_zero, e_zero, f_zero, "f_zero")
     if not f.is_closed():
@@ -745,7 +743,7 @@ def _hom_blocks(E: Factorization, F: Factorization):
     has the blocks of Hom^eps with l*d added to every degree.
     """
     factors = E.ring._grading_key[0]
-    (e_neg, e_zero, _), (f_neg, f_zero, f_shifted) = map(_component_pairs, (E, F))
+    (e_neg, e_zero, _), (f_neg, f_zero, f_shifted) = E.pairs, F.pairs
     hom0 = ((e_neg, f_neg), (e_zero, f_zero))
     hom1 = ((e_neg, f_zero), (e_zero, f_shifted))
     return tuple([(comp, i, j, _add_pairs(factors, s, t, -1))
@@ -774,49 +772,23 @@ def _hom_basis(ring: RingWithPotential, blocks, n: int):
     return out
 
 
-def _object_terms(X: Factorization):
-    """X's structure maps as term lists (right, left), kept on the object.
-
-    right[comp][j] lists (col, exps, coeff) of row j of the map that
-    multiplies component comp from the right (phi_neg for comp 0, phi0 for
-    comp 1); left[k][i] lists (row, exps, coeff) of column i of phi0
-    (k = 0) or phi_neg (k = 1).
-    """
-    if X._terms is None:
-        right = tuple([[(jj, e, c) for jj, p in enumerate(row)
-                        for e, c in p.terms.items()] for row in M]
-                      for M in (X.phi_neg, X.phi0))
-        left = tuple([[(ii, e, c) for ii, row in enumerate(M)
-                       for e, c in row[i].terms.items()] for i in range(cols)]
-                     for M, cols in ((X.phi0, X.e_neg.rank),
-                                     (X.phi_neg, X.e_zero.rank)))
-        X._terms = right, left
-    return X._terms
-
-
-def _structure_terms(E: Factorization, F: Factorization):
-    """The structure maps as term lists, in the form `_differential_matrix`
-    reads: E's right lists and F's left lists (`_object_terms`)."""
-    return _object_terms(E)[0], _object_terms(F)[1]
-
-
-def _differential_matrix(terms, n, basis_n, basis_np1):
+def _differential_matrix(E, F, n, basis_n, basis_np1):
     """Columns of the strand differential Hom^n(E, F) -> Hom^{n+1}(E, F).
 
     The differential sends g to g . phi^E - (-1)^n phi^F . g.  Right
     multiplication by the E map moves a block to the other component; left
-    multiplication by the F map keeps it.  `terms` is
-    `_structure_terms(E, F)`.  Returns one {row: coeff} dict per element
-    of `basis_n`, rows indexed by `basis_np1`: the transpose of the matrix,
-    which has the same rank.  Coefficients are ints where the structure
-    maps have integral coefficients.
+    multiplication by the F map keeps it (E's `right_terms`, F's
+    `left_terms`, fixed when each was built).  Returns one {row: coeff}
+    dict per element of `basis_n`, rows indexed by `basis_np1`: the
+    transpose of the matrix, which has the same rank.  Coefficients are
+    ints where the structure maps have integral coefficients.
 
     Each term of a column lands on its own row, so entries are stored, not
     summed: right terms switch the component and left terms keep it, within
     each kind the (generator, monomial) pairs are distinct, and a
     `Polynomial` stores no zero coefficient.
     """
-    right, left = terms
+    right, left = E.right_terms, F.left_terms
     index = {key: pos for pos, key in enumerate(basis_np1)}
     sign = 1 if n % 2 else -1
     cols = []
@@ -834,8 +806,7 @@ def _differential_matrix(terms, n, basis_n, basis_np1):
 
 def default_window(E: Factorization, F: Factorization) -> int:
     """Twist-index window: generator-degree spread plus two potential degrees."""
-    degs = [u[1] for X in (E, F) for pairs in _component_pairs(X)[:2]
-            for u in pairs]
+    degs = [u[1] for X in (E, F) for pairs in X.pairs[:2] for u in pairs]
     if not degs:
         return 2
     return (max(degs) - min(degs)) // E.ring._potential_pair[1] + 2
@@ -854,7 +825,7 @@ def _cokernel_support(obj: Factorization):
     variables has a cokernel of positive dimension (a maximal Cohen-Macaulay
     module over R/(w)), so it is not certified.
     """
-    neg, zero, shifted = _component_pairs(obj)
+    neg, zero, shifted = obj.pairs
     if not zero:
         return None, None
     ring = obj.ring
@@ -905,7 +876,7 @@ def strand_cohomology(E: Factorization, F: Factorization,
     raises ValueError.  Computation is exact linear algebra on the finite
     homogeneous components of the morphism complex.  The block degrees of
     Hom^n are computed once per parity (Hom^{n+2}(E, F) = Hom^n(E, F(d))),
-    and the structure maps are read into term lists once per call.  For
+    and the structure maps are read from the objects' term lists.  For
     exterior products of one-variable factors, `kunneth_table` gives the
     certified table from the factors' tables instead; `orbit_hom_check`
     uses this function, windowed, only for its restricted side.
@@ -926,10 +897,9 @@ def strand_cohomology(E: Factorization, F: Factorization,
     n_lo, n_hi = 2 * l_lo, 2 * l_hi + 1
     blocks = _hom_blocks(E, F)
     bases = {n: _hom_basis(E.ring, blocks, n) for n in range(n_lo - 1, n_hi + 2)}
-    terms = _structure_terms(E, F)
     ranks = {}
     for n in range(n_lo - 1, n_hi + 1):
-        D = _differential_matrix(terms, n, bases[n], bases[n + 1])
+        D = _differential_matrix(E, F, n, bases[n], bases[n + 1])
         ranks[n] = linalg.rank(D) if D else 0
     entries = {}
     for n in range(n_lo, n_hi + 1):
@@ -976,8 +946,7 @@ def _factor_tables():
         ring = E.ring
         q, r = divmod(w, ring._potential_pair[1] // ring._grading_key[1][0][1])
         key = (ring._grading_key, ring._potential_pair, r,
-               _component_pairs(E), E.phi0, E.phi_neg,
-               _component_pairs(F), F.phi0, F.phi_neg)
+               E.pairs, E.phi0, E.phi_neg, F.pairs, F.phi0, F.phi_neg)
         if key not in memo:
             twisted = F.twist(r * F.ring.spec.generator_degrees[0]) if r else F
             memo[key] = _factor_table(E, twisted)
@@ -1109,9 +1078,6 @@ class OrbitSpec:
             G.num_generators,
             IntMatrix.from_rows(rows) if rows else IntMatrix.zero(0, G.num_generators))
         self.kernel = self._enumerate_kernel()
-        # restrict_grading's rings by source ring, so the objects of one
-        # battery land in one ring and share its monomial tables
-        self._rings = {}
 
     def _enumerate_kernel(self):
         zero = self.source.group.zero()
@@ -1141,28 +1107,36 @@ def restrict_grading(E: Factorization, psi: OrbitSpec) -> Factorization:
     """Regrade a factorization along psi, revalidating everything.
 
     The potential degree must stay non-torsion and all variables must keep
-    positive degree in the quotient grading.  Objects over equal rings,
-    regraded along one psi, get one regraded ring.
+    positive degree in the quotient grading.  Each call builds its own
+    regraded ring and stores nothing; `orbit_hom_check` regrades a whole
+    battery into one ring.
     """
-    ring = E.ring
-    key = ring.signature(), ring.names
-    ring2 = psi._rings.get(key)
-    if ring2 is None:
-        if psi.source.group.signature() != ring.grading.group.signature():
-            raise ValueError("orbit map defined on a different grading group")
-        marked = psi.apply(ring.grading.marked)
-        if marked.is_torsion():
-            raise ValueError("potential degree becomes torsion in the quotient")
-        pointed = PointedAbelianGroup(psi.quotient, marked)
-        gens = tuple(psi.apply(a) for a in ring.spec.generator_degrees)
-        spec = GradedRingSpec(pointed, gens)  # rejects non-positive degrees
-        ring2 = psi._rings[key] = RingWithPotential(spec, ring.names,
-                                                    ring.potential)
-    return make_factorization(
-        ring2,
-        tuple(psi.apply(u) for u in E.e_neg.twists),
-        tuple(psi.apply(u) for u in E.e_zero.twists),
-        E.phi0, E.phi_neg)
+    return _restrict_all([E], psi)[0]
+
+
+def _restrict_all(objects, psi: OrbitSpec) -> list:
+    """`restrict_grading` of each of `objects` into one regraded ring, whose
+    monomial tables they then share; ValueError when the objects are over
+    different rings."""
+    if not objects:
+        return []
+    ring = objects[0].ring
+    if not all(X.ring.same_ring(ring) for X in objects):
+        raise ValueError("factorizations over different rings")
+    if psi.source.group.signature() != ring.grading.group.signature():
+        raise ValueError("orbit map defined on a different grading group")
+    marked = psi.apply(ring.grading.marked)
+    if marked.is_torsion():
+        raise ValueError("potential degree becomes torsion in the quotient")
+    pointed = PointedAbelianGroup(psi.quotient, marked)
+    gens = tuple(psi.apply(a) for a in ring.spec.generator_degrees)
+    spec = GradedRingSpec(pointed, gens)  # rejects non-positive degrees
+    ring2 = RingWithPotential(spec, ring.names, ring.potential)
+    return [make_factorization(ring2,
+                               tuple(psi.apply(u) for u in X.e_neg.twists),
+                               tuple(psi.apply(u) for u in X.e_zero.twists),
+                               X.phi0, X.phi_neg)
+            for X in objects]
 
 
 def orbit_hom_check(objects, psi: OrbitSpec, window: int) -> list:
@@ -1174,8 +1148,9 @@ def orbit_hom_check(objects, psi: OrbitSpec, window: int) -> list:
     computed by different routes:
 
     * the restricted side by windowed linear algebra (`strand_cohomology`)
-      on the folded `tensor_product`, regraded once per object into one
-      ring, whose monomial tables every pair shares;
+      on the folded `tensor_product`s, all regraded into one ring, whose
+      monomial tables every pair shares (ValueError when the products are
+      over different rings);
     * the orbit-sum side as the sum over g in Gamma of `kunneth_table`.  A
       twist by g twists factor k by coordinate w_k of `g.coordinates` times
       its generator; another lift of g differs by d_i e_i - d_j e_j, which
@@ -1185,8 +1160,8 @@ def orbit_hom_check(objects, psi: OrbitSpec, window: int) -> list:
     Returns {"pair": [i, j], "ok", "mismatches"} for each pair, in
     row-major order, over the strands of the window.
     """
-    restricted = [restrict_grading(functools.reduce(tensor_product, obj), psi)
-                  for obj in objects]
+    restricted = _restrict_all([functools.reduce(tensor_product, obj)
+                                for obj in objects], psi)
     lifts = [g.coordinates for g in psi.kernel]
     if any(len(w) != len(obj) for obj in objects for w in lifts):
         raise ValueError("a lift of g needs one coordinate per factor")

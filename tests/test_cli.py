@@ -11,6 +11,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -328,6 +329,21 @@ def test_search_budget_exceeded_exits_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "search budget exceeded" in captured.err
+
+
+def test_deep_search_refused_before_searching(capsys):
+    # n twos need n / 2 nonpositive parts, one search frame each, so past
+    # twice the recursion limit the lower bound alone proves the search
+    # would overflow; 2 100 twos searched for about 20 s before refusing
+    twos = ",".join(["2"] * (2 * sys.getrecursionlimit() + 100))
+    start = time.perf_counter()
+    assert cli.main(["decompose", twos]) == 2
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("search budget exceeded: ")
+    assert "recursion limit" in captured.err
+    assert elapsed < 5, elapsed
 
 
 def _fresh(*args):

@@ -8,7 +8,7 @@ import pytest
 
 from singlab import abgroup, cli, linalg, mfengine
 from singlab.mfengine import (_differential_matrix, _hom_basis, _hom_blocks,
-                              _matmul_poly, _structure_terms)
+                              _matmul_poly)
 from singlab.mfengine import (Factorization, OrbitSpec, Polynomial,
                               RingWithPotential, cone,
                               default_window, endo_algebra_check,
@@ -266,7 +266,7 @@ def _oracle_support(obj):
     """Cokernel support intervals from the searched powers, in the format of
     `mfengine._cokernel_support`, or None when a search fails."""
     ring = obj.ring
-    neg, zero, shifted = mfengine._component_pairs(obj)
+    neg, zero, shifted = obj.pairs
     out = []
     for matrix, src, tgt in ((obj.phi0, neg, zero), (obj.phi_neg, zero, shifted)):
         powers = _annihilator_powers(ring, matrix, src, tgt)
@@ -358,13 +358,14 @@ def test_endo_algebra_check_builds_objects_once(monkeypatch):
 
 
 def test_orbit_check_regrades_each_object_once(monkeypatch):
-    regraded = _counting(monkeypatch, "restrict_grading")
+    regraded = _counting(monkeypatch, "_restrict_all")
     built = _counting(monkeypatch, "standard_objects")
     factor_tables = _counting(monkeypatch, "_factor_table")
     rep = cli.orbit_report(WeightSequence([3, 3]), 1)
-    # the 4 objects E_i (x) E_j of x^3 + y^3, each regraded once, from one
-    # list of standard objects per variable
-    assert len(regraded) == 4
+    # the 4 objects E_i (x) E_j of x^3 + y^3, each regraded once, all in
+    # one call and so into one ring, from one list of standard objects per
+    # variable
+    assert [len(objects) for objects, _ in regraded] == [4]
     assert len(built) == 2
     # one table per (E factor, F factor, lift mod 3): the factors of x^3 and
     # y^3 are equal up to the variable's name, so 2 x 2 factor pairs and the
@@ -458,6 +459,30 @@ def test_hom_basis_matches_group_element_listing():
                     assert _hom_basis(ring, blocks, n) == want, (E, F, n)
 
 
+def test_monomial_table_matches_brute_force():
+    # the last exponent is solved, not searched; a plain enumeration of all
+    # exponent tuples up to a degree, on seeded gradings with and without
+    # torsion and one to three variables, must give the same tables in the
+    # same (lexicographic) order
+    rng = random.Random(5)
+    top = 9
+    for _ in range(40):
+        factors = rng.choice(((), (2,), (3,), (2, 2), (2, 4), (3, 6)))
+        gens = tuple((tuple(rng.randrange(t) for t in factors), rng.randint(1, 4))
+                     for _ in range(rng.randint(1, 3)))
+        want = {}
+        for e in itertools.product(*(range(top // deg + 1) for _, deg in gens)):
+            res = tuple(sum(k * r[i] for k, (r, _) in zip(e, gens)) % t
+                        for i, t in enumerate(factors))
+            deg = sum(k * a for k, (_, a) in zip(e, gens))
+            want.setdefault((res, deg), []).append(e)
+        for degree in range(-2, top + 1):
+            for residues in itertools.product(*map(range, factors)):
+                got = mfengine._monomial_table((factors, gens), residues, degree)
+                assert got == tuple(want.get((residues, degree), ())), \
+                    (factors, gens, residues, degree)
+
+
 def test_monomial_tables_shared_between_equal_rings(monkeypatch):
     # one orbit battery regrades every object into one ring, so each
     # (residues, degree) table of the restricted side is enumerated once;
@@ -475,22 +500,21 @@ def test_monomial_tables_shared_between_equal_rings(monkeypatch):
     restricted = [args for args in enumerated if len(args[0][1]) == 2]
     assert restricted and len(set(restricted)) == len(restricted)
 
+    # restrict_grading stores nothing: not on psi, and each call builds its
+    # own ring, equal to the other's
     rx, ry = one_variable_ring(3, "x"), one_variable_ring(3, "y")
     T = tensor_product(standard_objects(rx)[0], standard_objects(ry)[1])
     A = T.ring.grading
     psi = OrbitSpec(A, [A.group.element([1, -1])])
+
+    def state():
+        # the objects and their contents, so a memo filled in place shows
+        return {name: (value, repr(value)) for name, value in vars(psi).items()}
+
+    before = state()
     R1, R2 = restrict_grading(T, psi), restrict_grading(T.twist(A.marked), psi)
-    assert R1.ring is R2.ring
-    other = restrict_grading(T, OrbitSpec(A, [A.group.element([1, -1])]))
-    assert other.ring is not R1.ring and other.ring.same_ring(R1.ring)
-    a, b = R1.ring.spec.generator_degrees
-    targets = {i * a + j * b for i in range(5) for j in range(5)}
-    enumerated.clear()
-    for R in (R1, R2, other):
-        for t in targets:
-            assert R.ring.monomials_of(t) == other.ring.monomials_of(t)
-    # once per target in each of the two rings
-    assert len(enumerated) == 2 * len(targets)
+    assert state() == before
+    assert R1.ring.same_ring(R2.ring)
 
 
 def test_k_object_exceptional_all_twists():
@@ -645,9 +669,9 @@ def test_restriction_commutes_with_twist():
 
 
 def test_kept_object_data_matches_fresh_objects():
-    # T's degree pairs, term lists and cokernel supports are filled before
-    # anything is derived from it; each derived object must still carry its
-    # own, equal to those of the same object built fresh
+    # T's degree pairs and term lists are fixed when it is built; each
+    # object derived from it must carry its own, equal to those of the same
+    # object built fresh, and leave T's alone
     rx, ry = one_variable_ring(3, "x"), one_variable_ring(3, "y")
     T = tensor_product(standard_objects(rx)[0], standard_objects(ry)[0])
     ring = T.ring
@@ -655,7 +679,7 @@ def test_kept_object_data_matches_fresh_objects():
     g = ring.spec.generator_degrees[0]
     d = ring.spec.potential_degree
     psi = OrbitSpec(A, [A.group.element([1, -1])])
-    pairs, terms = mfengine._component_pairs(T), mfengine._object_terms(T)
+    pairs, terms = T.pairs, (T.right_terms, T.left_terms)
     table = strand_cohomology(T, T, window=2)
     quotient = RingWithPotential(
         GradedRingSpec(abgroup.PointedAbelianGroup(psi.quotient, psi.apply(A.marked)),
@@ -678,18 +702,19 @@ def test_kept_object_data_matches_fresh_objects():
     ]
     for derived, partner, fresh in cases:
         assert derived == fresh
-        assert mfengine._component_pairs(derived) == mfengine._component_pairs(fresh)
-        assert mfengine._object_terms(derived) == mfengine._object_terms(fresh)
+        assert derived.pairs == fresh.pairs
+        assert (derived.right_terms, derived.left_terms) == (fresh.right_terms,
+                                                             fresh.left_terms)
         for X, Y in ((derived, partner), (partner, derived), (derived, derived)):
             Xf = fresh if X is derived else X
             Yf = fresh if Y is derived else Y
             assert (strand_cohomology(X, Y, window=2)
                     == strand_cohomology(Xf, Yf, window=2)), (X, Y)
         assert default_window(derived, partner) == default_window(fresh, partner)
-    assert mfengine._component_pairs(T) == pairs
-    assert mfengine._object_terms(T) == terms
+    assert T.pairs == pairs
+    assert (T.right_terms, T.left_terms) == terms
     assert strand_cohomology(T, T, window=2) == table
-    assert mfengine._component_pairs(cases[0][0]) != pairs
+    assert cases[0][0].pairs != pairs
 
 
 def test_orbit_spec_rejects_infinite_kernel():
@@ -708,6 +733,15 @@ def test_orbit_hom_check_trivial_gamma():
     reps = orbit_hom_check([(E1,), (E2,)], psi, window=2)
     assert psi.order() == 1
     assert all(rep["ok"] for rep in reps)
+
+
+def test_orbit_hom_check_refuses_mixed_rings():
+    # the restricted side regrades every product into one ring, so products
+    # over different rings are refused, not regraded into the first's ring
+    E3, E4 = standard_objects(ring3())[0], standard_objects(one_variable_ring(4))[0]
+    psi = OrbitSpec(ring3().grading, [])
+    with pytest.raises(ValueError, match="different rings"):
+        orbit_hom_check([(E3,), (E4,)], psi, window=1)
 
 
 def test_negative_window_is_refused():
@@ -939,9 +973,9 @@ def test_differential_matrix_matches_polynomial_oracle():
     rng = random.Random(7)
     fractional = 0
     for E, F in _oracle_pairs():
-        blocks, terms = _hom_blocks(E, F), _structure_terms(E, F)
+        blocks = _hom_blocks(E, F)
         bases = {n: _hom_basis(E.ring, blocks, n) for n in range(-3, 5)}
-        cols = {n: _differential_matrix(terms, n, bases[n], bases[n + 1])
+        cols = {n: _differential_matrix(E, F, n, bases[n], bases[n + 1])
                 for n in range(-3, 4)}
         D = {n: _dense(cols[n], len(bases[n + 1])) for n in cols}
         for n in range(-3, 3):
@@ -960,7 +994,7 @@ def test_differential_matrix_matches_polynomial_oracle():
     assert fractional
     # a target basis missing an image is refused, not silently truncated
     with pytest.raises(AssertionError, match="left the graded window"):
-        _differential_matrix(terms, 2, bases[2], bases[3][1:])
+        _differential_matrix(E, F, 2, bases[2], bases[3][1:])
 
 
 def test_invariant_checks_survive_optimize_flag(run_optimized):
