@@ -6,11 +6,11 @@ pair of maps
     E_{-1} --phi_0--> E_0 --phi_{-1}--> E_{-1}(d)
 
 whose composites both equal w times the identity.  Everything is tracked by
-generator degrees: a free module stores one grading-group element per
-generator, and an entry of a map from generator j (degree u_j) to generator
-i (degree v_i) must be homogeneous of degree u_j - v_i.  Twisting by a group
-element a shifts every generator degree down by a and leaves matrices
-untouched.
+generator degrees: a factorization keeps a tuple of grading-group elements
+per free module, one per generator, and an entry of a map from generator j
+(degree u_j) to generator i (degree v_i) must be homogeneous of degree
+u_j - v_i.  Twisting by a group element a shifts every generator degree down
+by a and leaves matrices untouched.
 
 The morphism complex between two factorizations is 2-periodic up to a twist
 by d; its cohomology ("strand cohomology") is computed strand by strand by
@@ -25,7 +25,12 @@ tag; for exterior products of one-variable factorizations the certified
 table follows from the factors' tables by the Künneth formula
 (`kunneth_table`), with no linear algebra on the product.
 
-Group elements are the API: module twists, gradings and reports.  Inside,
+Rings and factorizations are plain values: each fixes an identity key when
+it is built, a ring its grading and potential (not its variable names), a
+factorization its ring, generator degree pairs and structure maps, and
+equality and hashing come from that key.
+
+Group elements are the API: generator twists, gradings and reports.  Inside,
 a degree is the pair (torsion residues, integer degree), which determines
 the element because the grading has free rank one; validation, hom bases,
 windows and cokernel supports all compare and add such pairs.  Polynomials
@@ -49,7 +54,6 @@ from .weightcalc import GradedRingSpec, WeightSequence, thom_sebastiani
 __all__ = [
     "Polynomial",
     "RingWithPotential",
-    "GradedFreeModule",
     "Factorization",
     "FactorizationMap",
     "StrandCohomology",
@@ -249,6 +253,8 @@ class RingWithPotential:
     Wraps a GradedRingSpec (grading group pointed at the potential degree,
     one degree per variable) together with variable names and the potential
     itself, which must be nonzero and homogeneous of the marked degree.
+    Two rings are equal when grading and potential agree, whatever the
+    variables are called.
     """
 
     def __init__(self, spec: GradedRingSpec, names, potential: Polynomial):
@@ -271,10 +277,17 @@ class RingWithPotential:
         for exps in potential.terms:
             if _monomial_pair(self._grading_key, exps) != self._potential_pair:
                 raise ValueError("potential is not homogeneous of the marked degree")
-        self._signature = (
+        self._key = (
             self.grading.group.signature(), self.grading.marked.canonical,
             tuple(a.canonical for a in spec.generator_degrees),
             tuple(sorted(potential.terms.items())))
+        self._hash = hash(self._key)
+
+    def __eq__(self, other):
+        return isinstance(other, RingWithPotential) and self._key == other._key
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def grading(self) -> PointedAbelianGroup:
@@ -287,14 +300,6 @@ class RingWithPotential:
         """All exponent tuples of the given multidegree (finite: positive grading)."""
         return self._tables[_degree_pair(self.spec, target)]
 
-    def signature(self):
-        """The ring's identity, fixed when the ring is built, since
-        `strand_cohomology` compares the rings of every pair it is given."""
-        return self._signature
-
-    def same_ring(self, other: "RingWithPotential") -> bool:
-        return self.signature() == other.signature()
-
     def report(self):
         return {
             "grading": self.grading.report(),
@@ -304,23 +309,6 @@ class RingWithPotential:
             "potential": self.potential.render(self.names),
             "potential_degree": list(self.spec.potential_degree.coordinates),
         }
-
-
-@dataclass(frozen=True)
-class GradedFreeModule:
-    """A free module recorded by the degrees of its generators."""
-
-    twists: tuple  # GroupElement per generator
-
-    @property
-    def rank(self) -> int:
-        return len(self.twists)
-
-    def twist(self, a: GroupElement) -> "GradedFreeModule":
-        return GradedFreeModule(tuple(u - a for u in self.twists))
-
-    def concat(self, other: "GradedFreeModule") -> "GradedFreeModule":
-        return GradedFreeModule(self.twists + other.twists)
 
 
 def _zero_matrix(rows, cols, nvars):
@@ -366,29 +354,34 @@ class Factorization:
     """A validated graded factorization of the ring's potential."""
 
     # Every slot is set when the object is built and never reassigned;
-    # twists and shifts build new objects.  `pairs` holds the degree pairs
-    # of the generators of E_{-1}, E_0 and E_{-1}(d).  `right_terms[comp][j]`
+    # twists and shifts build new objects.  `twists_neg` and `twists_zero`
+    # are the generator degrees (group elements) of E_{-1} and E_0, and
+    # `pairs` their degree pairs and those of E_{-1}(d).  Equality and
+    # hashing read `_key`, (ring, pairs, phi0, phi_neg).  `right_terms[comp][j]`
     # lists (col, exps, coeff) of row j of the map that multiplies
     # component comp from the right (phi_neg for comp 0, phi0 for comp 1);
     # `left_terms[k][i]` lists (row, exps, coeff) of column i of phi0
     # (k = 0) or phi_neg (k = 1).  Cokernel supports need no slot: over one
     # variable det phi = c x^e kills coker phi by the adjugate, and e is
     # read off the degree pairs.
-    __slots__ = ("ring", "e_neg", "e_zero", "phi0", "phi_neg",
-                 "pairs", "right_terms", "left_terms")
+    __slots__ = ("ring", "twists_neg", "twists_zero", "phi0", "phi_neg",
+                 "pairs", "right_terms", "left_terms", "_key", "_hash")
 
-    def __init__(self, ring, e_neg, e_zero, phi0, phi_neg, _validated=False):
+    def __init__(self, ring, twists_neg, twists_zero, phi0, phi_neg,
+                 _validated=False):
         self.ring = ring
-        self.e_neg = e_neg
-        self.e_zero = e_zero
+        self.twists_neg = twists_neg
+        self.twists_zero = twists_zero
         self.phi0 = phi0
         self.phi_neg = phi_neg
-        neg, zero = (tuple(_degree_pair(ring.spec, u) for u in M.twists)
-                     for M in (e_neg, e_zero))
+        neg, zero = (tuple(_degree_pair(ring.spec, u) for u in twists)
+                     for twists in (twists_neg, twists_zero))
         factors, d = ring._grading_key[0], ring._potential_pair
         self.pairs = neg, zero, tuple(_add_pairs(factors, u, d, -1) for u in neg)
         if not _validated:
             _validate_factorization(self)
+        self._key = (ring, self.pairs, phi0, phi_neg)
+        self._hash = hash(self._key)
         # the term lists index by the shapes, so only after validation
         self.right_terms = tuple([[(jj, e, c) for jj, p in enumerate(row)
                                    for e, c in p.terms.items()] for row in M]
@@ -396,15 +389,16 @@ class Factorization:
         self.left_terms = tuple([[(ii, e, c) for ii, row in enumerate(M)
                                   for e, c in row[i].terms.items()]
                                  for i in range(cols)]
-                                for M, cols in ((phi0, e_neg.rank),
-                                                (phi_neg, e_zero.rank)))
+                                for M, cols in ((phi0, len(neg)),
+                                                (phi_neg, len(zero))))
 
     @property
     def rank_pair(self):
-        return (self.e_neg.rank, self.e_zero.rank)
+        return (len(self.twists_neg), len(self.twists_zero))
 
     def twist(self, a: GroupElement) -> "Factorization":
-        return Factorization(self.ring, self.e_neg.twist(a), self.e_zero.twist(a),
+        return Factorization(self.ring, tuple(u - a for u in self.twists_neg),
+                             tuple(u - a for u in self.twists_zero),
                              self.phi0, self.phi_neg, _validated=True)
 
     def shift_once(self) -> "Factorization":
@@ -415,26 +409,26 @@ class Factorization:
         a factorization of -w instead of w.
         """
         d = self.ring.spec.potential_degree
-        neg = self.e_zero
-        zero = self.e_neg.twist(d)
-        return Factorization(self.ring, neg, zero, _neg_matrix(self.phi_neg),
+        zero = tuple(u - d for u in self.twists_neg)
+        return Factorization(self.ring, self.twists_zero, zero,
+                             _neg_matrix(self.phi_neg),
                              _neg_matrix(self.phi0), _validated=True)
 
     def report(self):
         names = self.ring.names
         return {
             "ring": self.ring.report(),
-            "twists_neg": [list(u.coordinates) for u in self.e_neg.twists],
-            "twists_zero": [list(v.coordinates) for v in self.e_zero.twists],
+            "twists_neg": [list(u.coordinates) for u in self.twists_neg],
+            "twists_zero": [list(v.coordinates) for v in self.twists_zero],
             "phi0": [[p.render(names) for p in row] for row in self.phi0],
             "phi_neg": [[p.render(names) for p in row] for row in self.phi_neg],
         }
 
     def __eq__(self, other):
-        return (isinstance(other, Factorization)
-                and self.ring.signature() == other.ring.signature()
-                and self.pairs == other.pairs
-                and self.phi0 == other.phi0 and self.phi_neg == other.phi_neg)
+        return isinstance(other, Factorization) and self._key == other._key
+
+    def __hash__(self):
+        return self._hash
 
     def __repr__(self):
         return f"Factorization(ranks={self.rank_pair})"
@@ -443,7 +437,7 @@ class Factorization:
 def _validate_factorization(E: Factorization):
     ring = E.ring
     nv = ring.nvars()
-    r_neg, r_zero = E.e_neg.rank, E.e_zero.rank
+    r_neg, r_zero = len(E.twists_neg), len(E.twists_zero)
     if len(E.phi0) != r_zero or any(len(row) != r_neg for row in E.phi0):
         raise ValueError("phi0 has the wrong shape")
     if len(E.phi_neg) != r_neg or any(len(row) != r_zero for row in E.phi_neg):
@@ -471,11 +465,9 @@ def make_factorization(ring: RingWithPotential, twists_neg, twists_zero,
     maps E_0 to E_{-1}(d).  Rejects inhomogeneous entries and composites
     different from w times the identity.
     """
-    e_neg = GradedFreeModule(tuple(twists_neg))
-    e_zero = GradedFreeModule(tuple(twists_zero))
     phi0 = tuple(tuple(p for p in row) for row in phi0)
     phi_neg = tuple(tuple(p for p in row) for row in phi_neg)
-    return Factorization(ring, e_neg, e_zero, phi0, phi_neg)
+    return Factorization(ring, tuple(twists_neg), tuple(twists_zero), phi0, phi_neg)
 
 
 def zero_factorization(ring: RingWithPotential) -> Factorization:
@@ -522,7 +514,7 @@ class FactorizationMap:
 
 def factorization_map(E: Factorization, F: Factorization,
                       f_neg, f_zero) -> FactorizationMap:
-    if not E.ring.same_ring(F.ring):
+    if E.ring != F.ring:
         raise ValueError("factorizations over different rings")
     f = FactorizationMap(E, F,
                          tuple(tuple(p for p in row) for row in f_neg),
@@ -549,10 +541,10 @@ def cone(f: FactorizationMap) -> Factorization:
     ring = E.ring
     nv = ring.nvars()
     d = ring.spec.potential_degree
-    t_neg = F.e_neg.concat(E.e_zero)
-    t_zero = F.e_zero.concat(E.e_neg.twist(d))
-    zero_block_1 = _zero_matrix(E.e_neg.rank, F.e_neg.rank, nv)
-    zero_block_2 = _zero_matrix(E.e_zero.rank, F.e_zero.rank, nv)
+    t_neg = F.twists_neg + E.twists_zero
+    t_zero = F.twists_zero + tuple(u - d for u in E.twists_neg)
+    zero_block_1 = _zero_matrix(len(E.twists_neg), len(F.twists_neg), nv)
+    zero_block_2 = _zero_matrix(len(E.twists_zero), len(F.twists_zero), nv)
     phi0 = _block_matrix([[F.phi0, f.f_zero],
                           [zero_block_1, _neg_matrix(E.phi_neg)]])
     phi_neg = _block_matrix([[F.phi_neg, f.f_neg],
@@ -647,10 +639,10 @@ def tensor_product(E: Factorization, F: Factorization) -> Factorization:
     nv = ring.nvars()
     pair = functools.partial(boxminus_pair, ring.grading.group)
     d = ring.spec.potential_degree
-    x_neg = tuple(pair(u, v) for u in E.e_neg.twists for v in F.e_zero.twists) + \
-        tuple(pair(u, v) for u in E.e_zero.twists for v in F.e_neg.twists)
-    x_zero = tuple(pair(u, v) for u in E.e_zero.twists for v in F.e_zero.twists) + \
-        tuple(pair(u, v) - d for u in E.e_neg.twists for v in F.e_neg.twists)
+    x_neg = tuple(pair(u, v) for u in E.twists_neg for v in F.twists_zero) + \
+        tuple(pair(u, v) for u in E.twists_zero for v in F.twists_neg)
+    x_zero = tuple(pair(u, v) for u in E.twists_zero for v in F.twists_zero) + \
+        tuple(pair(u, v) - d for u in E.twists_neg for v in F.twists_neg)
 
     def kron(Amat, Bmat, sign=1):
         """Amat (x) Bmat for term-dict matrices over E's and F's variables,
@@ -660,15 +652,15 @@ def tensor_product(E: Factorization, F: Factorization) -> Factorization:
                       for a in rowA for b in rowB)
                 for rowA in Amat for rowB in Bmat]
 
-    def one(M: GradedFreeModule, nvars: int):
-        return [[{(0,) * nvars: 1} if i == j else {} for j in range(M.rank)]
-                for i in range(M.rank)]
+    def one(twists, nvars: int):
+        return [[{(0,) * nvars: 1} if i == j else {} for j in range(len(twists))]
+                for i in range(len(twists))]
 
     a, a_neg, b, b_neg = ([[p.terms for p in row] for row in M]
                           for M in (E.phi0, E.phi_neg, F.phi0, F.phi_neg))
     nE, nF = E.ring.nvars(), F.ring.nvars()
-    oneE_neg, oneE_zero = one(E.e_neg, nE), one(E.e_zero, nE)
-    oneF_neg, oneF_zero = one(F.e_neg, nF), one(F.e_zero, nF)
+    oneE_neg, oneE_zero = one(E.twists_neg, nE), one(E.twists_zero, nE)
+    oneF_neg, oneF_zero = one(F.twists_neg, nF), one(F.twists_zero, nF)
     # phi0: X_{-1} -> X_0, blocks [[a x 1, 1 x b], [-1 x b', a' x 1]]
     phi0 = _block_matrix([
         [kron(a, oneF_zero), kron(oneE_zero, b)],
@@ -881,7 +873,7 @@ def strand_cohomology(E: Factorization, F: Factorization,
     certified table from the factors' tables instead; `orbit_hom_check`
     uses this function, windowed, only for its restricted side.
     """
-    if not E.ring.same_ring(F.ring):
+    if E.ring != F.ring:
         raise ValueError("factorizations over different rings")
     if window is not None and window < 0:
         raise ValueError(f"window must be >= 0, got {window}")
@@ -931,22 +923,20 @@ def _factor_tables():
     """A memo for one battery: table(E, F, w) is `_factor_table` of
     (E, F twisted by w times the degree a of the variable).
 
-    The memo is keyed by value, not by object: by the ring's grading and
-    potential degree pairs, the degree pairs and structure maps of E and of
-    F, and w mod m for the potential x^m, since the table depends on nothing
-    else.  So factors of x^m and y^m, which differ only in the name of the
-    variable, share their tables.  For w = q m + r, F(w a) is F(r a) twisted
-    by q deg(x^m), and H^{n-2q}(Hom(E, F(w a))) = H^n(Hom(E, F(r a))), so the
-    table of r is read with every strand index l (and the certified range)
-    moved down by q.
+    The memo is keyed by (E, F, w mod m) for the potential x^m: objects
+    are values, equal when ring, degree pairs and structure maps agree, and
+    the table depends on nothing else.  A ring's value leaves out variable
+    names, so factors of x^m and y^m share their tables.  For w = q m + r,
+    F(w a) is F(r a) twisted by q deg(x^m), and
+    H^{n-2q}(Hom(E, F(w a))) = H^n(Hom(E, F(r a))), so the table of r is read
+    with every strand index l (and the certified range) moved down by q.
     """
     memo: dict = {}
 
     def table(E, F, w):
         ring = E.ring
         q, r = divmod(w, ring._potential_pair[1] // ring._grading_key[1][0][1])
-        key = (ring._grading_key, ring._potential_pair, r,
-               E.pairs, E.phi0, E.phi_neg, F.pairs, F.phi0, F.phi_neg)
+        key = (E, F, r)
         if key not in memo:
             twisted = F.twist(r * F.ring.spec.generator_degrees[0]) if r else F
             memo[key] = _factor_table(E, twisted)
@@ -1121,7 +1111,7 @@ def _restrict_all(objects, psi: OrbitSpec) -> list:
     if not objects:
         return []
     ring = objects[0].ring
-    if not all(X.ring.same_ring(ring) for X in objects):
+    if any(X.ring != ring for X in objects):
         raise ValueError("factorizations over different rings")
     if psi.source.group.signature() != ring.grading.group.signature():
         raise ValueError("orbit map defined on a different grading group")
@@ -1133,8 +1123,8 @@ def _restrict_all(objects, psi: OrbitSpec) -> list:
     spec = GradedRingSpec(pointed, gens)  # rejects non-positive degrees
     ring2 = RingWithPotential(spec, ring.names, ring.potential)
     return [make_factorization(ring2,
-                               tuple(psi.apply(u) for u in X.e_neg.twists),
-                               tuple(psi.apply(u) for u in X.e_zero.twists),
+                               tuple(psi.apply(u) for u in X.twists_neg),
+                               tuple(psi.apply(u) for u in X.twists_zero),
                                X.phi0, X.phi_neg)
             for X in objects]
 

@@ -4,6 +4,7 @@ import random
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from singlab.decompose import (ADEType, SearchBudgetExceeded,
                                brute_force_min_parts, classify_ade,
@@ -117,6 +118,17 @@ def test_optimality_against_bruteforce_random():
             size, parts = brute_force_min_parts(d, pred)
             assert cert.size == size
             assert tuple(p.entries for p in cert.parts) == parts
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(1, 9), min_size=1, max_size=8))
+def test_optimality_against_bruteforce_property(entries):
+    d = W(entries)
+    for pred in ("ADE", "nonpositive"):
+        cert = min_partition(d, pred)
+        size, parts = brute_force_min_parts(d, pred)
+        assert cert.size == size, (entries, pred)
+        assert tuple(p.entries for p in cert.parts) == parts, (entries, pred)
 
 
 def test_rouquier_verdict_k3():

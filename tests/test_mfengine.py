@@ -27,15 +27,19 @@ def ring3():
 
 
 def _hom_components(E, F, n):
-    """Oracle: source/target graded modules of the two blocks of Hom^n(E, F),
-    with F twisted as group elements."""
+    """Oracle: source/target generator twists of the two blocks of
+    Hom^n(E, F), with F twisted as group elements."""
     d = E.ring.spec.potential_degree
+
+    def twisted(twists, k):
+        return tuple(u - k * d for u in twists)
+
     l, eps = divmod(n, 2)
     if eps == 0:
-        return ((E.e_neg, F.e_neg.twist(l * d)),
-                (E.e_zero, F.e_zero.twist(l * d)))
-    return ((E.e_neg, F.e_zero.twist(l * d)),
-            (E.e_zero, F.e_neg.twist((l + 1) * d)))
+        return ((E.twists_neg, twisted(F.twists_neg, l)),
+                (E.twists_zero, twisted(F.twists_zero, l)))
+    return ((E.twists_neg, twisted(F.twists_zero, l)),
+            (E.twists_zero, twisted(F.twists_neg, l + 1)))
 
 
 def test_make_factorization_accepts_valid():
@@ -396,6 +400,57 @@ def test_factor_tables_by_value_match_unmemoized():
                         (a, b, w)
 
 
+def test_factors_of_x_and_y_are_one_value(monkeypatch):
+    # E_i over x^m and over y^m differ only in the variable's name: they are
+    # equal, hash equal, and one battery enumerates their table once
+    tables = _counting(monkeypatch, "_factor_table")
+    for m in (2, 4):
+        xs = standard_objects(one_variable_ring(m, "x"))
+        ys = standard_objects(one_variable_ring(m, "y"))
+        for i, (Ex, Ey) in enumerate(zip(xs, ys)):
+            assert Ex == Ey and hash(Ex) == hash(Ey)
+            assert all(Ex != other for other in ys[:i] + ys[i + 1:])
+        table = mfengine._factor_tables()
+        del tables[:]
+        # w and w + m read the same table of residue w mod m
+        for w in (1, 1 + m, 1 - m):
+            assert table(xs[0], xs[-1], w) == table(ys[0], ys[-1], w)
+        assert len(tables) == 1
+
+
+def test_rings_are_equal_exactly_when_grading_and_potential_agree():
+    R = fermat_ring([3, 3], names=("x", "y"))
+    spec, w = R.spec, R.potential
+    renamed = RingWithPotential(spec, ("u", "v"), w)
+    assert R == renamed and hash(R) == hash(renamed)
+    assert R != "not a ring"
+    # same grading, another potential
+    other_w = w + Polynomial.monomial(2, (3, 0), 1)
+    assert RingWithPotential(spec, ("x", "y"), other_w) != R
+    # same potential, another grading: the quotient by Gamma = <(1, -1)>
+    A = R.grading
+    psi = OrbitSpec(A, [A.group.element([1, -1])])
+    quotient = GradedRingSpec(abgroup.PointedAbelianGroup(psi.quotient, psi.apply(A.marked)),
+                              tuple(psi.apply(a) for a in spec.generator_degrees))
+    assert RingWithPotential(quotient, ("x", "y"), w) != R
+    # and the same again when built from the weights a second time
+    assert fermat_ring([3, 3]) == R
+    assert fermat_ring([3, 4]) != R
+
+
+def test_factorizations_are_hashable_values():
+    ring = one_variable_ring(4)
+    objs = standard_objects(ring)
+    zero = ring.grading.group.zero()
+    g = ring.spec.generator_degrees[0]
+    for E in objs:
+        assert E.twist(zero) == E and hash(E.twist(zero)) == hash(E)
+        assert E.twist(g) != E
+    rebuilt = standard_objects(one_variable_ring(4, "t"))
+    assert len(set(objs) | set(rebuilt) | {E.twist(zero) for E in objs}) == len(objs)
+    assert {E: i for i, E in enumerate(objs)}[rebuilt[1]] == 1
+
+
 def test_strand_cohomology_needs_no_reduce_element(monkeypatch):
     ring = one_variable_ring(5)
     objs = standard_objects(ring)
@@ -454,8 +509,8 @@ def test_hom_basis_matches_group_element_listing():
                     # the blocks of Hom^n(E, F) with F twisted by l*d
                     want = [(comp, i, j, exps)
                             for comp, (src, tgt) in enumerate(_hom_components(E, F, n))
-                            for i in range(tgt.rank) for j in range(src.rank)
-                            for exps in ring.monomials_of(src.twists[j] - tgt.twists[i])]
+                            for i in range(len(tgt)) for j in range(len(src))
+                            for exps in ring.monomials_of(src[j] - tgt[i])]
                     assert _hom_basis(ring, blocks, n) == want, (E, F, n)
 
 
@@ -514,7 +569,7 @@ def test_monomial_tables_shared_between_equal_rings(monkeypatch):
     before = state()
     R1, R2 = restrict_grading(T, psi), restrict_grading(T.twist(A.marked), psi)
     assert state() == before
-    assert R1.ring.same_ring(R2.ring)
+    assert R1.ring == R2.ring
 
 
 def test_k_object_exceptional_all_twists():
@@ -651,9 +706,9 @@ def test_restrict_grading_diagonal():
     trivial = OrbitSpec(A, [])
     assert trivial.order() == 1
     R0 = restrict_grading(T, trivial)
-    assert [u.canonical for u in R0.e_neg.twists] == \
+    assert [u.canonical for u in R0.twists_neg] == \
         [psi_e.canonical for psi_e in
-         [trivial.apply(u) for u in T.e_neg.twists]]
+         [trivial.apply(u) for u in T.twists_neg]]
 
 
 def test_restriction_commutes_with_twist():
@@ -691,14 +746,14 @@ def test_kept_object_data_matches_fresh_objects():
 
     cases = [
         (T.twist(g), T,
-         make_factorization(ring, [u - g for u in T.e_neg.twists],
-                            [u - g for u in T.e_zero.twists], T.phi0, T.phi_neg)),
+         make_factorization(ring, [u - g for u in T.twists_neg],
+                            [u - g for u in T.twists_zero], T.phi0, T.phi_neg)),
         (T.shift_once(), T,
-         make_factorization(ring, T.e_zero.twists, [u - d for u in T.e_neg.twists],
+         make_factorization(ring, T.twists_zero, [u - d for u in T.twists_neg],
                             neg(T.phi_neg), neg(T.phi0))),
         (restrict_grading(T, psi), restrict_grading(T.twist(g), psi),
-         make_factorization(quotient, [psi.apply(u) for u in T.e_neg.twists],
-                            [psi.apply(u) for u in T.e_zero.twists], T.phi0, T.phi_neg)),
+         make_factorization(quotient, [psi.apply(u) for u in T.twists_neg],
+                            [psi.apply(u) for u in T.twists_zero], T.phi0, T.phi_neg)),
     ]
     for derived, partner, fresh in cases:
         assert derived == fresh
@@ -907,8 +962,8 @@ def test_default_window_positive():
 def _coords_to_matrices(E, F, n, basis, coords):
     """Oracle: the pair (g_neg, g_zero) of polynomial matrices of a vector."""
     nv = E.ring.nvars()
-    mats = [[[Polynomial.zero(nv) for _ in range(src.rank)]
-             for _ in range(tgt.rank)] for src, tgt in _hom_components(E, F, n)]
+    mats = [[[Polynomial.zero(nv) for _ in src] for _ in tgt]
+            for src, tgt in _hom_components(E, F, n)]
     for (comp, i, j, exps), c in zip(basis, coords):
         mats[comp][i][j] = mats[comp][i][j] + Polynomial.monomial(nv, exps, c)
     return mats
