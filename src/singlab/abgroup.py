@@ -17,6 +17,8 @@ Conventions fixed here, used by every consumer:
   coordinates left as unreduced integers.
 * The degree map of a rank-one pointed group is the quotient by the torsion
   subgroup, normalized so the marked element has positive degree.
+* A group is a value identified by its presentation: groups built from the
+  same generator count and relation rows are equal, and their elements mix.
 """
 
 from __future__ import annotations
@@ -86,10 +88,6 @@ class IntMatrix:
     def to_rows(self):
         return [list(self.row(i)) for i in range(self.rows)]
 
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.cols, self.rows,
-                         [self[i, j] for j in range(self.cols) for i in range(self.rows)])
-
     def mul(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
@@ -123,8 +121,6 @@ class IntMatrix:
                 M[k], M[swap], sign = M[swap], M[k], -sign
             pivot = M[k][k]
             for i in range(k + 1, n):
-                if not M[i][k] and pivot == prev:
-                    continue  # the update would be the identity on this row
                 for j in range(k + 1, n):
                     M[i][j] = (M[i][j] * pivot - M[i][k] * M[k][j]) // prev
             prev = pivot
@@ -262,17 +258,14 @@ def smith_normal_form(M: IntMatrix) -> SmithForm:
 
 @dataclass(frozen=True)
 class FGAbelianGroup:
-    """Z^n modulo the row space of an integer relation matrix."""
+    """Z^n modulo the row space of an integer relation matrix, a value whose
+    identity (equality, hash) is its presentation: n and the relation rows."""
 
     num_generators: int
     relations: IntMatrix
-    normal_form: SmithForm
-    free_rank: int
-    invariant_factors: tuple
-
-    def signature(self):
-        """Presentation identity used for element compatibility checks."""
-        return (self.num_generators, self.relations.rows, self.relations.entries)
+    normal_form: SmithForm = field(compare=False)
+    free_rank: int = field(compare=False)
+    invariant_factors: tuple = field(compare=False)
 
     def torsion_order(self) -> int:
         return math.prod(self.invariant_factors) if self.invariant_factors else 1
@@ -298,17 +291,14 @@ class FGAbelianGroup:
         return V_inv
 
     def from_canonical(self, residues, free) -> "GroupElement":
-        """Rebuild an element from canonical (torsion residues, free) data."""
-        snf = self.normal_form
+        """Rebuild an element from canonical (torsion residues, free) data:
+        one residue per invariant factor, one integer per free coordinate."""
+        residues, free = tuple(residues), tuple(free)
+        if len(residues) != len(self.invariant_factors) or len(free) != self.free_rank:
+            raise ValueError("canonical data of the wrong length")
+        # the diagonal entries equal to 1 come first and carry no residue
         n = self.num_generators
-        diag = snf.diagonal()
-        y = [0] * n
-        it = iter(residues)
-        for i in range(snf.rank):
-            if diag[i] > 1:
-                y[i] = next(it)
-        for k, i in enumerate(range(snf.rank, n)):
-            y[i] = free[k]
+        y = (0,) * (self.normal_form.rank - len(residues)) + residues + free
         Vinv = self._v_inverse
         v = [sum(y[t] * Vinv[t][j] for t in range(n)) for j in range(n)]
         return reduce_element(self, v)
@@ -334,24 +324,24 @@ class FGAbelianGroup:
 class GroupElement:
     """Element of an FGAbelianGroup with a unique canonical form.
 
-    Two elements are equal iff their presentations and canonical forms
-    agree; the canonical form is invariant under adding relation rows.
+    Two elements are equal iff their groups and canonical forms agree, so
+    elements of groups built from equal relations mix; the canonical form
+    is invariant under adding relation rows.
     """
 
     group: FGAbelianGroup = field(repr=False)
     coordinates: tuple
     canonical: tuple  # (torsion residues, free coordinates)
-    _sig: tuple = field(repr=False)
 
     def __eq__(self, other):
-        return (isinstance(other, GroupElement) and self._sig == other._sig
+        return (isinstance(other, GroupElement) and self.group == other.group
                 and self.canonical == other.canonical)
 
     def __hash__(self):
-        return hash((self._sig, self.canonical))
+        return hash((self.group, self.canonical))
 
     def _check(self, other):
-        if self._sig != other._sig:
+        if self.group != other.group:
             raise ValueError("elements of different groups")
 
     def __add__(self, other):
@@ -402,7 +392,7 @@ def reduce_element(G: FGAbelianGroup, v) -> GroupElement:
     diag = snf.diagonal()
     residues = tuple(y[i] % diag[i] for i in range(snf.rank) if diag[i] > 1)
     free = tuple(y[i] for i in range(snf.rank, n))
-    return GroupElement(G, tuple(v), (residues, free), G.signature())
+    return GroupElement(G, tuple(v), (residues, free))
 
 
 @dataclass(frozen=True)
@@ -417,6 +407,8 @@ class PointedAbelianGroup:
     marked: GroupElement
 
     def __post_init__(self):
+        if self.marked.group != self.group:
+            raise ValueError("marked element of a different group")
         if self.marked.is_torsion():
             raise ValueError("marked element is torsion")
 
@@ -427,7 +419,7 @@ class PointedAbelianGroup:
 
     def degree(self, e: GroupElement) -> int:
         """Degree of an element; zero exactly on torsion, surjective onto Z."""
-        if e._sig != self.marked._sig:
+        if e.group != self.group:
             raise ValueError("element of a different group")
         return self._degree_sign() * e.canonical[1][0]
 
@@ -457,8 +449,6 @@ def boxminus(A: PointedAbelianGroup, B: PointedAbelianGroup) -> PointedAbelianGr
     elements a of A and b of B it agrees with
     (deg(d') deg(a) + deg(d) deg(b)) / gcd(deg(d), deg(d')).
     """
-    if A.marked.is_torsion() or B.marked.is_torsion():
-        raise ValueError("marked element is torsion")
     nA, nB = A.group.num_generators, B.group.num_generators
     rows = []
     for i in range(A.group.relations.rows):
@@ -479,9 +469,7 @@ def boxminus_pair(G: FGAbelianGroup, a: GroupElement, b: GroupElement) -> GroupE
 
 
 def pointed_Z(marked: int) -> PointedAbelianGroup:
-    """(Z, marked), the building block of weight groups."""
-    if marked == 0:
-        raise ValueError("marked element is torsion")
+    """(Z, marked), the building block of weight groups; marked != 0."""
     G = group_from_relations(1, IntMatrix.zero(0, 1))
     return PointedAbelianGroup(G, reduce_element(G, [marked]))
 

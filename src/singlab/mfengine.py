@@ -25,10 +25,10 @@ tag; for exterior products of one-variable factorizations the certified
 table follows from the factors' tables by the Künneth formula
 (`kunneth_table`), with no linear algebra on the product.
 
-Rings and factorizations are plain values: each fixes an identity key when
-it is built, a ring its grading and potential (not its variable names), a
-factorization its ring, generator degree pairs and structure maps, and
-equality and hashing come from that key.
+Rings and factorizations are plain values, as groups are: each fixes an
+identity key when it is built, a ring its grading and potential (not its
+variable names), a factorization its ring, generator degree pairs and
+structure maps, and equality and hashing come from that key.
 
 Group elements are the API: generator twists, gradings and reports.  Inside,
 a degree is the pair (torsion residues, integer degree), which determines
@@ -278,7 +278,7 @@ class RingWithPotential:
             if _monomial_pair(self._grading_key, exps) != self._potential_pair:
                 raise ValueError("potential is not homogeneous of the marked degree")
         self._key = (
-            self.grading.group.signature(), self.grading.marked.canonical,
+            self.grading.group, self.grading.marked.canonical,
             tuple(a.canonical for a in spec.generator_degrees),
             tuple(sorted(potential.terms.items())))
         self._hash = hash(self._key)
@@ -579,10 +579,7 @@ def one_variable_ring(d: int, name: str = "x") -> RingWithPotential:
     """k[x] graded by Z with deg x = 1 and potential x^d."""
     if d < 2:
         raise ValueError("potential degree must be at least 2")
-    from .weightcalc import spec_from_weights
-    spec = spec_from_weights(WeightSequence([d]))
-    w = Polynomial.variable(1, 0, d)
-    return RingWithPotential(spec, (name,), w)
+    return fermat_ring([d], (name,))
 
 
 def fermat_ring(weights, names=None) -> RingWithPotential:
@@ -1003,10 +1000,8 @@ def endo_algebra_check(d: int) -> dict:
     i -> d-i (reported), and that all other strands vanish in the certified
     range (strong exceptionality).  The stabilized residue field k(0) is
     E_{d-1}, so its exceptionality is read from the E_{d-1} self-table.
-    Raises with a diff on mismatch.
+    Raises with a diff on mismatch; ValueError when d < 2.
     """
-    if d < 2:
-        raise ValueError("need potential degree at least 2")
     from .quiverlab import cartan_matrix, ade_quiver
     from .decompose import ADEType
     objs = standard_objects(one_variable_ring(d))
@@ -1113,7 +1108,7 @@ def _restrict_all(objects, psi: OrbitSpec) -> list:
     ring = objects[0].ring
     if any(X.ring != ring for X in objects):
         raise ValueError("factorizations over different rings")
-    if psi.source.group.signature() != ring.grading.group.signature():
+    if psi.source.group != ring.grading.group:
         raise ValueError("orbit map defined on a different grading group")
     marked = psi.apply(ring.grading.marked)
     if marked.is_torsion():

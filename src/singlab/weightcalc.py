@@ -111,8 +111,8 @@ class GradedRingSpec:
     """A positively graded polynomial ring with a potential degree.
 
     `grading` is a pointed rank-one group whose marked element is the
-    potential degree d; `generator_degrees` are the degrees a_i of the
-    variables, all of positive degree.
+    potential degree d, positive under the normalized degree map;
+    `generator_degrees` are the degrees a_i of the variables, all positive.
     """
 
     grading: PointedAbelianGroup
@@ -121,8 +121,6 @@ class GradedRingSpec:
     def __post_init__(self):
         if self.grading.group.free_rank != 1:
             raise ValueError("grading group must have free rank 1")
-        if self.grading.degree(self.grading.marked) <= 0:
-            raise ValueError("potential degree must be positive")
         for a in self.generator_degrees:
             if self.grading.degree(a) <= 0:
                 raise ValueError("ring is not positively graded")

@@ -180,6 +180,67 @@ def test_arithmetic_matches_reduce_element(case):
             op()
 
 
+@settings(max_examples=100, deadline=None)
+@given(groups_with_elements())
+@example((2, MIXING[0], [1, 5], [-4, 2], 5))
+@example((4, MIXING[3], [1, -2, 3, 0], [9, 9, -9, 1], 6))
+def test_groups_are_values(case):
+    n, rows, u, v, _ = case
+
+    def build(rs):
+        return group_from_relations(n, IntMatrix.from_rows(rs) if rs
+                                    else IntMatrix.zero(0, n))
+
+    G, H = build(rows), build(rows)
+    assert G is not H
+    assert G == H and hash(G) == hash(H)
+    a, b = reduce_element(G, u), reduce_element(H, u)
+    assert a == b and hash(a) == hash(b)
+    c = reduce_element(H, v)
+    raw_sum = [x + y for x, y in zip(u, v)]
+    assert a + c == c + a == reduce_element(G, raw_sum) == reduce_element(H, raw_sum)
+    assert a - c == reduce_element(G, [x - y for x, y in zip(u, v)])
+    # one more relation row is another presentation, even when it adds
+    # nothing to the row space
+    for extra in ([1] + [0] * (n - 1), [0] * n):
+        other = build(rows + [extra])
+        assert other != G
+        for op in (lambda: a + reduce_element(other, v),
+                   lambda: reduce_element(other, v) - b):
+            with pytest.raises(ValueError, match="elements of different groups"):
+                op()
+
+
+def test_marked_element_has_positive_degree():
+    # the invariant that lets GradedRingSpec, boxminus and pointed_Z leave
+    # the marked element's degree and torsion to PointedAbelianGroup
+    rng = random.Random(31)
+    for _ in range(60):
+        A = weight_group([rng.randint(1, 6) for _ in range(rng.randint(1, 4))])
+        Z = pointed_Z(rng.choice((-1, 1)) * rng.randint(1, 9))
+        for P in (A, Z, boxminus(A, Z), boxminus(Z, A), boxminus(A, A)):
+            assert P.degree(P.marked) > 0
+
+
+def test_pointed_group_refuses_a_marked_element_of_another_group():
+    # GradedRingSpec leaves the marked element to PointedAbelianGroup
+    from singlab.abgroup import PointedAbelianGroup
+    B, Z = weight_group([3, 3]), pointed_Z(3)
+    with pytest.raises(ValueError, match="different group"):
+        PointedAbelianGroup(B.group, Z.marked)
+    rebuilt = weight_group([3, 3]).marked
+    assert PointedAbelianGroup(B.group, rebuilt) == B
+
+
+def test_from_canonical_refuses_wrong_lengths():
+    G = weight_group([3, 3]).group
+    assert G.invariant_factors == (3,) and G.free_rank == 1
+    assert G.from_canonical((1,), (2,)).canonical == ((1,), (2,))
+    for residues, free in (((1, 5), (2, 7)), ((), (2,)), ((1,), ()), ((1,), (2, 0))):
+        with pytest.raises(ValueError, match="canonical data"):
+            G.from_canonical(residues, free)
+
+
 def test_boxminus_mixed_degrees():
     A = boxminus(pointed_Z(3), pointed_Z(2))
     # explicit isomorphism Z^2/(3,-2) = Z via (a,b) -> 2a+3b

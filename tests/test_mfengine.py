@@ -196,6 +196,20 @@ def test_endo_algebra_check_battery():
                              for i in range(m)]
 
 
+def test_one_variable_ring_is_the_fermat_ring():
+    for d in range(2, 8):
+        for name in ("x", "t"):
+            R, F = one_variable_ring(d, name), fermat_ring([d], (name,))
+            assert R == F and R.names == F.names == (name,)
+            assert R.report() == F.report()
+    # d >= 2 is checked by one_variable_ring, which endo_algebra_check calls
+    for d in (0, 1):
+        with pytest.raises(ValueError, match="at least 2"):
+            one_variable_ring(d)
+    with pytest.raises(ValueError, match="at least 2"):
+        endo_algebra_check(1)
+
+
 def _counting(monkeypatch, name):
     """Replace mfengine.<name> by a wrapper; return the list of its calls."""
     calls = []
@@ -433,8 +447,11 @@ def test_rings_are_equal_exactly_when_grading_and_potential_agree():
     quotient = GradedRingSpec(abgroup.PointedAbelianGroup(psi.quotient, psi.apply(A.marked)),
                               tuple(psi.apply(a) for a in spec.generator_degrees))
     assert RingWithPotential(quotient, ("x", "y"), w) != R
-    # and the same again when built from the weights a second time
-    assert fermat_ring([3, 3]) == R
+    # and the same again when built from the weights a second time, over
+    # another but equal group object
+    again = fermat_ring([3, 3])
+    assert again.grading.group is not R.grading.group
+    assert again == R and hash(again) == hash(R)
     assert fermat_ring([3, 4]) != R
 
 

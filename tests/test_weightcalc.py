@@ -208,7 +208,7 @@ def _padded_double(spec):
 def test_knoerrer_double_matches_padded_construction():
     for spec in _random_specs():
         got, want = knoerrer_double(spec), _padded_double(spec)
-        assert got.grading.group.signature() == want.grading.group.signature()
+        assert got.grading.group == want.grading.group
         assert got.grading.marked.canonical == want.grading.marked.canonical
         assert ([a.canonical for a in got.generator_degrees]
                 == [a.canonical for a in want.generator_degrees])
