@@ -13,17 +13,21 @@ u_j - v_i.  Twisting by a group element a shifts every generator degree down
 by a and leaves matrices untouched.
 
 The morphism complex between two factorizations is 2-periodic up to a twist
-by d; its cohomology ("strand cohomology") is computed strand by strand by
-exact rational linear algebra on the finite homogeneous components, which
-are finite because the grading is positive.  Over one variable x the
-support range is certified from generator degrees alone: a structure map
-phi is square with det phi = c x^e, nonzero since phi phi' = w I, and by
-the adjugate x^e (and w) kill coker phi, which therefore lives in finitely
-many degrees.  A nonzero factorization in two or more variables has
-cokernels of positive dimension, so its table carries an explicit window
-tag; for exterior products of one-variable factorizations the certified
-table follows from the factors' tables by the Künneth formula
-(`kunneth_table`), with no linear algebra on the product.
+by d; its cohomology ("strand cohomology") is computed by exact rational
+linear algebra on the finite homogeneous components, which are finite
+because the grading is positive.  Over one variable x every block of a
+strand holds at most one monomial, so the differentials of all strands of
+one parity restrict one scalar matrix, and one elimination per parity gives
+every strand's rank; over two or more variables each strand is computed on
+its own.  Over one variable the support range is also certified from
+generator degrees alone: a structure map phi is square with det phi = c x^e,
+nonzero since phi phi' = w I, and by the adjugate x^e (and w) kill
+coker phi, which therefore lives in finitely many degrees.  A nonzero
+factorization in two or more variables has cokernels of positive
+dimension, so its table carries an explicit window tag; for exterior
+products of one-variable factorizations the certified table follows from
+the factors' tables by the Künneth formula (`kunneth_table`), with no
+linear algebra on the product.
 
 Rings and factorizations are plain values, as groups are: each fixes an
 identity key when it is built, a ring its grading and potential (not its
@@ -42,9 +46,10 @@ anywhere.
 from __future__ import annotations
 
 import functools
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
+from operator import add, itemgetter
 
 from . import linalg
 from .abgroup import GroupElement, PointedAbelianGroup, boxminus_pair, group_from_relations
@@ -361,11 +366,12 @@ class Factorization:
     # lists (col, exps, coeff) of row j of the map that multiplies
     # component comp from the right (phi_neg for comp 0, phi0 for comp 1);
     # `left_terms[k][i]` lists (row, exps, coeff) of column i of phi0
-    # (k = 0) or phi_neg (k = 1).  Cokernel supports need no slot: over one
-    # variable det phi = c x^e kills coker phi by the adjugate, and e is
-    # read off the degree pairs.
+    # (k = 0) or phi_neg (k = 1).  `cokernel_support` is
+    # `_cokernel_support` of the object, which every strand table reads for
+    # both of its objects.
     __slots__ = ("ring", "twists_neg", "twists_zero", "phi0", "phi_neg",
-                 "pairs", "right_terms", "left_terms", "_key", "_hash")
+                 "pairs", "right_terms", "left_terms", "cokernel_support",
+                 "_key", "_hash")
 
     def __init__(self, ring, twists_neg, twists_zero, phi0, phi_neg,
                  _validated=False):
@@ -391,6 +397,7 @@ class Factorization:
                                  for i in range(cols)]
                                 for M, cols in ((phi0, len(neg)),
                                                 (phi_neg, len(zero))))
+        self.cokernel_support = _cokernel_support(self)
 
     @property
     def rank_pair(self):
@@ -793,6 +800,67 @@ def _differential_matrix(E, F, n, basis_n, basis_np1):
     return cols
 
 
+def _per_strand_ranks(E, F, n_lo, n_hi):
+    """(sizes, ranks): the basis size of Hom^n(E, F) and the rank of the
+    differential out of it, by n for n_lo - 1 <= n <= n_hi, strand by
+    strand from a monomial basis (`_hom_basis`), the differential
+    (`_differential_matrix`) and its exact rank.  Serves any ring."""
+    blocks = _hom_blocks(E, F)
+    bases = {n: _hom_basis(E.ring, blocks, n) for n in range(n_lo - 1, n_hi + 2)}
+    ranks = {}
+    for n in range(n_lo - 1, n_hi + 1):
+        D = _differential_matrix(E, F, n, bases[n], bases[n + 1])
+        ranks[n] = linalg.rank(D) if D else 0
+    return {n: len(bases[n]) for n in ranks}, ranks
+
+
+def _one_variable_ranks(E, F, n_lo, n_hi):
+    """`_per_strand_ranks` over one variable x, from one elimination per
+    parity.
+
+    For the potential x^D, a block of Hom^eps of degree (res, deg) has
+    degree (res, deg) + l d in Hom^{2l+eps}, so it holds at most one
+    monomial there, x^(e0 + l D) with e0 = deg / deg x.  The monomial is
+    there when deg x divides deg, e0 deg x has the residues res, and
+    e0 + l D >= 0, that is from the threshold l = -(e0 // D) on.  The
+    differential sends that monomial to fixed multiples of the monomials of
+    its target blocks: E's `right_terms` coefficients and F's `left_terms`
+    coefficients with the sign of eps (`_differential_matrix`).  So every
+    strand differential of parity eps is one scalar matrix restricted to the
+    columns of the blocks present at l; its rows need no restriction, since
+    a present block maps into present blocks.  With the columns sorted by
+    threshold the present ones are a prefix, and one
+    `linalg.independent_rows` on the columns gives the rank of every prefix:
+    the number of chosen columns inside it.
+    """
+    factors, ((a_res, a),) = E.ring._grading_key
+    top = E.ring._potential_pair[1] // a
+    blocks = _hom_blocks(E, F)
+    position = [{block[:3]: k for k, block in enumerate(b)} for b in blocks]
+    right, left = E.right_terms, F.left_terms
+    thresholds, chosen = [], []
+    for eps in (0, 1):
+        target, sign = position[1 - eps], 1 if eps else -1
+        columns = []
+        for comp, i, j, (res, deg) in blocks[eps]:
+            e0, off = divmod(deg, a)
+            if off or any((e0 * s - r) % t for r, s, t in zip(res, a_res, factors)):
+                continue
+            col = {target[1 - comp, i, jj]: c for jj, _, c in right[comp][j]}
+            col.update({target[comp, ii, j]: sign * c
+                        for ii, _, c in left[(eps + comp) % 2][i]})
+            columns.append((-(e0 // top), col))
+        columns.sort(key=itemgetter(0))
+        thresholds.append([l for l, _ in columns])
+        chosen.append(linalg.independent_rows([col for _, col in columns]))
+    sizes, ranks = {}, {}
+    for n in range(n_lo - 1, n_hi + 1):
+        l, eps = divmod(n, 2)
+        sizes[n] = bisect_right(thresholds[eps], l)
+        ranks[n] = bisect_left(chosen[eps], sizes[n])
+    return sizes, ranks
+
+
 def default_window(E: Factorization, F: Factorization) -> int:
     """Twist-index window: generator-degree spread plus two potential degrees."""
     degs = [u[1] for X in (E, F) for pairs in X.pairs[:2] for u in pairs]
@@ -833,10 +901,10 @@ def _cokernel_support(obj: Factorization):
 
 def _certified_range(E: Factorization, F: Factorization):
     """Twist-index range outside which all strands provably vanish, or None."""
-    support_E = _cokernel_support(E)
+    support_E = E.cokernel_support
     if support_E is None:
         return None
-    support_F = _cokernel_support(F)
+    support_F = F.cokernel_support
     if support_F is None:
         return None
     dd = E.ring._potential_pair[1]
@@ -865,7 +933,10 @@ def strand_cohomology(E: Factorization, F: Factorization,
     raises ValueError.  Computation is exact linear algebra on the finite
     homogeneous components of the morphism complex.  The block degrees of
     Hom^n are computed once per parity (Hom^{n+2}(E, F) = Hom^n(E, F(d))),
-    and the structure maps are read from the objects' term lists.  For
+    and the structure maps are read from the objects' term lists.  Over one
+    variable every strand's basis size and rank comes from one elimination
+    per parity (`_one_variable_ranks`); over more variables each strand gets
+    its own basis, differential and rank (`_per_strand_ranks`).  For
     exterior products of one-variable factors, `kunneth_table` gives the
     certified table from the factors' tables instead; `orbit_hom_check`
     uses this function, windowed, only for its restricted side.
@@ -884,16 +955,12 @@ def strand_cohomology(E: Factorization, F: Factorization,
         certification = ("windowed", L)
 
     n_lo, n_hi = 2 * l_lo, 2 * l_hi + 1
-    blocks = _hom_blocks(E, F)
-    bases = {n: _hom_basis(E.ring, blocks, n) for n in range(n_lo - 1, n_hi + 2)}
-    ranks = {}
-    for n in range(n_lo - 1, n_hi + 1):
-        D = _differential_matrix(E, F, n, bases[n], bases[n + 1])
-        ranks[n] = linalg.rank(D) if D else 0
+    strands = _one_variable_ranks if E.ring.nvars() == 1 else _per_strand_ranks
+    sizes, ranks = strands(E, F, n_lo, n_hi)
     entries = {}
     for n in range(n_lo, n_hi + 1):
         l, eps = divmod(n, 2)
-        dim = len(bases[n]) - ranks[n] - ranks[n - 1]
+        dim = sizes[n] - ranks[n] - ranks[n - 1]
         if dim < 0:
             raise AssertionError(f"negative strand dimension at n={n}")
         entries[(eps, l)] = dim

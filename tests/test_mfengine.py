@@ -365,6 +365,24 @@ def test_certified_range_needs_no_linear_algebra(monkeypatch):
             assert lo < hi
 
 
+def test_one_variable_tables_need_no_strand_bases(monkeypatch):
+    # a certified one-variable table comes from one elimination per parity
+    for name in ("_hom_basis", "_differential_matrix"):
+        monkeypatch.setattr(mfengine, name, lambda *args: pytest.fail(name))
+    for E in standard_objects(one_variable_ring(4)) + _monomial_cones(3)[:4]:
+        assert strand_cohomology(E, E).certification[0] == "certified"
+    monkeypatch.undo()
+    # a two-variable windowed table still builds each strand's basis and
+    # differential
+    bases = _counting(monkeypatch, "_hom_basis")
+    differentials = _counting(monkeypatch, "_differential_matrix")
+    rx, ry = one_variable_ring(3, "x"), one_variable_ring(3, "y")
+    T = tensor_product(standard_objects(rx)[0], standard_objects(ry)[1])
+    assert strand_cohomology(T, T, window=1).certification == ("windowed", 1)
+    # strands n = -2..3 and their neighbours n = -3 and 4
+    assert len(bases) == 8 and len(differentials) == 7
+
+
 def test_endo_algebra_check_builds_objects_once(monkeypatch):
     built = _counting(monkeypatch, "standard_objects")
     tables = _counting(monkeypatch, "strand_cohomology")
@@ -1069,20 +1087,107 @@ def test_differential_matrix_matches_polynomial_oracle():
         _differential_matrix(E, F, 2, bases[2], bases[3][1:])
 
 
+def _one_variable_cases():
+    """(E, F) pairs over one variable for the per-strand oracle: standard
+    objects of x^2 ... x^10 against twists by -d..d, shifted or not (a
+    seeded sample of at most 150 per d), the rank-2 cones of x^3 and x^4,
+    objects with `Fraction` coefficients, and a ring graded by Z + Z/2,
+    where blocks of the wrong residue hold no monomial."""
+    rng = random.Random(21)
+    cases = []
+    for d in range(2, 11):
+        ring = one_variable_ring(d)
+        gen = ring.spec.generator_degrees[0]
+        objs = standard_objects(ring)
+        picks = list(itertools.product(objs, objs, range(-d, d + 1), (0, 1)))
+        for E, F, w, shift in rng.sample(picks, min(150, len(picks))):
+            F = F.twist(w * gen)
+            cases.append((E, F.shift_once() if shift else F))
+    for d, step in ((3, 1), (4, 3)):
+        cones = _monomial_cones(d)
+        objs = standard_objects(cones[0].ring)
+        cases += [(E, F) for E in cones[::step]
+                  for F in cones[::2 * step + 1] + objs]
+    ring = one_variable_ring(5)
+    gen = ring.spec.generator_degrees[0]
+    H = make_factorization(ring, (2 * gen,), (ring.grading.group.zero(),),
+                           ((Polynomial.monomial(1, (2,), Fraction(2, 3)),),),
+                           ((Polynomial.monomial(1, (3,), Fraction(3, 2)),),))
+    x = Polynomial.variable(1, 0)
+    C = cone(factorization_map(H, H.twist(gen), [[Fraction(1, 3) * x]],
+                               [[Fraction(1, 3) * x]]))
+    fractional = [H, H.shift_once(), H.twist(-3 * gen), C] + standard_objects(ring)
+    cases += itertools.product(fractional, repeat=2)
+    G = abgroup.group_from_relations(2, abgroup.IntMatrix.from_rows([[0, 2]]))
+    gx, tors = G.element([1, 1]), G.element([0, 1])
+    spec = GradedRingSpec(abgroup.PointedAbelianGroup(G, 2 * gx), (gx,))
+    ring = RingWithPotential(spec, ("x",), Polynomial(1, {(2,): 1}))
+    E = make_factorization(ring, (gx,), (G.zero(),), ((x,),), ((x,),))
+    objs = [E.twist(k * gx + t * tors) for k in (-2, 0, 1) for t in (0, 1)]
+    cases += itertools.product(objs + [X.shift_once() for X in objs], repeat=2)
+    return cases
+
+
+def test_one_variable_ranks_match_per_strand_route():
+    kinds = {"fractional": 0, "zero": 0, "rank2": 0}
+    for E, F in _one_variable_cases():
+        got = mfengine._one_variable_ranks(E, F, -24, 25)
+        assert got == mfengine._per_strand_ranks(E, F, -24, 25), (E, F)
+        kinds["fractional"] += any(type(c) is Fraction
+                                   for M in E.right_terms for row in M
+                                   for _, _, c in row)
+        kinds["zero"] += not any(got[0].values())
+        kinds["rank2"] += E.rank_pair == (2, 2)
+    # the torsion ring gives tables with no basis at all
+    assert all(kinds.values()), kinds
+
+
+def test_windowed_one_variable_tables_match_per_strand_route(monkeypatch):
+    # windows reach negative l, also where a certified range lies elsewhere
+    ring = one_variable_ring(6)
+    gen = ring.spec.generator_degrees[0]
+    objs = standard_objects(ring)[::2] + _monomial_cones(3)[::6]
+    objs += [E.twist(w * gen) for E in objs for w in (-9, 7)]
+    pairs = [(E, F) for E in objs for F in objs if E.ring == F.ring]
+    fast = {(E, F, L): strand_cohomology(E, F, window=L)
+            for E, F in pairs for L in (0, 2, 5)}
+    monkeypatch.setattr(mfengine, "_one_variable_ranks", mfengine._per_strand_ranks)
+    for (E, F, L), table in fast.items():
+        assert table == strand_cohomology(E, F, window=L), (E, F, L)
+    assert any(table.total() for table in fast.values())
+
+
+def test_cli_output_unchanged_on_per_strand_route(monkeypatch, capsys):
+    argvs = (["mf", "--max-d", "10"], ["verify", "orbit"])
+    fast = []
+    for argv in argvs:
+        fast.append((cli.main(argv), capsys.readouterr().out))
+    monkeypatch.setattr(mfengine, "_one_variable_ranks", mfengine._per_strand_ranks)
+    for argv, (code, out) in zip(argvs, fast):
+        assert code == 0 and out
+        assert cli.main(argv) == code
+        assert capsys.readouterr().out == out, argv
+
+
 def test_invariant_checks_survive_optimize_flag(run_optimized):
+    # an elimination that finds no independent column leaves every strand
+    # its whole basis, one that keeps every column over-counts the ranks
     proc = run_optimized("""
         from singlab import mfengine
-        mfengine.linalg.rank = lambda A: 0
         E, F = mfengine.standard_objects(mfengine.one_variable_ring(4))[0:2]
-        try:
-            mfengine.strand_cohomology(E, F)
-        except AssertionError as exc:
-            print(exc)
-            sys.exit(0)
-        sys.exit(5)
+        for broken in (lambda A: [], lambda A: list(range(len(A)))):
+            mfengine.linalg.independent_rows = broken
+            try:
+                mfengine.strand_cohomology(E, F)
+            except AssertionError as exc:
+                print(exc)
+            else:
+                sys.exit(5)
     """)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "nonzero strand at the certified boundary" in proc.stdout
+    assert proc.stdout.splitlines() == [
+        "nonzero strand at the certified boundary",
+        "negative strand dimension at n=1"]
 
 
 def test_degree_checks_survive_optimize_flag(run_optimized):
