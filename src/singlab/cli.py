@@ -190,7 +190,7 @@ def mf_report(max_d: int) -> dict:
 
 
 def orbit_report(weights, window: int) -> dict:
-    from . import mfengine, weightcalc
+    from . import mfengine
     if len(weights) != 2:
         raise UsageError("orbit check wants exactly two weights")
     a, b = weights.entries
@@ -200,7 +200,7 @@ def orbit_report(weights, window: int) -> dict:
     ry = mfengine.one_variable_ring(b, "y")
     ys = mfengine.standard_objects(ry)
     objs = [(u, v) for u in mfengine.standard_objects(rx) for v in ys]
-    A = weightcalc.thom_sebastiani(rx.spec, ry.spec).grading
+    A = mfengine.tensor_ring(rx, ry).grading
     # the grading group is Z^2 / (a, -b); g * gamma is that relation, so
     # gamma generates its torsion part Z/g (e_x - e_y is torsion only if a = b)
     g = math.gcd(a, b)

@@ -2,11 +2,11 @@
 
 Everything here works on plain lists of lists whose entries are ints or
 `fractions.Fraction`; no floating point is ever introduced.  The rows given
-to `_echelon` (and so to `independent_rows` and `rank`) may also be sparse
-{column: value} dicts.
+to `_echelon` (and so to `independent_rows`, `pivot_columns` and `rank`) may
+also be sparse {column: value} dicts.
 
-One elimination, `_echelon`, serves `independent_rows`, `rank`,
-`nullspace` and `solve`: sparse, fraction-free row echelon form
+One elimination, `_echelon`, serves `independent_rows`, `pivot_columns`,
+`rank`, `nullspace` and `solve`: sparse, fraction-free row echelon form
 over the integers (Bareiss 1968; Dumas-Saunders-Villard 2001).  Rows are
 kept as {column: int} dicts, since the strand differentials have up to a
 few hundred rows and columns, about 5 % nonzero, with small entries.
@@ -138,6 +138,13 @@ def _kernel_vector(pivots, free: dict[int, int], n: int) -> list[Fraction]:
 def independent_rows(A) -> list[int]:
     """Indices of the rows of A that are independent of all earlier rows."""
     return _echelon(A)[1]
+
+
+def pivot_columns(A) -> list[int]:
+    """The leading columns of the row echelon form of A, in increasing
+    order; they depend only on the row space of A, and there are rank(A)
+    of them."""
+    return sorted(_echelon(A)[0])
 
 
 def rank(A) -> int:

@@ -18,8 +18,10 @@ linear algebra on the finite homogeneous components, which are finite
 because the grading is positive.  Over one variable x every block of a
 strand holds at most one monomial, so the differentials of all strands of
 one parity restrict one scalar matrix, and one elimination per parity gives
-every strand's rank; over two or more variables each strand is computed on
-its own.  Over one variable the support range is also certified from
+every strand's rank.  Over two or more variables the strands are eliminated
+in order: since d o d = 0, the image of one strand's differential lies in
+the kernel of the next, so the positions it leads are left out of the next
+elimination.  Over one variable the support range is also certified from
 generator degrees alone: a structure map phi is square with det phi = c x^e,
 nonzero since phi phi' = w I, and by the adjugate x^e (and w) kill
 coker phi, which therefore lives in finitely many degrees.  A nonzero
@@ -252,6 +254,32 @@ class _MonomialTables(dict):
         return table
 
 
+class _ShiftTables(dict):
+    """Row positions by (source pair, exps e, target pair): the position of
+    m + e in the target pair's table for each m of the source pair's table,
+    both read from `tables` (a `_MonomialTables`); each found on first
+    lookup.  A sum missing from the target table raises AssertionError."""
+
+    def __init__(self, tables):
+        super().__init__()
+        self.tables = tables
+        self.positions = {}
+
+    def __missing__(self, key):
+        source, e, target = key
+        position = self.positions.get(target)
+        if position is None:
+            position = self.positions[target] = {
+                m: k for k, m in enumerate(self.tables[target])}
+        try:
+            rows = tuple([position[tuple(map(add, m, e))]
+                          for m in self.tables[source]])
+        except KeyError:
+            raise AssertionError("differential left the graded window") from None
+        self[key] = rows
+        return rows
+
+
 class RingWithPotential:
     """A positively multigraded polynomial ring with a chosen potential.
 
@@ -272,12 +300,15 @@ class RingWithPotential:
         if potential.is_zero():
             raise ValueError("potential must be nonzero")
         self.potential = potential
-        # what _monomial_table needs of the grading, and its tables, which
-        # live as long as the ring
+        # what _monomial_table needs of the grading, its tables and their
+        # shift tables, and the tensor rings with this one as first factor
+        # (`tensor_ring`), which live as long as the ring
         self._grading_key = (
             spec.grading.group.invariant_factors,
             tuple(_degree_pair(spec, a) for a in spec.generator_degrees))
         self._tables = _MonomialTables(self._grading_key)
+        self._shifts = _ShiftTables(self._tables)
+        self._tensor_rings = {}
         self._potential_pair = _degree_pair(spec, spec.potential_degree)
         for exps in potential.terms:
             if _monomial_pair(self._grading_key, exps) != self._potential_pair:
@@ -449,9 +480,7 @@ def _validate_factorization(E: Factorization):
         raise ValueError("phi0 has the wrong shape")
     if len(E.phi_neg) != r_neg or any(len(row) != r_zero for row in E.phi_neg):
         raise ValueError("phi_neg has the wrong shape")
-    neg, zero, shifted = E.pairs
-    _check_homogeneous(ring, E.phi0, neg, zero, "phi0")
-    _check_homogeneous(ring, E.phi_neg, zero, shifted, "phi_neg")
+    _check_degrees(E)
     w = ring.potential
     comp1 = _matmul_poly(E.phi_neg, E.phi0, nv)
     comp2 = _matmul_poly(E.phi0, E.phi_neg, nv)
@@ -462,6 +491,13 @@ def _validate_factorization(E: Factorization):
                 expected = w if i == j else Polynomial.zero(nv)
                 if comp[i][j] != expected:
                     raise ValueError(f"{name} is not w times the identity")
+
+
+def _check_degrees(E: Factorization):
+    """Both structure maps must be homogeneous for E's generator degrees."""
+    neg, zero, shifted = E.pairs
+    _check_homogeneous(E.ring, E.phi0, neg, zero, "phi0")
+    _check_homogeneous(E.ring, E.phi_neg, zero, shifted, "phi_neg")
 
 
 def make_factorization(ring: RingWithPotential, twists_neg, twists_zero,
@@ -680,14 +716,24 @@ def tensor_product(E: Factorization, F: Factorization) -> Factorization:
 
 def tensor_ring(R1: RingWithPotential, R2: RingWithPotential) -> RingWithPotential:
     """The tensor ring of the sum w + v (`thom_sebastiani`), graded by
-    R1 boxminus R2."""
-    spec = thom_sebastiani(R1.spec, R2.spec)
-    k1, k2 = R1.nvars(), R2.nvars()
-    w = Polynomial(k1 + k2, {exps + (0,) * k2: c
-                             for exps, c in R1.potential.terms.items()})
-    v = Polynomial(k1 + k2, {(0,) * k1 + exps: c
-                             for exps, c in R2.potential.terms.items()})
-    return RingWithPotential(spec, R1.names + R2.names, w + v)
+    R1 boxminus R2.
+
+    R1 keeps one per (R2, R2's variable names), so the products of one
+    battery share one ring and its monomial tables; the names are part of
+    the key because ring equality leaves them out.
+    """
+    key = R2, R2.names
+    ring = R1._tensor_rings.get(key)
+    if ring is None:
+        spec = thom_sebastiani(R1.spec, R2.spec)
+        k1, k2 = R1.nvars(), R2.nvars()
+        w = Polynomial(k1 + k2, {exps + (0,) * k2: c
+                                 for exps, c in R1.potential.terms.items()})
+        v = Polynomial(k1 + k2, {(0,) * k1 + exps: c
+                                 for exps, c in R2.potential.terms.items()})
+        ring = R1._tensor_rings[key] = RingWithPotential(
+            spec, R1.names + R2.names, w + v)
+    return ring
 
 
 # ---------------------------------------------------------------------------
@@ -730,92 +776,124 @@ class StrandCohomology:
                 "nonzero": table}
 
 
-def _hom_blocks(E: Factorization, F: Factorization):
-    """The blocks (component, row, col, degree) of Hom^0(E, F) and Hom^1(E, F).
+def _block_maps(E: Factorization, F: Factorization):
+    """The blocks of Hom^0(E, F) and Hom^1(E, F) with the differential's
+    terms: for each parity, a list of (degree, terms) per block.
 
-    An entry of a block maps generator `col` of the source module to
-    generator `row` of the target and has the given degree, a pair from
-    `_degree_pair`.  Since Hom^{n+2}(E, F) = Hom^n(E, F(d)), Hom^{2l+eps}
-    has the blocks of Hom^eps with l*d added to every degree.
-    """
-    factors = E.ring._grading_key[0]
-    (e_neg, e_zero, _), (f_neg, f_zero, f_shifted) = E.pairs, F.pairs
-    hom0 = ((e_neg, f_neg), (e_zero, f_zero))
-    hom1 = ((e_neg, f_zero), (e_zero, f_shifted))
-    return tuple([(comp, i, j, _add_pairs(factors, s, t, -1))
-                  for comp, (src, tgt) in enumerate(components)
-                  for i, t in enumerate(tgt) for j, s in enumerate(src)]
-                 for components in (hom0, hom1))
-
-
-def _hom_basis(ring: RingWithPotential, blocks, n: int):
-    """Monomial basis of Hom^n(E, F): entries (component, row, col, exps).
-
-    `blocks` is `_hom_blocks(E, F)`; the degrees of its parity of n are
-    shifted by l*d for n = 2l + eps.  The shift is formed once; residues are
-    added per block only when the grading has torsion.
-    """
-    l, eps = divmod(n, 2)
-    factors, tables = ring._grading_key[0], ring._tables
-    d_res, d_deg = ring._potential_pair
-    shift_res, shift = [l * r for r in d_res], l * d_deg
-    out = []
-    for comp, i, j, (res, deg) in blocks[eps]:
-        if factors:
-            res = tuple([(x + y) % t for x, y, t in zip(res, shift_res, factors)])
-        out += [(comp, i, j, exps)
-                for exps in tables[res, deg + shift]]
-    return out
-
-
-def _differential_matrix(E, F, n, basis_n, basis_np1):
-    """Columns of the strand differential Hom^n(E, F) -> Hom^{n+1}(E, F).
+    The blocks of a parity are (component, row, col) in lexicographic order:
+    an entry maps generator `col` of the source module to generator `row` of
+    the target and has the block's degree, a pair from `_degree_pair`.
+    Since Hom^{n+2}(E, F) = Hom^n(E, F(d)), Hom^{2l+eps} has the blocks of
+    Hom^eps with l*d added to every degree.
 
     The differential sends g to g . phi^E - (-1)^n phi^F . g.  Right
     multiplication by the E map moves a block to the other component; left
     multiplication by the F map keeps it (E's `right_terms`, F's
-    `left_terms`, fixed when each was built).  Returns one {row: coeff}
-    dict per element of `basis_n`, rows indexed by `basis_np1`: the
-    transpose of the matrix, which has the same rank.  Coefficients are
-    ints where the structure maps have integral coefficients.
-
-    Each term of a column lands on its own row, so entries are stored, not
-    summed: right terms switch the component and left terms keep it, within
-    each kind the (generator, monomial) pairs are distinct, and a
+    `left_terms`, fixed when each was built).  So the monomial m of a block
+    goes to m + e in the blocks of the other parity named by its terms
+    (target block index, exps e, coefficient), the left ones signed for
+    the parity.  Coefficients are ints where the structure maps have
+    integral coefficients.  Within one block's terms the pairs (target
+    block, e) are distinct, so each term of a monomial lands on its own
+    row: right terms switch the component and left terms keep it, and a
     `Polynomial` stores no zero coefficient.
     """
-    right, left = E.right_terms, F.left_terms
-    index = {key: pos for pos, key in enumerate(basis_np1)}
-    sign = 1 if n % 2 else -1
-    cols = []
-    for comp, i, j, m in basis_n:
-        col = {}
-        for jj, e, c in right[comp][j]:
-            col[index.get((1 - comp, i, jj, tuple(map(add, m, e))))] = c
-        for ii, e, c in left[(n + comp) % 2][i]:
-            col[index.get((comp, ii, j, tuple(map(add, m, e))))] = sign * c
-        if None in col:
-            raise AssertionError("differential left the graded window")
-        cols.append(col)
-    return cols
+    factors = E.ring._grading_key[0]
+    (e_neg, e_zero, _), (f_neg, f_zero, f_shifted) = E.pairs, F.pairs
+    sources = (e_neg, e_zero)
+    targets = ((f_neg, f_zero), (f_zero, f_shifted))
+    # both modules of E have its rank r, so block (comp, i, j) of the other
+    # parity is block start[comp] + i * r + j there
+    r = len(e_neg)
+    out = []
+    for eps in (0, 1):
+        sign = 1 if eps else -1
+        start = (0, len(targets[1 - eps][0]) * r)
+        blocks = []
+        for comp in (0, 1):
+            right, left = E.right_terms[comp], F.left_terms[(eps + comp) % 2]
+            to_right, to_left = start[1 - comp], start[comp]
+            for i, (t_res, t_deg) in enumerate(targets[eps][comp]):
+                for j, (s_res, s_deg) in enumerate(sources[comp]):
+                    terms = [(to_right + i * r + jj, e, c) for jj, e, c in right[j]]
+                    terms += [(to_left + ii * r + j, e, sign * c)
+                              for ii, e, c in left[i]]
+                    res = tuple([(x - y) % t for x, y, t in zip(s_res, t_res, factors)])
+                    blocks.append(((res, s_deg - t_deg), terms))
+        out.append(blocks)
+    return out
 
 
-def _per_strand_ranks(E, F, n_lo, n_hi):
-    """(sizes, ranks): the basis size of Hom^n(E, F) and the rank of the
-    differential out of it, by n for n_lo - 1 <= n <= n_hi, strand by
-    strand from a monomial basis (`_hom_basis`), the differential
-    (`_differential_matrix`) and its exact rank.  Serves any ring."""
-    blocks = _hom_blocks(E, F)
-    bases = {n: _hom_basis(E.ring, blocks, n) for n in range(n_lo - 1, n_hi + 2)}
-    ranks = {}
+def _multi_variable_ranks(E, F, n_lo, n_hi):
+    """(sizes, ranks): the dimension of Hom^n(E, F) and the rank of the
+    differential out of it, by n for n_lo - 1 <= n <= n_hi.  Serves any
+    ring; `strand_cohomology` uses it over two or more variables.
+
+    Hom^n has a monomial basis, block by block in `_block_maps` order and
+    within a block in the order of its monomial table.  Each block's
+    monomials go to rows of the target blocks read from the ring's shift
+    tables; a monomial missing from its target table raises
+    AssertionError ("differential left the graded window").
+
+    d o d = 0: on g in Hom^n, d(d g) is the sum over two-step paths.  Two
+    right steps give g . phi^E phi^E = g . w, two left steps give
+    -phi^F phi^F . g = -w . g, and the mixed paths give
+    -(-1)^n phi^F . g . phi^E and +(-1)^n phi^F . g . phi^E, which cancel;
+    w is central, so d o d = 0.  Both objects are factorizations of one
+    potential over one ring, which `strand_cohomology` checks.  So the
+    image of the differential into Hom^n lies in the kernel of the one out
+    of it.  Let P be the leading positions of an echelon basis of that
+    image: those basis vectors and the unit vectors at the positions
+    outside P form a triangular basis of Hom^n, and the differential kills
+    the former.  So only the positions outside P are eliminated, and the
+    leading columns found there (`linalg.pivot_columns`) are P for the next
+    strand; the rank is their count.  The first strand has no image
+    before it and is eliminated in full.
+    """
+    maps = _block_maps(E, F)
+    ring = E.ring
+    factors, tables, shifts = ring._grading_key[0], ring._tables, ring._shifts
+    d_res, d_deg = ring._potential_pair
+
+    def strand(n):
+        """The table key and row offset of each block of Hom^n, and its size."""
+        l, eps = divmod(n, 2)
+        shift_res, shift = [l * r for r in d_res], l * d_deg
+        keys, offsets, size = [], [], 0
+        for (res, deg), _ in maps[eps]:
+            if factors:
+                res = tuple([(x + y) % t for x, y, t in zip(res, shift_res, factors)])
+            key = res, deg + shift
+            keys.append(key)
+            offsets.append(size)
+            size += len(tables[key])
+        return keys, offsets, size
+
+    sizes, ranks = {}, {}
+    keys, offsets, size = strand(n_lo - 1)
+    leading = set()
     for n in range(n_lo - 1, n_hi + 1):
-        D = _differential_matrix(E, F, n, bases[n], bases[n + 1])
-        ranks[n] = linalg.rank(D) if D else 0
-    return {n: len(bases[n]) for n in ranks}, ranks
+        sizes[n] = size
+        target_keys, target_offsets, size = strand(n + 1)
+        rows = []
+        for (_, terms), key, offset in zip(maps[n % 2], keys, offsets):
+            live = [q for q in range(len(tables[key])) if offset + q not in leading]
+            if not live:
+                continue
+            block = [{} for _ in live]
+            for t, e, c in terms:
+                positions, base = shifts[key, e, target_keys[t]], target_offsets[t]
+                for row, q in zip(block, live):
+                    row[base + positions[q]] = c
+            rows += block
+        leading = set(linalg.pivot_columns(rows))
+        ranks[n] = len(leading)
+        keys, offsets = target_keys, target_offsets
+    return sizes, ranks
 
 
 def _one_variable_ranks(E, F, n_lo, n_hi):
-    """`_per_strand_ranks` over one variable x, from one elimination per
+    """`_multi_variable_ranks` over one variable x, from one elimination per
     parity.
 
     For the potential x^D, a block of Hom^eps of degree (res, deg) has
@@ -824,32 +902,24 @@ def _one_variable_ranks(E, F, n_lo, n_hi):
     there when deg x divides deg, e0 deg x has the residues res, and
     e0 + l D >= 0, that is from the threshold l = -(e0 // D) on.  The
     differential sends that monomial to fixed multiples of the monomials of
-    its target blocks: E's `right_terms` coefficients and F's `left_terms`
-    coefficients with the sign of eps (`_differential_matrix`).  So every
-    strand differential of parity eps is one scalar matrix restricted to the
-    columns of the blocks present at l; its rows need no restriction, since
-    a present block maps into present blocks.  With the columns sorted by
-    threshold the present ones are a prefix, and one
+    its target blocks, the coefficients of its terms (`_block_maps`).  So
+    every strand differential of parity eps is one scalar matrix restricted
+    to the columns of the blocks present at l; its rows need no
+    restriction, since a present block maps into present blocks.  With the
+    columns sorted by threshold the present ones are a prefix, and one
     `linalg.independent_rows` on the columns gives the rank of every prefix:
     the number of chosen columns inside it.
     """
     factors, ((a_res, a),) = E.ring._grading_key
     top = E.ring._potential_pair[1] // a
-    blocks = _hom_blocks(E, F)
-    position = [{block[:3]: k for k, block in enumerate(b)} for b in blocks]
-    right, left = E.right_terms, F.left_terms
     thresholds, chosen = [], []
-    for eps in (0, 1):
-        target, sign = position[1 - eps], 1 if eps else -1
+    for blocks in _block_maps(E, F):
         columns = []
-        for comp, i, j, (res, deg) in blocks[eps]:
+        for (res, deg), terms in blocks:
             e0, off = divmod(deg, a)
             if off or any((e0 * s - r) % t for r, s, t in zip(res, a_res, factors)):
                 continue
-            col = {target[1 - comp, i, jj]: c for jj, _, c in right[comp][j]}
-            col.update({target[comp, ii, j]: sign * c
-                        for ii, _, c in left[(eps + comp) % 2][i]})
-            columns.append((-(e0 // top), col))
+            columns.append((-(e0 // top), {t: c for t, _, c in terms}))
         columns.sort(key=itemgetter(0))
         thresholds.append([l for l, _ in columns])
         chosen.append(linalg.independent_rows([col for _, col in columns]))
@@ -931,15 +1001,17 @@ def strand_cohomology(E: Factorization, F: Factorization,
     is used.  A given `window` L >= 0 asks for the strands with
     -L <= l <= L, tagged as windowed, whatever the objects; a negative one
     raises ValueError.  Computation is exact linear algebra on the finite
-    homogeneous components of the morphism complex.  The block degrees of
-    Hom^n are computed once per parity (Hom^{n+2}(E, F) = Hom^n(E, F(d))),
-    and the structure maps are read from the objects' term lists.  Over one
-    variable every strand's basis size and rank comes from one elimination
-    per parity (`_one_variable_ranks`); over more variables each strand gets
-    its own basis, differential and rank (`_per_strand_ranks`).  For
-    exterior products of one-variable factors, `kunneth_table` gives the
-    certified table from the factors' tables instead; `orbit_hom_check`
-    uses this function, windowed, only for its restricted side.
+    homogeneous components of the morphism complex.  The blocks of Hom^n,
+    their degrees and the differential's terms are read once per pair and
+    parity (`_block_maps`; Hom^{n+2}(E, F) = Hom^n(E, F(d))).  Over one
+    variable every strand's dimension and rank comes from one elimination
+    per parity (`_one_variable_ranks`).  Over more variables the strands
+    are eliminated in order, each only on the positions outside the
+    leading positions of the previous strand's image, which d o d = 0 lets
+    it skip (`_multi_variable_ranks`).  For exterior products of
+    one-variable factors, `kunneth_table` gives the certified table from
+    the factors' tables instead; `orbit_hom_check` uses this function,
+    windowed, only for its restricted side.
     """
     if E.ring != F.ring:
         raise ValueError("factorizations over different rings")
@@ -955,7 +1027,7 @@ def strand_cohomology(E: Factorization, F: Factorization,
         certification = ("windowed", L)
 
     n_lo, n_hi = 2 * l_lo, 2 * l_hi + 1
-    strands = _one_variable_ranks if E.ring.nvars() == 1 else _per_strand_ranks
+    strands = _one_variable_ranks if E.ring.nvars() == 1 else _multi_variable_ranks
     sizes, ranks = strands(E, F, n_lo, n_hi)
     entries = {}
     for n in range(n_lo, n_hi + 1):
@@ -1156,7 +1228,7 @@ class OrbitSpec:
 
 
 def restrict_grading(E: Factorization, psi: OrbitSpec) -> Factorization:
-    """Regrade a factorization along psi, revalidating everything.
+    """Regrade a factorization along psi, re-checking homogeneity.
 
     The potential degree must stay non-torsion and all variables must keep
     positive degree in the quotient grading.  Each call builds its own
@@ -1169,7 +1241,13 @@ def restrict_grading(E: Factorization, psi: OrbitSpec) -> Factorization:
 def _restrict_all(objects, psi: OrbitSpec) -> list:
     """`restrict_grading` of each of `objects` into one regraded ring, whose
     monomial tables they then share; ValueError when the objects are over
-    different rings."""
+    different rings.
+
+    The regraded objects keep the source's structure maps.  Their shapes and
+    the identity phi phi' = w I do not depend on the grading and were
+    checked when the source was built, so only homogeneity in the quotient
+    grading is checked again (ValueError).
+    """
     if not objects:
         return []
     ring = objects[0].ring
@@ -1184,11 +1262,14 @@ def _restrict_all(objects, psi: OrbitSpec) -> list:
     gens = tuple(psi.apply(a) for a in ring.spec.generator_degrees)
     spec = GradedRingSpec(pointed, gens)  # rejects non-positive degrees
     ring2 = RingWithPotential(spec, ring.names, ring.potential)
-    return [make_factorization(ring2,
-                               tuple(psi.apply(u) for u in X.twists_neg),
-                               tuple(psi.apply(u) for u in X.twists_zero),
-                               X.phi0, X.phi_neg)
-            for X in objects]
+    out = []
+    for X in objects:
+        Y = Factorization(ring2, tuple(psi.apply(u) for u in X.twists_neg),
+                          tuple(psi.apply(u) for u in X.twists_zero),
+                          X.phi0, X.phi_neg, _validated=True)
+        _check_degrees(Y)
+        out.append(Y)
+    return out
 
 
 def orbit_hom_check(objects, psi: OrbitSpec, window: int) -> list:

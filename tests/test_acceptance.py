@@ -123,9 +123,9 @@ def test_criterion_6_orbit_identity_battery():
         assert rep["ok"], rep["mismatches"]
         pairs += 1
     elapsed = time.monotonic() - t0
-    assert elapsed < 20.0, f"criterion 6 took {elapsed:.2f}s"
+    assert elapsed < 2.0, f"criterion 6 took {elapsed:.2f}s"
     print(f"\nACCEPTANCE 6: PASS - restriction/orbit-sum identity holds for "
-          f"all {pairs} standard pairs of x^3+y^3 at window 6 ({elapsed:.1f}s)")
+          f"all {pairs} standard pairs of x^3+y^3 at window 6 ({elapsed:.2f}s)")
 
 
 def test_criterion_7_ghost_certificates():

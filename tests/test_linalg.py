@@ -155,6 +155,17 @@ def test_rank_matches_rref_oracle():
         assert linalg.rank(A) == len(rref(A)[1]), A
 
 
+def test_pivot_columns_match_rref_oracle():
+    # the leading columns depend only on the row space: the same for the
+    # rows reversed and for the rows as {column: value} dicts
+    for A in random_battery(20270, 40):
+        want = rref(A)[1]
+        assert linalg.pivot_columns(A) == want, A
+        assert linalg.pivot_columns(A[::-1]) == want, A
+        assert linalg.pivot_columns(as_dicts(A)) == want, A
+    assert linalg.pivot_columns([]) == linalg.pivot_columns([{}, {}]) == []
+
+
 def test_independent_rows_is_greedy_choice():
     for A in random_battery(20261, 40):
         assert linalg.independent_rows(A) == greedy_rows(A), A

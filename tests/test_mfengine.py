@@ -2,13 +2,14 @@ import functools
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
+from operator import add
 
 import pytest
 
 from singlab import abgroup, cli, linalg, mfengine
-from singlab.mfengine import (_differential_matrix, _hom_basis, _hom_blocks,
-                              _matmul_poly)
+from singlab.mfengine import _matmul_poly
 from singlab.mfengine import (Factorization, OrbitSpec, Polynomial,
                               RingWithPotential, cone,
                               default_window, endo_algebra_check,
@@ -365,22 +366,35 @@ def test_certified_range_needs_no_linear_algebra(monkeypatch):
             assert lo < hi
 
 
-def test_one_variable_tables_need_no_strand_bases(monkeypatch):
+def test_strand_routes_build_no_strand_bases(monkeypatch):
+    # neither route calls the per-strand oracle's helpers or `linalg.rank`
+    for name in ("_hom_basis", "_differential_matrix", "_per_strand_ranks"):
+        monkeypatch.setattr(sys.modules[__name__], name,
+                            lambda *args, name=name: pytest.fail(name))
+    monkeypatch.setattr(linalg, "rank", lambda *args: pytest.fail("rank"))
+    rows = []
+    pivot_columns = linalg.pivot_columns
+    monkeypatch.setattr(linalg, "pivot_columns",
+                        lambda A: rows.append(len(A)) or pivot_columns(A))
     # a certified one-variable table comes from one elimination per parity
-    for name in ("_hom_basis", "_differential_matrix"):
-        monkeypatch.setattr(mfengine, name, lambda *args: pytest.fail(name))
     for E in standard_objects(one_variable_ring(4)) + _monomial_cones(3)[:4]:
         assert strand_cohomology(E, E).certification[0] == "certified"
+    assert rows == []
+    # a two-variable battery and its folded image: each strand after the
+    # first leaves out one row per rank of the strand before it
+    _, objects, psi = _orbit_battery(3, 3)
+    pairs = [(E, F) for objs in (objects, mfengine._restrict_all(objects, psi))
+             for E in objs for F in objs]
+    for E, F in pairs:
+        assert strand_cohomology(E, F, window=2).certification == ("windowed", 2)
     monkeypatch.undo()
-    # a two-variable windowed table still builds each strand's basis and
-    # differential
-    bases = _counting(monkeypatch, "_hom_basis")
-    differentials = _counting(monkeypatch, "_differential_matrix")
-    rx, ry = one_variable_ring(3, "x"), one_variable_ring(3, "y")
-    T = tensor_product(standard_objects(rx)[0], standard_objects(ry)[1])
-    assert strand_cohomology(T, T, window=1).certification == ("windowed", 1)
-    # strands n = -2..3 and their neighbours n = -3 and 4
-    assert len(bases) == 8 and len(differentials) == 7
+    full = skipped = 0
+    for E, F in pairs:
+        sizes, ranks = _per_strand_ranks(E, F, -4, 5)
+        full += sum(sizes.values())
+        skipped += sum(ranks[n] for n in range(-5, 5))
+    assert len(rows) == 11 * len(pairs)
+    assert skipped and sum(rows) == full - skipped
 
 
 def test_endo_algebra_check_builds_objects_once(monkeypatch):
@@ -746,6 +760,41 @@ def test_restrict_grading_diagonal():
          [trivial.apply(u) for u in T.twists_neg]]
 
 
+def test_regrading_keeps_maps_and_checks_their_degrees():
+    rx, ry = one_variable_ring(3, "x"), one_variable_ring(3, "y")
+    objects = [tensor_product(u, v) for u in standard_objects(rx)
+               for v in standard_objects(ry)]
+    A = objects[0].ring.grading
+    psi = OrbitSpec(A, [A.group.element([1, -1])])
+    for X, R in zip(objects, mfengine._restrict_all(objects, psi)):
+        assert R.phi0 is X.phi0 and R.phi_neg is X.phi_neg
+    # an entry of phi0 moved to another integer degree, in an object built
+    # without validation, stays of the wrong degree in the quotient grading
+    T = objects[0]
+    x2 = Polynomial.variable(2, 0, 2)
+    phi0 = ((x2,) + T.phi0[0][1:],) + T.phi0[1:]
+    bad = Factorization(T.ring, T.twists_neg, T.twists_zero, phi0, T.phi_neg,
+                        _validated=True)
+    with pytest.raises(ValueError, match=r"phi0\[0\]\[0\] has an entry of the wrong degree"):
+        mfengine._restrict_all(objects + [bad], psi)
+    with pytest.raises(ValueError, match="wrong degree"):
+        restrict_grading(bad, psi)
+
+
+def test_tensor_ring_kept_per_second_ring_and_names():
+    rx = one_variable_ring(3, "x")
+    ry, rz = one_variable_ring(3, "y"), one_variable_ring(3, "z")
+    assert ry == rz
+    E, Fy, Fz = (standard_objects(r)[0] for r in (rx, ry, rz))
+    Txy, Txz = tensor_product(E, Fy), tensor_product(E, Fz)
+    assert Txy.ring.names == ("x", "y") and Txz.ring.names == ("x", "z")
+    assert Txy.ring == Txz.ring and Txy == Txz
+    # one ring per (second ring, names), whichever objects are multiplied
+    assert tensor_product(standard_objects(rx)[1], Fy).ring is Txy.ring
+    assert tensor_ring(rx, rz) is Txz.ring
+    assert tensor_ring(rx, one_variable_ring(4, "y")) != Txy.ring
+
+
 def test_restriction_commutes_with_twist():
     rx = one_variable_ring(3, "x")
     ry = one_variable_ring(3, "y")
@@ -1087,6 +1136,74 @@ def test_differential_matrix_matches_polynomial_oracle():
         _differential_matrix(E, F, 2, bases[2], bases[3][1:])
 
 
+# ---------------------------------------------------------------------------
+# the per-strand route, the oracle of both routes of `strand_cohomology`:
+# each strand gets its own monomial basis, its differential as sparse
+# columns, and their exact rank
+
+
+def _hom_blocks(E, F):
+    """The blocks (component, row, col, degree) of Hom^0(E, F) and Hom^1(E, F).
+
+    An entry of a block maps generator `col` of the source module to
+    generator `row` of the target and has the given degree, a pair from
+    `_degree_pair`.  Since Hom^{n+2}(E, F) = Hom^n(E, F(d)), Hom^{2l+eps}
+    has the blocks of Hom^eps with l*d added to every degree.
+    """
+    factors = E.ring._grading_key[0]
+    (e_neg, e_zero, _), (f_neg, f_zero, f_shifted) = E.pairs, F.pairs
+    hom0 = ((e_neg, f_neg), (e_zero, f_zero))
+    hom1 = ((e_neg, f_zero), (e_zero, f_shifted))
+    return tuple([(comp, i, j, mfengine._add_pairs(factors, s, t, -1))
+                  for comp, (src, tgt) in enumerate(components)
+                  for i, t in enumerate(tgt) for j, s in enumerate(src)]
+                 for components in (hom0, hom1))
+
+
+def _hom_basis(ring, blocks, n):
+    """Monomial basis of Hom^n(E, F): entries (component, row, col, exps),
+    with `blocks` = `_hom_blocks(E, F)` shifted by l*d for n = 2l + eps."""
+    l, eps = divmod(n, 2)
+    factors, d = ring._grading_key[0], ring._potential_pair
+    return [(comp, i, j, exps) for comp, i, j, pair in blocks[eps]
+            for exps in ring._tables[mfengine._add_pairs(factors, pair, d, l)]]
+
+
+def _differential_matrix(E, F, n, basis_n, basis_np1):
+    """Columns of the strand differential Hom^n(E, F) -> Hom^{n+1}(E, F),
+    g -> g . phi^E - (-1)^n phi^F . g, one {row: coeff} dict per element of
+    `basis_n`, rows indexed by `basis_np1` (the transpose, of equal rank).
+    Right multiplication by the E map moves a block to the other component,
+    left multiplication by the F map keeps it."""
+    right, left = E.right_terms, F.left_terms
+    index = {key: pos for pos, key in enumerate(basis_np1)}
+    sign = 1 if n % 2 else -1
+    cols = []
+    for comp, i, j, m in basis_n:
+        col = {}
+        for jj, e, c in right[comp][j]:
+            col[index.get((1 - comp, i, jj, tuple(map(add, m, e))))] = c
+        for ii, e, c in left[(n + comp) % 2][i]:
+            col[index.get((comp, ii, j, tuple(map(add, m, e))))] = sign * c
+        if None in col:
+            raise AssertionError("differential left the graded window")
+        cols.append(col)
+    return cols
+
+
+def _per_strand_ranks(E, F, n_lo, n_hi):
+    """(sizes, ranks) as the routes of `strand_cohomology` return them,
+    strand by strand from `_hom_basis`, `_differential_matrix` and
+    `linalg.rank`."""
+    blocks = _hom_blocks(E, F)
+    bases = {n: _hom_basis(E.ring, blocks, n) for n in range(n_lo - 1, n_hi + 2)}
+    ranks = {}
+    for n in range(n_lo - 1, n_hi + 1):
+        D = _differential_matrix(E, F, n, bases[n], bases[n + 1])
+        ranks[n] = linalg.rank(D) if D else 0
+    return {n: len(bases[n]) for n in ranks}, ranks
+
+
 def _one_variable_cases():
     """(E, F) pairs over one variable for the per-strand oracle: standard
     objects of x^2 ... x^10 against twists by -d..d, shifted or not (a
@@ -1129,10 +1246,12 @@ def _one_variable_cases():
 
 
 def test_one_variable_ranks_match_per_strand_route():
+    # the multi-variable route serves any ring, so it is checked here too
     kinds = {"fractional": 0, "zero": 0, "rank2": 0}
     for E, F in _one_variable_cases():
         got = mfengine._one_variable_ranks(E, F, -24, 25)
-        assert got == mfengine._per_strand_ranks(E, F, -24, 25), (E, F)
+        assert got == _per_strand_ranks(E, F, -24, 25), (E, F)
+        assert got == mfengine._multi_variable_ranks(E, F, -24, 25), (E, F)
         kinds["fractional"] += any(type(c) is Fraction
                                    for M in E.right_terms for row in M
                                    for _, _, c in row)
@@ -1140,6 +1259,107 @@ def test_one_variable_ranks_match_per_strand_route():
         kinds["rank2"] += E.rank_pair == (2, 2)
     # the torsion ring gives tables with no basis at all
     assert all(kinds.values()), kinds
+
+
+def _product_cases():
+    """(E, F, L) for the route oracle: a seeded sample of pairs of products
+    of standard objects of x^a + y^b, the second twisted by a combination
+    of the generator degrees and shifted or not, at windows L = 0..4, and
+    the same of their folded images under the orbit map; the pairs of
+    `_oracle_pairs` (cones, a `Fraction` coefficient, unequal weights) at
+    window 2; and a seeded sample of pairs of products of standard objects
+    of x^4 + y^4 + z^4 at windows 2 and 4."""
+    rng = random.Random(22)
+    cases = []
+    for a, b in ((2, 3), (3, 3), (2, 5), (3, 4), (4, 6), (5, 5)):
+        _, objects, psi = _orbit_battery(a, b)
+        for objs in (objects, mfengine._restrict_all(objects, psi)):
+            ring = objs[0].ring
+            for _ in range(27):
+                g = sum((rng.randint(-3, 3) * x for x in ring.spec.generator_degrees),
+                        ring.grading.group.zero())
+                F = rng.choice(objs).twist(g)
+                cases.append((rng.choice(objs), F.shift_once() if rng.random() < 0.5
+                              else F, rng.randint(0, 4)))
+    cases += [(E, F, 2) for E, F in _oracle_pairs()]
+    rings = [one_variable_ring(4, name) for name in "xyz"]
+    products = [functools.reduce(tensor_product, factors) for factors in
+                itertools.product(*map(standard_objects, rings))]
+    return cases + [(rng.choice(products), rng.choice(products), L)
+                    for L in (2, 4) for _ in range(3)]
+
+
+def test_multi_variable_ranks_match_per_strand_route():
+    kinds = {"folded": 0, "torsion": 0, "fractional": 0, "three": 0}
+    for E, F, L in _product_cases():
+        got = mfengine._multi_variable_ranks(E, F, -2 * L, 2 * L + 1)
+        assert got == _per_strand_ranks(E, F, -2 * L, 2 * L + 1), (E, F, L)
+        factors = E.ring._grading_key[0]
+        kinds["folded"] += not factors
+        kinds["torsion"] += bool(factors)
+        kinds["fractional"] += any(type(c) is Fraction for M in E.right_terms
+                                   for row in M for _, _, c in row)
+        kinds["three"] += E.ring.nvars() == 3 and any(got[1].values())
+    assert all(kinds.values()), kinds
+
+
+def _composite_terms(maps, eps):
+    """The differential applied twice to each block of parity eps, from the
+    terms of `_block_maps`: {(target block, exps): coefficient} per block."""
+    out = []
+    for _, terms in maps[eps]:
+        acc = {}
+        for t, e, c in terms:
+            for t2, e2, c2 in maps[1 - eps][t][1]:
+                key = t2, tuple(map(add, e, e2))
+                acc[key] = acc.get(key, 0) + c * c2
+        out.append(acc)
+    return out
+
+
+def test_block_maps_square_to_zero():
+    # the premise of the multi-variable route: d o d = 0 block by block
+    pairs = [(E, F) for E, F, _ in _product_cases()]
+    pairs += _one_variable_cases()[::5]
+    paths = 0
+    for E, F in pairs:
+        maps = mfengine._block_maps(E, F)
+        for eps in (0, 1):
+            for acc in _composite_terms(maps, eps):
+                assert not any(acc.values()), (E, F, eps)
+                paths += len(acc)
+    assert paths
+    # a sign flipped on one left term breaks it
+    E, F = _oracle_pairs()[0]
+    maps = mfengine._block_maps(E, F)
+    (t, e, c), *rest = maps[0][0][1][::-1]
+    maps[0][0] = (maps[0][0][0], rest + [(t, e, -c)])
+    assert any(any(acc.values()) for acc in _composite_terms(maps, 0))
+
+
+def test_missing_target_monomial_survives_optimize_flag(run_optimized):
+    # the first strand is eliminated in full, so every monomial of its
+    # blocks is moved; one removed from its target table is refused
+    proc = run_optimized("""
+        from singlab import mfengine as mf
+        rx, ry = mf.one_variable_ring(3, "x"), mf.one_variable_ring(3, "y")
+        T = mf.tensor_product(mf.standard_objects(rx)[0], mf.standard_objects(ry)[1])
+        maps = mf._block_maps(T, T)
+        tables = T.ring._tables
+        pair, terms = next(block for block in maps[0] if tables[block[0]] and block[1])
+        t, e, _ = terms[0]
+        target = maps[1][t][0]
+        moved = tuple(a + b for a, b in zip(tables[pair][0], e))
+        tables[target] = tuple(m for m in tables[target] if m != moved)
+        try:
+            mf._multi_variable_ranks(T, T, 1, 1)
+        except AssertionError as exc:
+            print(exc)
+        else:
+            sys.exit(5)
+    """)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines() == ["differential left the graded window"]
 
 
 def test_windowed_one_variable_tables_match_per_strand_route(monkeypatch):
@@ -1151,7 +1371,7 @@ def test_windowed_one_variable_tables_match_per_strand_route(monkeypatch):
     pairs = [(E, F) for E in objs for F in objs if E.ring == F.ring]
     fast = {(E, F, L): strand_cohomology(E, F, window=L)
             for E, F in pairs for L in (0, 2, 5)}
-    monkeypatch.setattr(mfengine, "_one_variable_ranks", mfengine._per_strand_ranks)
+    monkeypatch.setattr(mfengine, "_one_variable_ranks", _per_strand_ranks)
     for (E, F, L), table in fast.items():
         assert table == strand_cohomology(E, F, window=L), (E, F, L)
     assert any(table.total() for table in fast.values())
@@ -1162,7 +1382,8 @@ def test_cli_output_unchanged_on_per_strand_route(monkeypatch, capsys):
     fast = []
     for argv in argvs:
         fast.append((cli.main(argv), capsys.readouterr().out))
-    monkeypatch.setattr(mfengine, "_one_variable_ranks", mfengine._per_strand_ranks)
+    for route in ("_one_variable_ranks", "_multi_variable_ranks"):
+        monkeypatch.setattr(mfengine, route, _per_strand_ranks)
     for argv, (code, out) in zip(argvs, fast):
         assert code == 0 and out
         assert cli.main(argv) == code
