@@ -140,7 +140,11 @@ def quiver_report(spec: str) -> dict:
     spec = spec.strip()
     if spec and spec[0] in "ADEade":
         try:
-            t = decompose.ADEType(spec[0].upper(), int(spec[1:]))
+            index = int(spec[1:])
+        except ValueError:
+            raise UsageError(f"bad ADE name {spec!r}") from None
+        try:
+            t = decompose.ADEType(spec[0].upper(), index)
         except ValueError as exc:
             raise UsageError(str(exc)) from None
         return quiverlab.algebra_model(t).report()

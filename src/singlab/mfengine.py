@@ -28,8 +28,11 @@ coker phi, which therefore lives in finitely many degrees.  A nonzero
 factorization in two or more variables has cokernels of positive
 dimension, so its table carries an explicit window tag; for exterior
 products of one-variable factorizations the certified table follows from
-the factors' tables by the Künneth formula (`kunneth_table`), with no
-linear algebra on the product.
+the factors' tables by the Künneth formula, with no linear algebra on the
+product: the Poincaré series {n: dim H^n} of the product is the product
+of the factors' series.  `kunneth_table` and the orbit sum of
+`orbit_hom_check` both multiply series with one routine
+(`_series_product`).
 
 Rings and factorizations are plain values, as groups are: each fixes an
 identity key when it is built, a ring its grading and potential (not its
@@ -767,14 +770,6 @@ class StrandCohomology:
     def total(self) -> int:
         return sum(self.entries.values())
 
-    def to_json(self):
-        table = {f"H[{2 * l + eps}] (eps={eps}, l={l})": dim
-                 for (eps, l), dim in self.nonzero()}
-        kind, data = self.certification
-        return {"certification": {"kind": kind, "data": list(data) if
-                                  isinstance(data, tuple) else data},
-                "nonzero": table}
-
 
 def _block_maps(E: Factorization, F: Factorization):
     """The blocks of Hom^0(E, F) and Hom^1(E, F) with the differential's
@@ -1055,63 +1050,55 @@ def _factor_table(E: Factorization, F: Factorization) -> StrandCohomology:
     return table
 
 
-def _factor_tables():
-    """A memo for one battery: table(E, F, w) is `_factor_table` of
-    (E, F twisted by w times the degree a of the variable).
-
-    The memo is keyed by (E, F, w mod m) for the potential x^m: objects
-    are values, equal when ring, degree pairs and structure maps agree, and
-    the table depends on nothing else.  A ring's value leaves out variable
-    names, so factors of x^m and y^m share their tables.  For w = q m + r,
-    F(w a) is F(r a) twisted by q deg(x^m), and
-    H^{n-2q}(Hom(E, F(w a))) = H^n(Hom(E, F(r a))), so the table of r is read
-    with every strand index l (and the certified range) moved down by q.
-    """
-    memo: dict = {}
-
-    def table(E, F, w):
-        ring = E.ring
-        q, r = divmod(w, ring._potential_pair[1] // ring._grading_key[1][0][1])
-        key = (E, F, r)
-        if key not in memo:
-            twisted = F.twist(r * F.ring.spec.generator_degrees[0]) if r else F
-            memo[key] = _factor_table(E, twisted)
-        found = memo[key]
-        if not q:
-            return found
-        lo, hi = found.certification[1]
-        return StrandCohomology({(eps, l - q): dim
-                                 for (eps, l), dim in found.entries.items()},
-                                ("certified", (lo - q, hi - q)))
-
-    return table
+def _poincare_series(table: StrandCohomology) -> dict:
+    """{n: dim H^n} over the nonzero strands of `table`, n = 2l + eps."""
+    return {2 * l + eps: dim for (eps, l), dim in table.entries.items() if dim}
 
 
-def _kunneth_product(tables) -> StrandCohomology:
-    """The certified table whose Poincaré series sum_n dim H^n t^n, with
-    n = 2l + eps, is the product of the certified `tables`' series.
-
-    Factor k is supported in l_lo_k < l < l_hi_k, so the product is
-    supported in degrees n from sum 2(l_lo_k + 1) to sum 2(l_hi_k - 1) + 1;
-    the range is widened by one strand on each side, so its boundary strands
-    are zero, as in `strand_cohomology`.
-    """
-    series = {0: 1}
-    n_min = n_max = 0
-    for table in tables:
-        factor = {2 * l + eps: dim for (eps, l), dim in table.entries.items() if dim}
+def _series_product(factors, offset: int = 0) -> dict:
+    """t^offset times the product of the Poincaré series `factors`."""
+    series = {offset: 1}
+    for factor in factors:
         product: dict = {}
         for n1, c1 in series.items():
             for n2, c2 in factor.items():
                 product[n1 + n2] = product.get(n1 + n2, 0) + c1 * c2
         series = product
-        lo, hi = table.certification[1]
-        n_min += 2 * (lo + 1)
-        n_max += 2 * (hi - 1) + 1
-    l_lo, l_hi = n_min // 2 - 1, n_max // 2 + 1
-    entries = {(eps, l): series.get(2 * l + eps, 0)
-               for l in range(l_lo, l_hi + 1) for eps in (0, 1)}
-    return StrandCohomology(entries, ("certified", (l_lo, l_hi)))
+    return series
+
+
+def _orbit_sums():
+    """A memo for one battery: orbit(E, F, lifts) is the Poincaré series of
+    the sum over `lifts` w of Hom(E, F twisted by w), factor F_k by w_k
+    times the degree of its variable: one `_series_product` per lift.
+
+    Factor series are kept by value under (E_k, F_k, w_k mod m) for the
+    potential x^m: objects are values, and a ring's value leaves out
+    variable names, so factors of x^m and y^m share one entry.  For
+    w = q m + r, F(w a) is F(r a) twisted by q deg(x^m), and
+    H^{n-2q}(Hom(E, F(w a))) = H^n(Hom(E, F(r a))): a lift's product is
+    moved by the exponent offset -2 sum_k q_k.
+    """
+    memo: dict = {}
+
+    def factor(E, F, w):
+        ring = E.ring
+        q, r = divmod(w, ring._potential_pair[1] // ring._grading_key[1][0][1])
+        key = (E, F, r)
+        if key not in memo:
+            twisted = F.twist(r * F.ring.spec.generator_degrees[0]) if r else F
+            memo[key] = _poincare_series(_factor_table(E, twisted))
+        return -2 * q, memo[key]
+
+    def orbit(E, F, lifts):
+        total: dict = {}
+        for w in lifts:
+            shifts, factors = zip(*map(factor, E, F, w))
+            for n, dim in _series_product(factors, sum(shifts)).items():
+                total[n] = total.get(n, 0) + dim
+        return total
+
+    return orbit
 
 
 def kunneth_table(factors_E, factors_F) -> StrandCohomology:
@@ -1120,15 +1107,23 @@ def kunneth_table(factors_E, factors_F) -> StrandCohomology:
     The factors are one-variable factorizations, E_k and F_k over the same
     ring.  The morphism complex of the exterior products is the tensor
     product of the factors' complexes (Ballard-Favero-Katzarkov,
-    arXiv:1105.3177), so dim H^n = sum over n_1 + ... + n_m = n of the
-    products of the factors' dim H^{n_k}, read from their certified tables;
-    no linear algebra on the product is done.  A factor table that is not
-    certified is an invariant breach and raises AssertionError.
+    arXiv:1105.3177), so its Poincaré series sum_n dim H^n t^n is the
+    product of the factors' series, read from their certified tables; no
+    linear algebra on the product is done.  Factor k vanishes outside
+    l_lo_k < l < l_hi_k, so the product vanishes outside degrees
+    sum 2(l_lo_k + 1) <= n <= sum 2(l_hi_k - 1) + 1; the certified range
+    adds one zero strand on each side, as in `strand_cohomology`.  A factor
+    table that is not certified is an invariant breach (AssertionError).
     """
     if not factors_E or len(factors_E) != len(factors_F):
         raise ValueError("Künneth needs one F factor per E factor")
-    return _kunneth_product([_factor_table(E, F)
-                             for E, F in zip(factors_E, factors_F)])
+    tables = [_factor_table(E, F) for E, F in zip(factors_E, factors_F)]
+    series = _series_product(map(_poincare_series, tables))
+    l_lo = sum(t.certification[1][0] + 1 for t in tables) - 1
+    l_hi = sum(2 * t.certification[1][1] - 1 for t in tables) // 2 + 1
+    entries = {(eps, l): series.get(2 * l + eps, 0)
+               for l in range(l_lo, l_hi + 1) for eps in (0, 1)}
+    return StrandCohomology(entries, ("certified", (l_lo, l_hi)))
 
 
 def endo_algebra_check(d: int) -> dict:
@@ -1284,11 +1279,11 @@ def orbit_hom_check(objects, psi: OrbitSpec, window: int) -> list:
       on the folded `tensor_product`s, all regraded into one ring, whose
       monomial tables every pair shares (ValueError when the products are
       over different rings);
-    * the orbit-sum side as the sum over g in Gamma of `kunneth_table`.  A
+    * the orbit-sum side as one Poincaré series (`_orbit_sums`), the sum
+      over g in Gamma of the Künneth products `kunneth_table` forms.  A
       twist by g twists factor k by coordinate w_k of `g.coordinates` times
       its generator; another lift of g differs by d_i e_i - d_j e_j, which
       moves two factors' strands by +2 and -2 and leaves the product alone.
-      Factor tables are kept for the battery by value (`_factor_tables`).
 
     Returns {"pair": [i, j], "ok", "mismatches"} for each pair, in
     row-major order, over the strands of the window.
@@ -1298,17 +1293,15 @@ def orbit_hom_check(objects, psi: OrbitSpec, window: int) -> list:
     lifts = [g.coordinates for g in psi.kernel]
     if any(len(w) != len(obj) for obj in objects for w in lifts):
         raise ValueError("a lift of g needs one coordinate per factor")
-    factor_table = _factor_tables()
+    orbit_sum = _orbit_sums()
     out = []
     for i, (E, RE) in enumerate(zip(objects, restricted)):
         for j, (F, RF) in enumerate(zip(objects, restricted)):
             lhs = strand_cohomology(RE, RF, window=window)
-            orbit = [_kunneth_product([factor_table(*factors)
-                                       for factors in zip(E, F, w)])
-                     for w in lifts]
+            orbit = orbit_sum(E, F, lifts)
             mismatches = []
             for key in sorted(lhs.entries, key=lambda k: (k[1], k[0])):
-                rhs = sum(t.dim(*key) for t in orbit)
+                rhs = orbit.get(2 * key[1] + key[0], 0)
                 if lhs.entries[key] != rhs:
                     mismatches.append({"strand": list(key),
                                        "restricted": lhs.entries[key],

@@ -112,6 +112,15 @@ def test_quiver_subcommand_named(capsys):
     assert r["coxeter_polynomial"] == [1, 1, 0, 1, 1]
 
 
+def test_bad_ade_name_exits_2(capsys):
+    # a family letter with no index names the spec, not Python's int parser
+    for spec in ("E", "Ex"):
+        assert cli.main(["quiver", spec]) == 2, spec
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"usage error: bad ADE name {spec!r}\n"
+
+
 def test_quiver_subcommand_weights(capsys):
     code, out = run_cli(capsys, "quiver", "2,3,5")
     r = json.loads(out)["results"]

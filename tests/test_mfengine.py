@@ -426,7 +426,14 @@ def test_orbit_check_regrades_each_object_once(monkeypatch):
     assert rep["ok"]
 
 
-def test_factor_tables_by_value_match_unmemoized():
+def _series_of(table):
+    """Oracle: {n: dim H^n} over the nonzero strands of a table, n = 2l + eps."""
+    return {2 * l + eps: dim for (eps, l), dim in table.entries.items() if dim}
+
+
+def test_factor_tables_by_value_match_unmemoized(monkeypatch):
+    unmemoized = mfengine._factor_table
+    tables = _counting(monkeypatch, "_factor_table")
     for a, b in ((2, 2), (3, 3), (4, 6)):
         rx, ry = one_variable_ring(a, "x"), one_variable_ring(b, "y")
         objs = [(u, v) for u in standard_objects(rx) for v in standard_objects(ry)]
@@ -437,13 +444,19 @@ def test_factor_tables_by_value_match_unmemoized():
         # so some coordinates reach past one period of the potential
         lifts = {tuple(x + k * y for x, y in zip(e.coordinates, (a, -b)))
                  for e in psi.kernel for k in (-1, 0, 1)}
-        table = mfengine._factor_tables()
+        orbit = mfengine._orbit_sums()
+        del tables[:]
+        residues = set()
         for E, F in itertools.product(objs, repeat=2):
             for w in lifts:
-                for Ek, Fk, wk in zip(E, F, w):
+                for Ek, Fk, wk, m in zip(E, F, w, (a, b)):
                     twisted = Fk.twist(wk * Fk.ring.spec.generator_degrees[0])
-                    assert table(Ek, Fk, wk) == mfengine._factor_table(Ek, twisted), \
-                        (a, b, w)
+                    assert (orbit((Ek,), (Fk,), [(wk,)])
+                            == _series_of(unmemoized(Ek, twisted))), (a, b, w)
+                    residues.add((Ek, Fk, wk % m))
+        # one elimination per (E factor, F factor, residue), whatever the
+        # period shift of the lift
+        assert len(tables) == len(residues)
 
 
 def test_factors_of_x_and_y_are_one_value(monkeypatch):
@@ -456,11 +469,14 @@ def test_factors_of_x_and_y_are_one_value(monkeypatch):
         for i, (Ex, Ey) in enumerate(zip(xs, ys)):
             assert Ex == Ey and hash(Ex) == hash(Ey)
             assert all(Ex != other for other in ys[:i] + ys[i + 1:])
-        table = mfengine._factor_tables()
+        orbit = mfengine._orbit_sums()
         del tables[:]
-        # w and w + m read the same table of residue w mod m
-        for w in (1, 1 + m, 1 - m):
-            assert table(xs[0], xs[-1], w) == table(ys[0], ys[-1], w)
+        # w and w + k m read the one entry of residue w mod m, moved by -2k
+        base = orbit((xs[-1],), (xs[0],), [(1,)])
+        assert base
+        for k in (-1, 0, 1):
+            assert (orbit((ys[-1],), (ys[0],), [(1 + k * m,)])
+                    == {n - 2 * k: dim for n, dim in base.items()})
         assert len(tables) == 1
 
 
@@ -949,6 +965,30 @@ def test_kunneth_table_matches_windowed_oracle():
                     for window in (0, 1, 2):
                         oracle = strand_cohomology(TE, TFg, window=window)
                         assert _agrees(table, oracle), (a, b, E, F, g, window)
+
+
+def test_orbit_sum_matches_kunneth_oracle():
+    # the orbit sum of every pair, strand by strand over windows 0 to 2,
+    # against the sum over the lifts of Gamma of `kunneth_table` (no memo)
+    # of E and F twisted factor by factor; the lifts are also translated by
+    # the relation (a, -b), which moves factors by whole periods
+    for a, b in ((2, 2), (3, 3), (2, 5), (4, 6)):
+        factors, _, psi = _orbit_battery(a, b)
+        orbit = mfengine._orbit_sums()
+        for k in (-1, 0, 1):
+            lifts = [tuple(x + k * y for x, y in zip(g.coordinates, (a, -b)))
+                     for g in psi.kernel]
+            for E, F in itertools.product(factors, repeat=2):
+                series = orbit(E, F, lifts)
+                oracle = [kunneth_table(E, [
+                    Fk.twist(wk * Fk.ring.spec.generator_degrees[0])
+                    for Fk, wk in zip(F, w)]) for w in lifts]
+                for window in (0, 1, 2):
+                    for l in range(-window, window + 1):
+                        for eps in (0, 1):
+                            assert (series.get(2 * l + eps, 0)
+                                    == sum(t.dim(eps, l) for t in oracle)), \
+                                (a, b, k, E, F, window, eps, l)
 
 
 def test_kunneth_table_vanishes_past_certified_range():
