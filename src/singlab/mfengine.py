@@ -355,8 +355,9 @@ def _zero_matrix(rows, cols, nvars):
                  for _ in range(rows))
 
 
-def _matmul_poly(A, B, nvars):
-    """A . B; each entry is summed in one term dict, then made a Polynomial."""
+def _product_terms(A, B):
+    """A . B for matrices of Polynomials, each entry summed in one term dict
+    {exps: coefficient} with its zero coefficients dropped."""
     inner = len(B)
     cols = len(B[0]) if inner else 0
     out = []
@@ -369,24 +370,36 @@ def _matmul_poly(A, B, nvars):
                     for e2, c2 in B[t][j].terms.items():
                         e = tuple(map(add, e1, e2))
                         acc[e] = acc.get(e, 0) + c1 * c2
-            row.append(Polynomial(nvars, acc))
-        out.append(tuple(row))
-    return tuple(out)
+            row.append({e: c for e, c in acc.items() if c})
+        out.append(row)
+    return out
+
+
+def _matmul_poly(A, B, nvars):
+    """A . B as a matrix of Polynomials (`_product_terms`)."""
+    return tuple(tuple(Polynomial(nvars, acc) for acc in row)
+                 for row in _product_terms(A, B))
 
 
 def _check_homogeneous(ring: RingWithPotential, matrix, src, tgt, label: str):
-    """Entry [i][j] must have degree src[j] - tgt[i] (generator degree pairs).
+    """Entry [i][j] must be a polynomial in the ring's variables of degree
+    src[j] - tgt[i] (generator degree pairs).
 
     The grading has free rank one, so equal pairs mean equal degrees.
     """
     key = ring._grading_key
+    nvars = len(key[1])
     for i, t in enumerate(tgt):
         for j, s in enumerate(src):
-            forced = _add_pairs(key[0], s, t, -1)
-            for exps in matrix[i][j].terms:
-                if _monomial_pair(key, exps) != forced:
-                    raise ValueError(
-                        f"{label}[{i}][{j}] has an entry of the wrong degree")
+            p = matrix[i][j]
+            if p.nvars != nvars:
+                raise ValueError("exponent tuple of wrong length")
+            if p.terms:
+                forced = _add_pairs(key[0], s, t, -1)
+                for exps in p.terms:
+                    if _monomial_pair(key, exps) != forced:
+                        raise ValueError(
+                            f"{label}[{i}][{j}] has an entry of the wrong degree")
 
 
 class Factorization:
@@ -476,23 +489,27 @@ class Factorization:
 
 
 def _validate_factorization(E: Factorization):
-    ring = E.ring
-    nv = ring.nvars()
+    """The three checks of a factorization, each a ValueError: the shapes
+    of phi0 and phi_neg, their homogeneity for E's generator degrees
+    (`_check_degrees`), and phi_neg phi0 = w I and phi0 phi_neg = w I.
+
+    Each entry of a product is formed once as a term dict and compared
+    with the potential's terms on the diagonal and with {} off it; the
+    entries are Polynomials in the ring's variables (`_check_homogeneous`),
+    so their products need no second exponent check.
+    """
     r_neg, r_zero = len(E.twists_neg), len(E.twists_zero)
     if len(E.phi0) != r_zero or any(len(row) != r_neg for row in E.phi0):
         raise ValueError("phi0 has the wrong shape")
     if len(E.phi_neg) != r_neg or any(len(row) != r_zero for row in E.phi_neg):
         raise ValueError("phi_neg has the wrong shape")
     _check_degrees(E)
-    w = ring.potential
-    comp1 = _matmul_poly(E.phi_neg, E.phi0, nv)
-    comp2 = _matmul_poly(E.phi0, E.phi_neg, nv)
-    for comp, rank, name in ((comp1, r_neg, "phi_neg . phi0"),
-                             (comp2, r_zero, "phi0 . phi_neg")):
-        for i in range(rank):
-            for j in range(rank):
-                expected = w if i == j else Polynomial.zero(nv)
-                if comp[i][j] != expected:
+    w = E.ring.potential.terms
+    for A, B, name in ((E.phi_neg, E.phi0, "phi_neg . phi0"),
+                       (E.phi0, E.phi_neg, "phi0 . phi_neg")):
+        for i, row in enumerate(_product_terms(A, B)):
+            for j, entry in enumerate(row):
+                if entry != (w if i == j else {}):
                     raise ValueError(f"{name} is not w times the identity")
 
 
@@ -771,50 +788,66 @@ class StrandCohomology:
         return sum(self.entries.values())
 
 
+def _block_layout(E: Factorization, F: Factorization, eps: int):
+    """The blocks of Hom^eps(E, F) in order, one (source pair, target pair,
+    right, right_to, left, left_to) each.
+
+    The blocks are (component, row, col) in lexicographic order: an entry
+    maps generator `col` of the source module (degree: the source pair) to
+    generator `row` of the target (the target pair).  Right multiplication
+    by the E map moves a block to the other component, left multiplication
+    by the F map keeps it: `right` is row `col` of E's `right_terms` of the
+    component and `left` column `row` of F's `left_terms` for it, and a
+    right term (jj, e, c) lands on block right_to[jj] of the other parity,
+    a left term (ii, e, c) on block left_to[ii].
+    """
+    (e_neg, e_zero, _), (f_neg, f_zero, f_shifted) = E.pairs, F.pairs
+    targets = ((f_neg, f_zero), (f_zero, f_shifted))[eps]
+    # both modules of E have its rank r and both of F its rank s, so block
+    # (comp, i, j) of either parity is (comp * s + i) * r + j; a right term
+    # (jj, e, c) of it goes to (1 - comp, i, jj), a left one (ii, e, c) to
+    # (comp, ii, j)
+    r, s = len(e_neg), len(f_neg)
+    for comp, sources in enumerate((e_neg, e_zero)):
+        right, left = E.right_terms[comp], F.left_terms[(eps + comp) % 2]
+        other = (1 - comp) * s
+        for i, target in enumerate(targets[comp]):
+            right_to = range((other + i) * r, (other + i + 1) * r)
+            for j, source in enumerate(sources):
+                yield (source, target, right[j], right_to, left[i],
+                       range(comp * s * r + j, (comp + 1) * s * r, r))
+
+
 def _block_maps(E: Factorization, F: Factorization):
     """The blocks of Hom^0(E, F) and Hom^1(E, F) with the differential's
     terms: for each parity, a list of (degree, terms) per block.
 
-    The blocks of a parity are (component, row, col) in lexicographic order:
-    an entry maps generator `col` of the source module to generator `row` of
-    the target and has the block's degree, a pair from `_degree_pair`.
+    The blocks of a parity are those of `_block_layout`, and a block's
+    degree is its source pair minus its target pair (`_degree_pair`).
     Since Hom^{n+2}(E, F) = Hom^n(E, F(d)), Hom^{2l+eps} has the blocks of
     Hom^eps with l*d added to every degree.
 
-    The differential sends g to g . phi^E - (-1)^n phi^F . g.  Right
-    multiplication by the E map moves a block to the other component; left
-    multiplication by the F map keeps it (E's `right_terms`, F's
-    `left_terms`, fixed when each was built).  So the monomial m of a block
-    goes to m + e in the blocks of the other parity named by its terms
-    (target block index, exps e, coefficient), the left ones signed for
-    the parity.  Coefficients are ints where the structure maps have
-    integral coefficients.  Within one block's terms the pairs (target
-    block, e) are distinct, so each term of a monomial lands on its own
-    row: right terms switch the component and left terms keep it, and a
-    `Polynomial` stores no zero coefficient.
+    The differential sends g to g . phi^E - (-1)^n phi^F . g, so the
+    monomial m of a block goes to m + e in the blocks of the other parity
+    named by its terms (target block index, exps e, coefficient): E's
+    `right_terms` and F's `left_terms`, fixed when each was built, the left
+    ones signed for the parity.  Coefficients are ints where the structure
+    maps have integral coefficients.  Within one block's terms the pairs
+    (target block, e) are distinct, so each term of a monomial lands on its
+    own row: right terms switch the component and left terms keep it, and
+    a `Polynomial` stores no zero coefficient.
     """
     factors = E.ring._grading_key[0]
-    (e_neg, e_zero, _), (f_neg, f_zero, f_shifted) = E.pairs, F.pairs
-    sources = (e_neg, e_zero)
-    targets = ((f_neg, f_zero), (f_zero, f_shifted))
-    # both modules of E have its rank r, so block (comp, i, j) of the other
-    # parity is block start[comp] + i * r + j there
-    r = len(e_neg)
     out = []
     for eps in (0, 1):
         sign = 1 if eps else -1
-        start = (0, len(targets[1 - eps][0]) * r)
         blocks = []
-        for comp in (0, 1):
-            right, left = E.right_terms[comp], F.left_terms[(eps + comp) % 2]
-            to_right, to_left = start[1 - comp], start[comp]
-            for i, (t_res, t_deg) in enumerate(targets[eps][comp]):
-                for j, (s_res, s_deg) in enumerate(sources[comp]):
-                    terms = [(to_right + i * r + jj, e, c) for jj, e, c in right[j]]
-                    terms += [(to_left + ii * r + j, e, sign * c)
-                              for ii, e, c in left[i]]
-                    res = tuple([(x - y) % t for x, y, t in zip(s_res, t_res, factors)])
-                    blocks.append(((res, s_deg - t_deg), terms))
+        for (s_res, s_deg), (t_res, t_deg), right, right_to, left, left_to \
+                in _block_layout(E, F, eps):
+            terms = [(right_to[jj], e, c) for jj, e, c in right]
+            terms += [(left_to[ii], e, sign * c) for ii, e, c in left]
+            res = tuple([(x - y) % t for x, y, t in zip(s_res, t_res, factors)])
+            blocks.append(((res, s_deg - t_deg), terms))
         out.append(blocks)
     return out
 
@@ -894,30 +927,43 @@ def _one_variable_ranks(E, F, n_lo, n_hi):
     For the potential x^D, a block of Hom^eps of degree (res, deg) has
     degree (res, deg) + l d in Hom^{2l+eps}, so it holds at most one
     monomial there, x^(e0 + l D) with e0 = deg / deg x.  The monomial is
-    there when deg x divides deg, e0 deg x has the residues res, and
-    e0 + l D >= 0, that is from the threshold l = -(e0 // D) on.  The
-    differential sends that monomial to fixed multiples of the monomials of
-    its target blocks, the coefficients of its terms (`_block_maps`).  So
-    every strand differential of parity eps is one scalar matrix restricted
-    to the columns of the blocks present at l; its rows need no
-    restriction, since a present block maps into present blocks.  With the
+    there when deg x divides deg, e0 deg x has the residues res (tested
+    only when the grading has torsion), and e0 + l D >= 0, that is from the
+    threshold l = -(e0 // D) on.  The differential sends that monomial to
+    fixed multiples of the monomials of its target blocks: the
+    coefficients of its terms, each landing on the block `_block_layout`
+    names, the left ones signed for the parity as in `_block_maps`.  So
+    every strand differential of parity eps is one scalar matrix
+    restricted to the columns of the blocks present at l; its rows need no
+    restriction, since a present block maps into present blocks.  One pass
+    over the blocks of each parity finds each block's degree and threshold
+    and builds a column only for a block that is ever present.  With the
     columns sorted by threshold the present ones are a prefix, and one
-    `linalg.independent_rows` on the columns gives the rank of every prefix:
-    the number of chosen columns inside it.
+    `linalg.independent_rows` on the columns gives the rank of every
+    prefix: the number of chosen columns inside it.
     """
     factors, ((a_res, a),) = E.ring._grading_key
     top = E.ring._potential_pair[1] // a
     thresholds, chosen = [], []
-    for blocks in _block_maps(E, F):
+    for eps in (0, 1):
+        sign = 1 if eps else -1
         columns = []
-        for (res, deg), terms in blocks:
-            e0, off = divmod(deg, a)
-            if off or any((e0 * s - r) % t for r, s, t in zip(res, a_res, factors)):
+        for (s_res, s_deg), (t_res, t_deg), right, right_to, left, left_to \
+                in _block_layout(E, F, eps):
+            e0, off = divmod(s_deg - t_deg, a)
+            if off or factors and any((e0 * q - x + y) % t for x, y, q, t
+                                      in zip(s_res, t_res, a_res, factors)):
                 continue
-            columns.append((-(e0 // top), {t: c for t, _, c in terms}))
+            column = {}
+            for jj, _, c in right:
+                column[right_to[jj]] = c
+            for ii, _, c in left:
+                column[left_to[ii]] = sign * c
+            columns.append((-(e0 // top), column))
         columns.sort(key=itemgetter(0))
-        thresholds.append([l for l, _ in columns])
-        chosen.append(linalg.independent_rows([col for _, col in columns]))
+        levels, matrix = zip(*columns) if columns else ((), ())
+        thresholds.append(levels)
+        chosen.append(linalg.independent_rows(matrix))
     sizes, ranks = {}, {}
     for n in range(n_lo - 1, n_hi + 1):
         l, eps = divmod(n, 2)
@@ -965,32 +1011,34 @@ def _cokernel_support(obj: Factorization):
 
 
 def _certified_range(E: Factorization, F: Factorization):
-    """Twist-index range outside which all strands provably vanish, or None."""
-    support_E = E.cokernel_support
-    if support_E is None:
-        return None
-    support_F = F.cokernel_support
-    if support_F is None:
+    """Twist-index range outside which all strands provably vanish, or None.
+
+    Hom with the zero object vanishes, so a pair with a zero object gets
+    (0, 0) over any ring.  Otherwise both objects need cokernel supports
+    (`_cokernel_support`): strand l pairs E's degrees with F's shifted by
+    -l deg w, so it vanishes unless some piece of E and some piece of F
+    overlap, that is lo_E <= hi_F - l deg w and lo_F - l deg w <= hi_E.
+    """
+    if not E.twists_zero or not F.twists_zero:
+        return 0, 0
+    support_E, support_F = E.cokernel_support, F.cokernel_support
+    if support_E is None or support_F is None:
         return None
     dd = E.ring._potential_pair[1]
-    # F-side pieces shift by -l*dd; overlap needs
-    # loE <= hiF - l*dd and loF - l*dd <= hiE
-    overlaps = [(-((hiE - loF) // dd), (hiF - loE) // dd)
-                for loE, hiE in filter(None, support_E)
-                for loF, hiF in filter(None, support_F)]
-    if not overlaps:
-        # only the zero object has a zero cokernel: Hom(E, F) is zero
-        return 0, 0
-    return min(lo for lo, _ in overlaps) - 1, max(hi for _, hi in overlaps) + 1
+    (lo_E0, hi_E0), (lo_E1, hi_E1) = support_E
+    (lo_F0, hi_F0), (lo_F1, hi_F1) = support_F
+    return (-((max(hi_E0, hi_E1) - min(lo_F0, lo_F1)) // dd) - 1,
+            (max(hi_F0, hi_F1) - min(lo_E0, lo_E1)) // dd + 1)
 
 
 def strand_cohomology(E: Factorization, F: Factorization,
                       window: int | None = None) -> StrandCohomology:
     """Dimension of every strand H^{2l+eps}(Hom(E, F)) in range.
 
-    With no `window`, when each object is zero or over one variable, the
-    result carries a proven support range and strands outside it read as
-    zero: each structure map phi has det phi = c x^e, and by the adjugate
+    With no `window`, the result carries a proven support range, and
+    strands outside it read as zero, when either object is zero (Hom
+    vanishes, range (0, 0), over any ring) or both are over one variable:
+    each structure map phi has det phi = c x^e, and by the adjugate
     x^min(e, deg_x w) kills coker phi, which bounds its degrees
     (`_cokernel_support`); for other objects the window `default_window`
     is used.  A given `window` L >= 0 asks for the strands with
@@ -998,7 +1046,7 @@ def strand_cohomology(E: Factorization, F: Factorization,
     raises ValueError.  Computation is exact linear algebra on the finite
     homogeneous components of the morphism complex.  The blocks of Hom^n,
     their degrees and the differential's terms are read once per pair and
-    parity (`_block_maps`; Hom^{n+2}(E, F) = Hom^n(E, F(d))).  Over one
+    parity (`_block_layout`; Hom^{n+2}(E, F) = Hom^n(E, F(d))).  Over one
     variable every strand's dimension and rank comes from one elimination
     per parity (`_one_variable_ranks`).  Over more variables the strands
     are eliminated in order, each only on the positions outside the
@@ -1148,9 +1196,10 @@ def endo_algebra_check(d: int) -> dict:
             table = strand_cohomology(objs[i], objs[j])
             certified = certified and table.certification[0] == "certified"
             h0[i][j] = table.dim(0, 0)
-            for (eps, l), dim in table.nonzero():
-                if (eps, l) != (0, 0):
-                    others.append(((i + 1, j + 1), (eps, l), dim))
+            # entries run by (l, eps), the order of `nonzero`
+            others += [((i + 1, j + 1), strand, dim)
+                       for strand, dim in table.entries.items()
+                       if dim and strand != (0, 0)]
     # the loop ends on the (d-2, d-2) table: Hom(k(0), k(0))
     k_table = table
     cartan = cartan_matrix(ade_quiver(ADEType("A", m))).to_rows()

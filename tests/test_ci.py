@@ -1,7 +1,8 @@
 """The CI workflow runs the tier-1 command that ROADMAP.md states, on a
 matrix whose lowest Python is the `requires-python` minimum.
 
-The workflow is read as text: CI installs only pytest and hypothesis.
+The workflow and pyproject.toml are read as text: CI installs only the
+packages of the `test` extra, and `tomllib` is not on Python 3.10.
 """
 
 import re
@@ -33,3 +34,14 @@ def test_lowest_ci_python_is_the_required_minimum():
     matrix = re.search(r"^\s*python-version: \[([^\]]*)\]", workflow, re.M).group(1)
     versions = re.findall(r'"([\d.]+)"', matrix)
     assert versions and min(versions, key=_version) == required
+
+
+def test_ci_installs_exactly_the_test_extra():
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    extra = re.search(r"^test = \[([^\]]*)\]", pyproject, re.M).group(1)
+    wanted = sorted(re.findall(r'"([^"]+)"', extra))
+    workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
+    installs = [line.split("pip install", 1)[1].split()
+                for line in workflow.splitlines() if "pip install" in line]
+    assert wanted and installs
+    assert all(sorted(packages) == wanted for packages in installs), installs

@@ -98,6 +98,18 @@ def test_zero_factorization_against_any_object():
         assert t.dim(0, 7) == t.dim(1, -7) == 0
 
 
+def test_zero_object_is_certified_over_any_ring():
+    # Hom with the zero object vanishes, also over two variables
+    rx, ry = one_variable_ring(3, "x"), one_variable_ring(3, "y")
+    T = tensor_product(standard_objects(rx)[0], standard_objects(ry)[0])
+    Z = zero_factorization(T.ring)
+    assert strand_cohomology(T, T, window=0).total()
+    for E, F in ((Z, T), (T, Z), (Z, Z)):
+        t = strand_cohomology(E, F)
+        assert t.certification == ("certified", (0, 0))
+        assert t.total() == 0 and t.dim(1, 5) == 0
+
+
 def test_polynomial_rejects_negative_exponents():
     ring = ring3()
     g = ring.spec.generator_degrees[0]
@@ -148,6 +160,131 @@ def test_homogeneity_catches_torsion_only_mismatch():
     # the potential check has the same strength: x^2 y has degree 3 too
     with pytest.raises(ValueError, match="not homogeneous"):
         RingWithPotential(T.ring.spec, T.ring.names, Polynomial(2, {(2, 1): 1}))
+
+
+def _oracle_product_check(ring, phi0, phi_neg):
+    """The product check of `make_factorization` as first written: both
+    products as `Polynomial` matrices (`_matmul_poly`) against w times the
+    identity.  The message of the first failure, or None."""
+    nv, w = ring.nvars(), ring.potential
+    for A, B, name in ((phi_neg, phi0, "phi_neg . phi0"),
+                       (phi0, phi_neg, "phi0 . phi_neg")):
+        for i, row in enumerate(_matmul_poly(A, B, nv)):
+            for j, p in enumerate(row):
+                if p != (w if i == j else Polynomial.zero(nv)):
+                    return f"{name} is not w times the identity"
+    return None
+
+
+def _outcome(ring, twists_neg, twists_zero, phi0, phi_neg):
+    """None when `make_factorization` accepts, else its message."""
+    try:
+        make_factorization(ring, twists_neg, twists_zero, phi0, phi_neg)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+_COEFFS = (1, -1, 2, Fraction(1, 2), Fraction(-1, 2), Fraction(2, 3), Fraction(3, 2))
+
+
+def _random_candidates(rng):
+    """Homogeneous (ring, twists_neg, twists_zero, phi0, phi_neg) over one
+    and two variables, rank 1 and rank 2, about half of them
+    factorizations: rank 1 with random coefficients, and rank 2 objects
+    (cones over x^d, products over x^a + y^b) conjugated by random
+    diagonal scalars, one entry then rescaled or given an extra monomial
+    of its degree in half of them."""
+    out = []
+    for d in (3, 4, 6):
+        ring = one_variable_ring(d)
+        gen, zero = ring.spec.generator_degrees[0], ring.grading.group.zero()
+        for _ in range(12):
+            i = rng.randint(1, d - 1)
+            out.append((ring, (i * gen,), (zero,),
+                        ((Polynomial.monomial(1, (i,), rng.choice(_COEFFS)),),),
+                        ((Polynomial.monomial(1, (d - i,), rng.choice(_COEFFS)),),)))
+    for a, b in ((2, 3), (3, 3)):
+        R = tensor_ring(one_variable_ring(a, "x"), one_variable_ring(b, "y"))
+        zero = R.grading.group.zero()
+        for _ in range(12):
+            c0, c1, c2 = (rng.choice(_COEFFS[:4]) for _ in range(3))
+            if rng.random() < 0.5:
+                c1 = c2 = 1 / Fraction(c0)
+            out.append((R, (zero,), (zero,), ((Polynomial(2, {(0, 0): c0}),),),
+                        ((Polynomial(2, {(a, 0): c1, (0, b): c2}),),)))
+    rank2 = _monomial_cones(3)[::4] + _monomial_cones(4)[::9]
+    rank2 += [tensor_product(E, F) for E, F in itertools.product(
+        standard_objects(one_variable_ring(3, "x")),
+        standard_objects(one_variable_ring(4, "y")))]
+    for X in rank2:
+        p, q = ([rng.choice(_COEFFS) for _ in range(2)] for _ in range(2))
+        phi0 = [[X.phi0[i][j] * (Fraction(p[i]) / q[j]) for j in range(2)]
+                for i in range(2)]
+        phi_neg = [[X.phi_neg[j][i] * (Fraction(q[j]) / p[i]) for i in range(2)]
+                   for j in range(2)]
+        if rng.random() < 0.5:
+            M = rng.choice((phi0, phi_neg))
+            i, j = rng.randrange(2), rng.randrange(2)
+            if M[i][j].is_zero():
+                src, tgt = ((X.twists_neg, X.twists_zero) if M is phi0 else
+                            (X.twists_zero, tuple(u - X.ring.spec.potential_degree
+                                                  for u in X.twists_neg)))
+                monos = X.ring.monomials_of(src[j] - tgt[i])
+                if monos:
+                    M[i][j] = Polynomial.monomial(X.ring.nvars(), rng.choice(monos))
+            else:
+                M[i][j] = M[i][j] * rng.choice(_COEFFS[1:])
+        out.append((X.ring, X.twists_neg, X.twists_zero, phi0, phi_neg))
+    return out
+
+
+def test_factorization_check_matches_polynomial_oracle():
+    rng = random.Random(24)
+    seen = {"accepted": 0, "rejected": 0, "two": 0, "rank2": 0, "fraction": 0}
+    for ring, t_neg, t_zero, phi0, phi_neg in _random_candidates(rng):
+        expected = _oracle_product_check(ring, phi0, phi_neg)
+        assert _outcome(ring, t_neg, t_zero, phi0, phi_neg) == expected
+        seen["rejected" if expected else "accepted"] += 1
+        seen["two"] += ring.nvars() == 2 and not expected
+        seen["rank2"] += len(t_neg) == 2 and not expected
+        seen["fraction"] += not expected and any(
+            type(c) is Fraction for M in (phi0, phi_neg) for row in M
+            for p in row for c in p.terms.values())
+    assert all(n >= 3 for n in seen.values()), seen
+
+
+def test_factorization_check_explicit_cases():
+    ring = ring3()
+    g = ring.spec.generator_degrees[0]
+    zero = ring.grading.group.zero()
+    x, x2 = Polynomial.variable(1, 0), Polynomial.variable(1, 0, 2)
+    z = Polynomial.zero(1)
+    # E_1 + E_1 with an extra x^2: phi_neg . phi0 has x^3 off the diagonal
+    args = (ring, (g, g), (zero, zero), ((x, z), (z, x)), ((x2, x2), (z, x2)))
+    assert _outcome(*args) == _oracle_product_check(*args[:1], *args[3:]) \
+        == "phi_neg . phi0 is not w times the identity"
+    # the Koszul blocks of a product: off-diagonal sums x y - y x cancel
+    rx, ry = one_variable_ring(3, "x"), one_variable_ring(3, "y")
+    T = tensor_product(standard_objects(rx)[0], standard_objects(ry)[1])
+    cancelling = [sum(bool(T.phi_neg[i][t].terms and T.phi0[t][j].terms)
+                      for t in range(2)) for i in range(2) for j in range(2) if i != j]
+    assert max(cancelling) == 2
+    assert _outcome(T.ring, T.twists_neg, T.twists_zero, T.phi0, T.phi_neg) is None
+    # entries over the wrong number of variables, whether or not the
+    # products would truncate their exponent tuples to the ring's
+    x_2, x2_2 = Polynomial.variable(2, 0), Polynomial.variable(2, 0, 2)
+    for phi0, phi_neg in (((x_2,),), ((x2,),)), (((x_2,),), ((x2_2,),)):
+        assert _outcome(ring, (g,), (zero,), phi0, phi_neg) \
+            == "exponent tuple of wrong length"
+    # (x/2)(2x^{d-1}) = x^d with a Fraction factor
+    for d in (2, 3, 7):
+        ring = one_variable_ring(d)
+        half = Polynomial.monomial(1, (1,), Fraction(1, 2))
+        E = make_factorization(ring, (ring.spec.generator_degrees[0],),
+                               (ring.grading.group.zero(),), ((half,),),
+                               ((Polynomial.monomial(1, (d - 1,), 2),),))
+        assert E.phi0[0][0].terms == {(1,): Fraction(1, 2)}
 
 
 def test_random_matrices_mostly_rejected():
@@ -377,9 +514,14 @@ def test_strand_routes_build_no_strand_bases(monkeypatch):
     monkeypatch.setattr(linalg, "pivot_columns",
                         lambda A: rows.append(len(A)) or pivot_columns(A))
     # a certified one-variable table comes from one elimination per parity
-    for E in standard_objects(one_variable_ring(4)) + _monomial_cones(3)[:4]:
+    # and reads no monomial table and no shift table
+    objs = standard_objects(one_variable_ring(4)) + _monomial_cones(3)[:4]
+    rings = list({id(E.ring): E.ring for E in objs}.values())
+    assert len(rings) == 2
+    for E in objs:
         assert strand_cohomology(E, E).certification[0] == "certified"
     assert rows == []
+    assert all(not ring._tables and not ring._shifts for ring in rings)
     # a two-variable battery and its folded image: each strand after the
     # first leaves out one row per rank of the strand before it
     _, objects, psi = _orbit_battery(3, 3)
