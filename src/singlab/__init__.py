@@ -12,6 +12,8 @@ Modules:
   homs and extensions, ghost certificates
 * ``mfengine``   graded matrix factorizations: strand cohomology,
   endomorphism checks, grading restriction and orbit identities
+* ``linalg``     the one exact sparse elimination: rank, independent rows,
+  pivot columns, nullspace and solve
 * ``cli``        command-line front end with deterministic JSON reports
 """
 

@@ -1,9 +1,11 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals: one sparse elimination.
 
-Everything here works on plain lists of lists whose entries are ints or
-`fractions.Fraction`; no floating point is ever introduced.  The rows given
-to `_echelon` (and so to `independent_rows`, `pivot_columns` and `rank`) may
-also be sparse {column: value} dicts.
+A matrix is a list of rows whose entries are ints or `fractions.Fraction`;
+no floating point is ever introduced.  A row is a sequence or a sparse
+{column: value} dict, absent columns being 0 (`solve` reads sequences
+only, and `nullspace` needs the width `cols` for dict rows).  Nothing here
+builds or multiplies dense matrices: callers build each matrix once, in the
+form they eliminate it.
 
 One elimination, `_echelon`, serves `independent_rows`, `pivot_columns`,
 `rank`, `nullspace` and `solve`: sparse, fraction-free row echelon form
@@ -25,41 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-
-def zeros(rows: int, cols: int) -> list[list[Fraction]]:
-    return [[Fraction(0)] * cols for _ in range(rows)]
-
-
-def identity(n: int) -> list[list[Fraction]]:
-    M = zeros(n, n)
-    for i in range(n):
-        M[i][i] = Fraction(1)
-    return M
-
-
-def matmul(A, B):
-    n, k = len(A), len(B)
-    m = len(B[0]) if B else 0
-    if A and len(A[0]) != k:
-        raise AssertionError("shape mismatch")
-    out = zeros(n, m)
-    for i in range(n):
-        Ai = A[i]
-        for t in range(k):
-            a = Ai[t]
-            if a == 0:
-                continue
-            Bt = B[t]
-            row = out[i]
-            for j in range(m):
-                row[j] += a * Bt[j]
-    return out
-
-
-def transpose(A):
-    if not A:
-        return []
-    return [list(col) for col in zip(*A)]
+__all__ = ["independent_rows", "pivot_columns", "rank", "nullspace", "solve"]
 
 
 def _echelon(A):
@@ -152,9 +120,10 @@ def rank(A) -> int:
 
 
 def nullspace(A, cols: int | None = None):
-    """Basis of the right kernel of A (of width `cols` if A has no rows):
-    per non-pivot column, the kernel vector with 1 there, 0 at the others."""
-    n = len(A[0]) if A else cols or 0
+    """Basis of the right kernel of A, of width `cols` when given and else
+    that of A's first row: per non-pivot column, the kernel vector with 1
+    there, 0 at the others."""
+    n = cols if cols is not None else len(A[0]) if A else 0
     pivots, _ = _echelon(A)
     return [_kernel_vector(pivots, {f: 1}, n) for f in range(n) if f not in pivots]
 

@@ -375,10 +375,10 @@ def _product_terms(A, B):
     return out
 
 
-def _matmul_poly(A, B, nvars):
-    """A . B as a matrix of Polynomials (`_product_terms`)."""
-    return tuple(tuple(Polynomial(nvars, acc) for acc in row)
-                 for row in _product_terms(A, B))
+def _check_shape(matrix, rows: int, cols: int, label: str):
+    """ValueError unless the matrix has `rows` rows of `cols` entries."""
+    if len(matrix) != rows or any(len(row) != cols for row in matrix):
+        raise ValueError(f"{label} has the wrong shape")
 
 
 def _check_homogeneous(ring: RingWithPotential, matrix, src, tgt, label: str):
@@ -499,10 +499,8 @@ def _validate_factorization(E: Factorization):
     so their products need no second exponent check.
     """
     r_neg, r_zero = len(E.twists_neg), len(E.twists_zero)
-    if len(E.phi0) != r_zero or any(len(row) != r_neg for row in E.phi0):
-        raise ValueError("phi0 has the wrong shape")
-    if len(E.phi_neg) != r_neg or any(len(row) != r_zero for row in E.phi_neg):
-        raise ValueError("phi_neg has the wrong shape")
+    _check_shape(E.phi0, r_zero, r_neg, "phi0")
+    _check_shape(E.phi_neg, r_neg, r_zero, "phi_neg")
     _check_degrees(E)
     w = E.ring.potential.terms
     for A, B, name in ((E.phi_neg, E.phi0, "phi_neg . phi0"),
@@ -566,25 +564,30 @@ class FactorizationMap:
     f_zero: tuple
 
     def is_closed(self) -> bool:
-        """f_0 phi0^E = phi0^F f_{-1} and f_{-1} phi_neg^E = phi_neg^F f_0."""
+        """f_0 phi0^E = phi0^F f_{-1} and f_{-1} phi_neg^E = phi_neg^F f_0,
+        entry by entry as term dicts (`_product_terms`)."""
         E, F = self.source, self.target
-        nv = E.ring.nvars()
-        return (_matmul_poly(self.f_zero, E.phi0, nv)
-                == _matmul_poly(F.phi0, self.f_neg, nv)
-                and _matmul_poly(self.f_neg, E.phi_neg, nv)
-                == _matmul_poly(F.phi_neg, self.f_zero, nv))
+        return (_product_terms(self.f_zero, E.phi0)
+                == _product_terms(F.phi0, self.f_neg)
+                and _product_terms(self.f_neg, E.phi_neg)
+                == _product_terms(F.phi_neg, self.f_zero))
 
 
 def factorization_map(E: Factorization, F: Factorization,
                       f_neg, f_zero) -> FactorizationMap:
+    """The closed map (f_neg, f_zero): E -> F, checked like a factorization:
+    the shapes, homogeneity of degree zero and commuting with the structure
+    maps, each a ValueError."""
     if E.ring != F.ring:
         raise ValueError("factorizations over different rings")
     f = FactorizationMap(E, F,
                          tuple(tuple(p for p in row) for row in f_neg),
                          tuple(tuple(p for p in row) for row in f_zero))
-    (e_neg, e_zero, _), (f_neg, f_zero, _) = E.pairs, F.pairs
-    _check_homogeneous(E.ring, f.f_neg, e_neg, f_neg, "f_neg")
-    _check_homogeneous(E.ring, f.f_zero, e_zero, f_zero, "f_zero")
+    (e_neg, e_zero, _), (t_neg, t_zero, _) = E.pairs, F.pairs
+    _check_shape(f.f_neg, len(t_neg), len(e_neg), "f_neg")
+    _check_shape(f.f_zero, len(t_zero), len(e_zero), "f_zero")
+    _check_homogeneous(E.ring, f.f_neg, e_neg, t_neg, "f_neg")
+    _check_homogeneous(E.ring, f.f_zero, e_zero, t_zero, "f_zero")
     if not f.is_closed():
         raise ValueError("map does not commute with the structure maps")
     return f

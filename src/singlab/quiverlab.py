@@ -16,11 +16,16 @@ complex per pair of modules (Ringel 1976):
     delta: C^0 = sum_v Hom(M_v, N_v) -> C^1 = sum_a Hom(M_t(a), N_s(a)),
     delta(X)_a = X_s . act_M(a) - act_N(a) . X_t,
 
-built once by `_coboundary`.  Hom(M, N) is its kernel and Ext^1(M, N) its
-cokernel; a cocycle is a coboundary exactly when it adds no independent row
-to the image of delta.  Blocks are flattened row-major, one per vertex in C^0
-and one per arrow in C^1.  An explicit projective resolution gives Ext^1 by
-a second, independent route, kept for the tests.
+built once by `_coboundary` as sparse rows together with its columns, the
+images of the unit vectors of C^0, and handed to `linalg`, which only
+eliminates.  Hom(M, N) is the kernel of the rows.  Ext^1(M, N) is the
+cokernel: its basis is the unit cocycles at the entries of C^1 that lead no
+row of the echelon form of the columns, and a cocycle is a coboundary
+exactly when it adds no independent vector to the columns.  Blocks are
+flattened row-major, one per vertex in C^0 and one per arrow in C^1.  An
+explicit projective resolution gives Ext^1 by a second, independent route,
+kept for the tests.  Representation entries are `int` when integral and
+`Fraction` otherwise, and `_product` is the one dense matrix product.
 
 Shifted sums of modules model the bounded derived category -- legitimate
 because path algebras of acyclic quivers are hereditary, so every complex
@@ -61,6 +66,7 @@ __all__ = [
     "ext_rep",
     "ext_class_is_zero",
     "ext_via_resolution",
+    "projective_resolution",
     "euler_form",
     "hom_basis",
     "is_ghost",
@@ -374,11 +380,22 @@ def algebra_model(t: ADEType) -> QuiverAlgebraModel:
 # representations
 
 
+def _rational(x):
+    """x as an exact rational: an `int` when integral, else a `Fraction`."""
+    if type(x) is not int:
+        x = Fraction(x)
+        if x.denominator == 1:
+            x = x.numerator
+    return x
+
+
 class Representation:
     """A finite-dimensional module: dims per vertex, a matrix per arrow.
 
     maps[k] is the action of arrows[k]: a (dim at source) x (dim at target)
-    matrix over the rationals, applied to the component at the target.
+    matrix over the rationals, applied to the component at the target, as
+    a tuple of row tuples whose entries are `int` when integral and
+    `Fraction` otherwise.
     """
 
     __slots__ = ("quiver", "dims", "maps")
@@ -393,23 +410,20 @@ class Representation:
         self.quiver = quiver
         self.dims = dims
         if maps is None:
-            maps = [linalg.zeros(dims[s - 1], dims[t - 1]) for s, t in quiver.arrows]
-        clean = []
+            maps = [[[0] * dims[t - 1]] * dims[s - 1] for s, t in quiver.arrows]
+        if len(maps) != len(quiver.arrows):
+            raise ValueError("one map per arrow required")
         for (s, t), M in zip(quiver.arrows, maps):
-            M = [[Fraction(x) for x in row] for row in M]
             if len(M) != dims[s - 1] or any(len(r) != dims[t - 1] for r in M):
                 raise ValueError(f"map for arrow ({s},{t}) has wrong shape")
-            clean.append(M)
-        self.maps = tuple(tuple(tuple(row) for row in M) for M in clean)
+        self.maps = tuple(tuple(tuple(map(_rational, row)) for row in M)
+                          for M in maps)
 
     def dim(self, v: int) -> int:
         return self.dims[v - 1]
 
     def total_dim(self) -> int:
         return sum(self.dims)
-
-    def map_rows(self, k: int):
-        return [list(row) for row in self.maps[k]]
 
     def __eq__(self, other):
         return (isinstance(other, Representation) and self.quiver == other.quiver
@@ -446,20 +460,15 @@ def projective_rep(Q: Quiver, v: int) -> Representation:
         raise ValueError(f"vertex {v} out of range")
     paths_to_v = _paths_to(Q)[v]
     dims = [len(paths_to_v[u]) for u in Q.vertices()]
-    maps = []
-    for s, t in Q.arrows:
-        M = linalg.zeros(len(paths_to_v[s]), len(paths_to_v[t]))
-        for j, p in enumerate(paths_to_v[t]):
-            glued = (s,) + p
-            i = paths_to_v[s].index(glued)
-            M[i][j] = Fraction(1)
-        maps.append(M)
+    # the arrow s -> t sends the path q: t -> v to (s,) + q: s -> v
+    maps = [[[int(p == (s,) + q) for q in paths_to_v[t]] for p in paths_to_v[s]]
+            for s, t in Q.arrows]
     return Representation(Q, dims, maps)
 
 
 def _product(X, Y, n, k, m):
-    """X (n x k) times Y (k x m); the shapes are explicit so that
-    zero-dimensional blocks cannot lose them."""
+    """X (n x k) times Y (k x m), the one dense matrix product here; the
+    shapes are explicit so that zero-dimensional blocks cannot lose them."""
     return [[sum(X[a][b] * Y[b][c] for b in range(k)) for c in range(m)]
             for a in range(n)]
 
@@ -482,11 +491,13 @@ def _split(vec, shapes):
 
 
 def _coboundary(M: Representation, N: Representation):
-    """(delta, shapes0, shapes1) of the complex C^0 -> C^1 for the pair (M, N).
+    """(rows, columns, shapes0, shapes1) of delta: C^0 -> C^1 for (M, N).
 
-    One row per entry of C^1 and one column per entry of C^0; shapes0 has
-    the (rows, cols) of Hom(M_v, N_v) per vertex, shapes1 that of
-    Hom(M_t(a), N_s(a)) per arrow.
+    delta is built once as sparse {index: value} dicts: `rows` has one per
+    entry of C^1, indexed by the entries of C^0, and `columns`, the images
+    of the unit vectors of C^0, one per entry of C^0, indexed by the
+    entries of C^1.  shapes0 has the (rows, cols) of Hom(M_v, N_v) per
+    vertex, shapes1 that of Hom(M_t(a), N_s(a)) per arrow.
     """
     if M.quiver != N.quiver:
         raise ValueError("representations over different quivers")
@@ -494,19 +505,22 @@ def _coboundary(M: Representation, N: Representation):
     shapes0 = [(N.dim(v), M.dim(v)) for v in Q.vertices()]
     shapes1 = [(N.dim(s), M.dim(t)) for s, t in Q.arrows]
     off0 = list(itertools.accumulate((r * c for r, c in shapes0), initial=0))
-    delta = []
+    rows = []
+    columns = [{} for _ in range(off0[-1])]
     for k, (s, t) in enumerate(Q.arrows):
         A = M.maps[k]   # M_t -> M_s
         B = N.maps[k]   # N_t -> N_s
+        # s != t (the quiver is acyclic), so the X_s and X_t entries differ
         for i in range(N.dim(s)):
             for j in range(M.dim(t)):
-                row = [Fraction(0)] * off0[-1]
-                for c in range(M.dim(s)):
-                    row[off0[s - 1] + i * M.dim(s) + c] += A[c][j]
-                for c in range(N.dim(t)):
-                    row[off0[t - 1] + c * M.dim(t) + j] -= B[i][c]
-                delta.append(row)
-    return delta, shapes0, shapes1
+                row = {off0[s - 1] + i * M.dim(s) + c: A[c][j]
+                       for c in range(M.dim(s)) if A[c][j]}
+                row.update((off0[t - 1] + c * M.dim(t) + j, -B[i][c])
+                           for c in range(N.dim(t)) if B[i][c])
+                for col, x in row.items():
+                    columns[col][len(rows)] = x
+                rows.append(row)
+    return rows, columns, shapes0, shapes1
 
 
 def _extend_span(spanning, candidates):
@@ -518,8 +532,8 @@ def _extend_span(spanning, candidates):
 
 def rep_hom(M: Representation, N: Representation):
     """(dimension, basis) of the intertwiner space Hom(M, N) = ker delta."""
-    delta, shapes0, _ = _coboundary(M, N)
-    kernel = linalg.nullspace(delta, cols=sum(r * c for r, c in shapes0))
+    rows, columns, shapes0, _ = _coboundary(M, N)
+    kernel = linalg.nullspace(rows, cols=len(columns))
     basis = [dict(zip(M.quiver.vertices(), _split(vec, shapes0))) for vec in kernel]
     return len(basis), basis
 
@@ -527,21 +541,24 @@ def rep_hom(M: Representation, N: Representation):
 def ext_rep(M: Representation, N: Representation):
     """(dimension, cocycle basis) of Ext^1(M, N) = coker delta.
 
-    A cocycle is a matrix per arrow, Hom(M_{t(a)}, N_{s(a)}); the basis is
-    the coordinate vectors of C^1 that complete the image of delta.
+    A cocycle is a matrix per arrow, Hom(M_{t(a)}, N_{s(a)}).  The basis is
+    the unit vectors of C^1 at the entries that lead no row of the echelon
+    form of the image of delta: with that echelon basis they form a
+    triangular basis of C^1, so they complete the image.
     """
-    delta, _, shapes1 = _coboundary(M, N)
-    units = linalg.identity(len(delta))
-    classes = [dict(enumerate(_split(vec, shapes1)))
-               for vec in _extend_span(linalg.transpose(delta), units)]
+    rows, columns, _, shapes1 = _coboundary(M, N)
+    n1 = len(rows)
+    leading = set(linalg.pivot_columns(columns))
+    classes = [dict(enumerate(_split([int(e == r) for e in range(n1)], shapes1)))
+               for r in range(n1) if r not in leading]
     return len(classes), classes
 
 
 def ext_class_is_zero(M: Representation, N: Representation, cocycle) -> bool:
     """Whether a cocycle is a coboundary (the trivial extension class)."""
-    delta, _, shapes1 = _coboundary(M, N)
+    _, columns, _, shapes1 = _coboundary(M, N)
     vec = _flatten([cocycle[k] for k in range(len(shapes1))], shapes1)
-    return not _extend_span(linalg.transpose(delta), [vec])
+    return not _extend_span(columns, [vec])
 
 
 def projective_resolution(M: Representation):
@@ -560,50 +577,32 @@ def projective_resolution(M: Representation):
     # the inclusion P1 -> P0, one vertex at a time in path coordinates
     bases = _paths_to(Q)
 
+    def entry(v, i, q, k, j, p):
+        """The coefficient of q tensor e_i (q: u -> v) in the image of
+        p tensor e_j (p: u -> s) from the summand of the arrow k: s -> t:
+        1 from (p . a) tensor e_j, -act[i][j] from -p tensor (a . e_j)."""
+        s, t = Q.arrows[k]
+        if v == t and i == j and q == p + (t,):
+            return 1
+        return -M.maps[k][i][j] if v == s and q == p else 0
+
     iota = {}
     for u in Q.vertices():
-        p0_dim = sum(len(bases[v][u]) for v, _ in p0_parts)
-        cols = sum(len(bases[Q.arrows[k][0]][u]) for k, _ in p1_parts)
-        X = linalg.zeros(p0_dim, cols)
-        col = 0
-        for (k, j) in p1_parts:
-            s, t = Q.arrows[k]
-            act = M.maps[k]  # M_t -> M_s
-            for p in bases[s][u]:
-                # component (p . a) tensor e_j in the (t, j) block of P0
-                glued = p + (t,)
-                row = 0
-                for (v, i) in p0_parts:
-                    if v == t and i == j:
-                        row_idx = row + bases[t][u].index(glued)
-                        X[row_idx][col] += Fraction(1)
-                    row += len(bases[v][u])
-                # component -p tensor (a . e_j) spread over the (s, i) blocks
-                row = 0
-                for (v, i) in p0_parts:
-                    if v == s:
-                        row_idx = row + bases[s][u].index(p)
-                        X[row_idx][col] -= act[i][j]
-                    row += len(bases[v][u])
-                col += 1
-        iota[u] = X
+        cols = [(k, j, p) for k, j in p1_parts for p in bases[Q.arrows[k][0]][u]]
+        iota[u] = [[entry(v, i, q, *col) for col in cols]
+                   for v, i in p0_parts for q in bases[v][u]]
     return P0, P1, iota
 
 
 def _direct_sum(reps, Q: Quiver) -> Representation:
-    if not reps:
-        return Representation(Q, [0] * Q.num_vertices)
     dims = [sum(r.dim(v) for r in reps) for v in Q.vertices()]
     maps = []
     for k, (s, t) in enumerate(Q.arrows):
-        M = linalg.zeros(dims[s - 1], dims[t - 1])
-        ro = co = 0
+        M = []
+        co = 0  # the block-diagonal rows of the summands, in order
         for r in reps:
-            block = r.maps[k]
-            for i in range(r.dim(s)):
-                for j in range(r.dim(t)):
-                    M[ro + i][co + j] = block[i][j]
-            ro += r.dim(s)
+            M.extend([0] * co + list(row) + [0] * (dims[t - 1] - co - r.dim(t))
+                     for row in r.maps[k])
             co += r.dim(t)
         maps.append(M)
     return Representation(Q, dims, maps)
@@ -619,7 +618,8 @@ def ext_via_resolution(M: Representation, N: Representation) -> int:
     # matrix of (- . iota): Hom(P0, N) -> Hom(P1, N) in the two bases
     vertices = M.quiver.vertices()
     shapes = [(N.dim(v), P1.dim(v)) for v in vertices]
-    images = [_flatten([linalg.matmul(X[v], iota[v]) for v in vertices], shapes)
+    images = [_flatten([_product(X[v], iota[v], N.dim(v), P0.dim(v), P1.dim(v))
+                        for v in vertices], shapes)
               for X in basis0]
     # rank of the image inside the coordinate space of Hom(P1, N)
     return len(basis1) - linalg.rank(images)
@@ -824,30 +824,37 @@ class ComplexOfReps:
 
 
 def _check_complex(C: ComplexOfReps):
-    degrees = sorted(C.terms)
-    for i in degrees:
-        if i + 1 in C.terms and i in C.differentials:
-            d = C.differentials[i]
-            M, N = C.terms[i], C.terms[i + 1]
-            for v in C.quiver.vertices():
-                rows = len(d[v])
-                cols = len(d[v][0]) if rows else M.dim(v)
-                if rows != N.dim(v) or (rows and cols != M.dim(v)):
-                    raise ValueError(
-                        f"differential at degree {i}, vertex {v}: expected "
-                        f"shape {N.dim(v)}x{M.dim(v)}")
-            # morphism property per arrow
-            for k, (s, t) in enumerate(C.quiver.arrows):
-                lhs = _product(d[s], M.map_rows(k), N.dim(s), M.dim(s), M.dim(t))
-                rhs = _product(N.map_rows(k), d[t], N.dim(s), N.dim(t), M.dim(t))
-                if lhs != rhs:
-                    raise ValueError(f"differential at degree {i} is not a morphism")
-    for i in degrees:
-        if i in C.differentials and i + 1 in C.differentials:
-            for v in C.quiver.vertices():
-                sq = linalg.matmul(C.differentials[i + 1][v], C.differentials[i][v])
-                if any(x != 0 for row in sq for x in row):
-                    raise ValueError("differential does not square to zero")
+    """Every differential C^i -> C^{i+1} has the shape of its terms (a
+    degree with no term is the zero module), is a morphism, and composes
+    to zero with the next; ValueError otherwise.  The shapes are checked
+    first, since the products below trust them."""
+    zero = Representation(C.quiver, [0] * C.quiver.num_vertices)
+    differentials = sorted(C.differentials.items())
+    for i, d in differentials:
+        M, N = C.terms.get(i, zero), C.terms.get(i + 1, zero)
+        for v in C.quiver.vertices():
+            block = d.get(v)
+            if (block is None or len(block) != N.dim(v)
+                    or any(len(row) != M.dim(v) for row in block)):
+                raise ValueError(
+                    f"differential at degree {i}, vertex {v}: expected "
+                    f"shape {N.dim(v)}x{M.dim(v)}")
+    for i, d in differentials:
+        M, N = C.terms.get(i, zero), C.terms.get(i + 1, zero)
+        for k, (s, t) in enumerate(C.quiver.arrows):
+            lhs = _product(d[s], M.maps[k], N.dim(s), M.dim(s), M.dim(t))
+            rhs = _product(N.maps[k], d[t], N.dim(s), N.dim(t), M.dim(t))
+            if lhs != rhs:
+                raise ValueError(f"differential at degree {i} is not a morphism")
+    for i, d in differentials:
+        d_next = C.differentials.get(i + 1)
+        if d_next is None:
+            continue
+        M, N, P = (C.terms.get(j, zero) for j in (i, i + 1, i + 2))
+        for v in C.quiver.vertices():
+            sq = _product(d_next[v], d[v], P.dim(v), N.dim(v), M.dim(v))
+            if any(x != 0 for row in sq for x in row):
+                raise ValueError("differential does not square to zero")
 
 
 def split_complex(C: ComplexOfReps):
@@ -860,38 +867,24 @@ def split_complex(C: ComplexOfReps):
     """
     _check_complex(C)
     out = []
-    degrees = sorted(C.terms)
-    for i in degrees:
+    for i in sorted(C.terms):
         M = C.terms[i]
-        h_dims = []
+        d_out, d_in = C.differentials.get(i), C.differentials.get(i - 1)
         h_data = {}
         for v in C.quiver.vertices():
-            dim_v = M.dim(v)
-            d_out = C.differentials.get(i, None)
-            d_in = C.differentials.get(i - 1, None)
-            out_rows = d_out[v] if (d_out is not None and i + 1 in C.terms) else []
-            kernel = linalg.nullspace(out_rows, cols=dim_v)
-            if d_in is not None and i - 1 in C.terms:
-                img_cols = linalg.transpose(d_in[v]) if d_in[v] else []
-                image = [list(col) for col in img_cols]
-            else:
-                image = []
+            kernel = linalg.nullspace(d_out[v] if d_out else [], cols=M.dim(v))
+            # the image of d_in is spanned by its columns
+            image = list(zip(*d_in[v])) if d_in else []
             h_data[v] = _quotient_basis(kernel, image)
-            h_dims.append(len(h_data[v][0]))
+        h_dims = [len(h_data[v][0]) for v in C.quiver.vertices()]
         maps = []
         for k, (s, t) in enumerate(C.quiver.arrows):
-            basis_t = h_data[t][0]
-            act = M.map_rows(k)
-            cols = []
-            for h in basis_t:
-                img = [sum(act[r][c] * h[c] for c in range(M.dim(t)))
-                       for r in range(M.dim(s))]
-                cols.append(_project_to_quotient(h_data[s], img))
-            Mk = linalg.zeros(len(h_data[s][0]), len(basis_t))
-            for j, col in enumerate(cols):
-                for r in range(len(col)):
-                    Mk[r][j] = col[r]
-            maps.append(Mk)
+            # column j: the class of the image of the basis vector h_j at t
+            cols = [_project_to_quotient(
+                        h_data[s], [sum(a * x for a, x in zip(row, h))
+                                    for row in M.maps[k]])
+                    for h in h_data[t][0]]
+            maps.append([[col[r] for col in cols] for r in range(h_dims[s - 1])])
         H = Representation(C.quiver, h_dims, maps)
         if H.total_dim() > 0:
             out.append((H, i))
@@ -904,9 +897,7 @@ def _quotient_basis(kernel, image):
     The complement extends the image by kernel vectors; the independent
     image vectors are what projection solves against.
     """
-    image = [list(v) for v in image]
-    complement = _extend_span(image, [list(v) for v in kernel])
-    return complement, _extend_span([], image)
+    return _extend_span(image, kernel), _extend_span([], image)
 
 
 def _project_to_quotient(h_datum, vec):
@@ -917,8 +908,8 @@ def _project_to_quotient(h_datum, vec):
         if any(x != 0 for x in vec):
             raise AssertionError("nonzero vector in a zero quotient")
         return []
-    A = linalg.transpose(cols)
-    sol = linalg.solve(A, list(vec))
+    # one row per coordinate of vec, one column per basis vector
+    sol = linalg.solve(list(zip(*cols)), list(vec))
     if sol is None:
         raise AssertionError("vector not in kernel + image span")
     return sol[len(img_basis):]

@@ -9,7 +9,6 @@ from operator import add
 import pytest
 
 from singlab import abgroup, cli, linalg, mfengine
-from singlab.mfengine import _matmul_poly
 from singlab.mfengine import (Factorization, OrbitSpec, Polynomial,
                               RingWithPotential, cone,
                               default_window, endo_algebra_check,
@@ -162,14 +161,22 @@ def test_homogeneity_catches_torsion_only_mismatch():
         RingWithPotential(T.ring.spec, T.ring.names, Polynomial(2, {(2, 1): 1}))
 
 
+def _poly_product(A, B, nv):
+    """A . B for matrices of Polynomials, by `Polynomial` `*` and `+` alone,
+    so no product routine of `mfengine` is on the oracle's side."""
+    cols = len(B[0]) if B else 0
+    return [[sum((row[t] * B[t][j] for t in range(len(B))), Polynomial.zero(nv))
+             for j in range(cols)] for row in A]
+
+
 def _oracle_product_check(ring, phi0, phi_neg):
     """The product check of `make_factorization` as first written: both
-    products as `Polynomial` matrices (`_matmul_poly`) against w times the
+    products as `Polynomial` matrices (`_poly_product`) against w times the
     identity.  The message of the first failure, or None."""
     nv, w = ring.nvars(), ring.potential
     for A, B, name in ((phi_neg, phi0, "phi_neg . phi0"),
                        (phi0, phi_neg, "phi0 . phi_neg")):
-        for i, row in enumerate(_matmul_poly(A, B, nv)):
+        for i, row in enumerate(_poly_product(A, B, nv)):
             for j, p in enumerate(row):
                 if p != (w if i == j else Polynomial.zero(nv)):
                     return f"{name} is not w times the identity"
@@ -873,6 +880,26 @@ def test_cone_rejects_non_closed():
         factorization_map(E1, E2, ((one,),), ((one,),))
 
 
+def test_factorization_map_checks_shapes():
+    ring = ring3()
+    E1, E2 = standard_objects(ring)
+    one, z = Polynomial(1, {(0,): 1}), Polynomial.zero(1)
+    # too few rows used to raise IndexError in the homogeneity check
+    with pytest.raises(ValueError, match="f_neg has the wrong shape"):
+        factorization_map(E1, E1, [], [])
+    with pytest.raises(ValueError, match="f_zero has the wrong shape"):
+        factorization_map(E1, E1, ((one,),), [])
+    # an extra column used to be read as a map that does not commute
+    for f_neg, f_zero, name in ((((one, z),), ((one,),), "f_neg"),
+                                (((one,),), ((one, z),), "f_zero")):
+        with pytest.raises(ValueError, match=f"{name} has the wrong shape"):
+            factorization_map(E1, E1, f_neg, f_zero)
+    # the shape comes before the degree: a wrong degree in a wrong shape
+    with pytest.raises(ValueError, match="f_neg has the wrong shape"):
+        factorization_map(E1, E2, ((one, one),), ((one,),))
+    assert factorization_map(E1, E1, ((one,),), ((one,),)).is_closed()
+
+
 def test_certified_tables_stable_under_widening():
     ring = one_variable_ring(4)
     objs = standard_objects(ring)
@@ -1245,8 +1272,8 @@ def _oracle_differential(E, F, n, g_neg, g_zero):
         return [[a + sign * b for a, b in zip(ra, rb)]
                 for ra, rb in zip(right, left)]
 
-    return (combine(_matmul_poly(g_zero, E.phi0, nv), _matmul_poly(fa, g_neg, nv)),
-            combine(_matmul_poly(g_neg, E.phi_neg, nv), _matmul_poly(fb, g_zero, nv)))
+    return (combine(_poly_product(g_zero, E.phi0, nv), _poly_product(fa, g_neg, nv)),
+            combine(_poly_product(g_neg, E.phi_neg, nv), _poly_product(fb, g_zero, nv)))
 
 
 def _matrices_to_coords(mats, basis):
@@ -1291,6 +1318,8 @@ def _dense(columns, rows):
 
 
 def test_differential_matrix_matches_polynomial_oracle():
+    from test_linalg import matmul
+
     rng = random.Random(7)
     fractional = 0
     for E, F in _oracle_pairs():
@@ -1301,7 +1330,7 @@ def test_differential_matrix_matches_polynomial_oracle():
         D = {n: _dense(cols[n], len(bases[n + 1])) for n in cols}
         for n in range(-3, 3):
             if D[n] and D[n + 1]:
-                assert not any(any(row) for row in linalg.matmul(D[n + 1], D[n]))
+                assert not any(any(row) for row in matmul(D[n + 1], D[n]))
             v = [Fraction(rng.randint(-3, 3)) for _ in bases[n]]
             got = [sum(a * b for a, b in zip(row, v)) for row in D[n]]
             mats = _coords_to_matrices(E, F, n, bases[n], v)

@@ -56,10 +56,10 @@ def test_coxeter_polynomials():
 
 def fraction_coxeter(C: IntMatrix):
     """Oracle: the Fraction inverse and Faddeev-LeVerrier of the tests."""
-    from test_linalg import charpoly, inverse
+    from test_linalg import charpoly, inverse, matmul, transpose
 
     rows = C.to_rows()
-    phi = linalg.matmul(linalg.transpose(inverse(rows)), rows)
+    phi = matmul(transpose(inverse(rows)), rows)
     return charpoly([[-x for x in row] for row in phi])
 
 
@@ -237,6 +237,19 @@ def _random_rep(Q, rng, max_dim=3):
     return Representation(Q, dims, maps)
 
 
+def test_representation_checks_maps_and_normalises_entries():
+    Q = ade_quiver(A(3))
+    # zip used to truncate a short list, and rep_hom then raised IndexError
+    for maps in ([[[1]]], [[[1]], [[1]], [[1]]]):
+        with pytest.raises(ValueError, match="one map per arrow"):
+            Representation(Q, [1, 1, 1], maps)
+    M = Representation(Q, [1, 1, 1], [[[Fraction(2, 2)]], [[Fraction(1, 2)]]])
+    assert [type(row[0]) for m in M.maps for row in m] == [int, Fraction]
+    assert M == Representation(Q, [1, 1, 1], [[[1]], [[Fraction(1, 2)]]])
+    assert Representation(Q, [1, 2, 0]).maps == (((0, 0),), ((), ()))
+    assert type(projective_rep(Q, 3).maps[0][0][0]) is int
+
+
 def test_euler_form_battery():
     rng = random.Random(77)
     for n in (2, 3, 4):
@@ -287,6 +300,14 @@ def test_module_calculus_on_random_pairs():
             assert ext == len(classes)
             for E in classes:
                 assert not ext_class_is_zero(M, N, E)
+            # the classes are independent modulo the coboundaries
+            if classes:
+                weights = range(1, len(classes) + 1)
+                combo = {k: [[sum(w * E[k][i][j] for w, E in zip(weights, classes))
+                              for j in range(len(block[i]))]
+                             for i in range(len(block))]
+                         for k, block in classes[0].items()}
+                assert not ext_class_is_zero(M, N, combo)
             assert hom - ext == euler_form(Q, M.dims, N.dims)
 
 
@@ -390,6 +411,33 @@ def test_split_complex_degenerate_cases():
                          1: {1: [[Fraction(1)]], 2: []}})
     with pytest.raises(ValueError, match="square"):
         split_complex(bad)
+
+
+def test_split_complex_checks_every_shape_first():
+    Q = ade_quiver(A(2))
+    S1 = simple_rep(Q, 1)
+    one = [[Fraction(1)]]
+    terms = {0: S1, 1: S1}
+    # the degree 2 has no term, so d[1] must be 0 x 1 at vertex 1 and
+    # 0 x 0 at vertex 2: a 1 x 2 block used to raise AssertionError, a
+    # 1 x 1 block was read as a square that is not zero, and a block at
+    # the zero-dimensional vertex 2 as a product of the wrong shape
+    for d1, v, shape in (({1: [[1, 1]], 2: []}, 1, "0x1"),
+                         ({1: one, 2: []}, 1, "0x1"),
+                         ({1: [], 2: one}, 2, "0x0"),
+                         ({1: []}, 2, "0x0")):
+        C = ComplexOfReps(Q, terms, {0: {1: one, 2: []}, 1: d1})
+        with pytest.raises(ValueError, match=f"degree 1, vertex {v}: "
+                                             f"expected shape {shape}"):
+            split_complex(C)
+    # a differential out of a degree with no term must be d x 0
+    C = ComplexOfReps(Q, terms, {-1: {1: [[1]], 2: []}})
+    with pytest.raises(ValueError, match="degree -1, vertex 1: expected shape 1x0"):
+        split_complex(C)
+    # the right shapes into and out of missing degrees are accepted
+    C = ComplexOfReps(Q, terms, {-1: {1: [[]], 2: []}, 0: {1: one, 2: []},
+                                 1: {1: [], 2: []}})
+    assert split_complex(C) == []
 
 
 def test_split_complex_induced_maps():
