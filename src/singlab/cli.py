@@ -17,8 +17,9 @@ Subcommands tie the library into reproducible analyses:
 Reports are emitted as JSON (sorted keys, exact integers, rationals as
 "p/q" strings, never floats) or as human-readable text; identical
 invocations produce byte-identical JSON.  Exit codes: 0 success, 1
-verification failure, 2 usage error (bad arguments or config, or an
-exhausted search budget), 3 internal invariant breach.
+verification failure, 2 usage error (bad arguments or config, an exhausted
+search budget, or a quiver over MAX_QUIVER_VERTICES), 3 internal invariant
+breach.
 """
 
 from __future__ import annotations
@@ -34,6 +35,11 @@ import sys
 from . import __version__
 
 SCHEMA_VERSION = 1
+
+# `quiver` refuses a quiver with more vertices than this before building
+# it: the largest one in the tests and the benchmark has 60 (4,5,6), and
+# its Coxeter polynomial costs about n^4.
+MAX_QUIVER_VERTICES = 200
 
 # Every setting as (default, smallest accepted value).  A config file may set
 # any of them; a command line sets only those its command reads.
@@ -135,6 +141,12 @@ def sod_report(d) -> dict:
     return out
 
 
+def _check_quiver_size(vertices: int, what: str) -> None:
+    if vertices > MAX_QUIVER_VERTICES:
+        raise UsageError(f"{what} has {vertices} vertices; quiver builds "
+                         f"at most {MAX_QUIVER_VERTICES}")
+
+
 def quiver_report(spec: str) -> dict:
     from . import decompose, quiverlab
     spec = spec.strip()
@@ -147,15 +159,18 @@ def quiver_report(spec: str) -> dict:
             t = decompose.ADEType(spec[0].upper(), index)
         except ValueError as exc:
             raise UsageError(str(exc)) from None
+        _check_quiver_size(t.index, f"the quiver {t}")
         return quiverlab.algebra_model(t).report()
     d = parse_weights(spec)
+    out = {"weights": list(d.entries), "degenerate": d.has_unit_weight()}
+    if d.has_unit_weight() or all(x < 2 for x in d.entries):
+        out["note"] = "a unit weight collapses the factorization category"
+        return out
+    _check_quiver_size(math.prod(x - 1 for x in d.entries if x >= 2),
+                       f"the tensor quiver of {spec}")
     factors = [quiverlab.cartan_matrix(
         quiverlab.ade_quiver(decompose.ADEType("A", x - 1))) for x in d.entries
         if x >= 2]
-    out = {"weights": list(d.entries), "degenerate": d.has_unit_weight()}
-    if d.has_unit_weight() or not factors:
-        out["note"] = "a unit weight collapses the factorization category"
-        return out
     C = factors[0]
     for f in factors[1:]:
         C = quiverlab.tensor_cartan(C, f)

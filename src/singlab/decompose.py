@@ -28,6 +28,7 @@ sorted part list, so certificates are reproducible.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -138,7 +139,8 @@ def _submultisets_with_max(state: tuple):
 
     `state` is sorted ascending; every partition has a unique part holding
     the maximum, so branching on these parts enumerates each multiset
-    partition exactly once.
+    partition exactly once.  Only the oracle `brute_force_min_parts` uses
+    this, with `_remove`; the search enumerates by `_feasible_parts`.
     """
     values = sorted(set(state))
     counts = [state.count(v) for v in values]
@@ -159,6 +161,43 @@ def _remove(state: tuple, part: tuple) -> tuple:
     for x in part:
         out.remove(x)
     return tuple(out)
+
+
+def _feasible_parts(state: tuple, ok) -> list:
+    """(part, rest) for every sub-multiset `part` of `state` that holds its
+    largest entry and passes `ok`; `rest` is what `part` leaves of `state`.
+
+    `state` is sorted ascending, and so are `part` and `rest`.  A part grows
+    one copy at a time, from the largest value down, and a branch stops at
+    its first part that fails `ok`: both predicates are closed under taking
+    sub-multisets (sum 1/d_i only falls, and a sub-multiset of an ADE part
+    is ADE), so every part the branch would still reach fails too.
+    """
+    runs = []  # (value, index of its first copy in state, count), largest first
+    end = len(state)
+    while end:
+        value = state[end - 1]
+        start = bisect.bisect_left(state, value, 0, end)
+        runs.append((value, start, end - start))
+        end = start
+    top, start, count = runs[0]
+    if not ok((top,)):
+        return []
+    out = []
+    # (part, rest, run of the part's least value, copies of it left in rest);
+    # the first copy of a value in rest sits at its index in state, since
+    # only that value and larger ones have been taken
+    stack = [((top,), state[:start] + state[start + 1:], 0, count - 1)]
+    while stack:
+        part, rest, j, left = stack.pop()
+        out.append((part, rest))
+        for i in range(j if left else j + 1, len(runs)):
+            value, start, count = runs[i]
+            grown = (value,) + part
+            if ok(grown):
+                stack.append((grown, rest[:start] + rest[start + 1:], i,
+                              left - 1 if i == j else count - 1))
+    return out
 
 
 def _greedy_lower_bound(state: tuple, predicate: str) -> int:
@@ -187,7 +226,10 @@ def min_partition(d: WeightSequence, predicate: str,
     Always succeeds (singletons satisfy both predicates).  Returns a
     certificate with `minimal=True`; optimality holds because the memoized
     search exhausts every canonical branching not cut off by a proven lower
-    bound.
+    bound.  A state branches on the parts that hold its largest entry;
+    `_feasible_parts` enumerates only those that pass the predicate, each
+    with its rest, and the search tries them largest first, then in
+    lexicographic order.
     """
     if predicate not in _PREDICATES:
         raise ValueError(f"unknown predicate {predicate!r}")
@@ -205,12 +247,11 @@ def min_partition(d: WeightSequence, predicate: str,
         stats["nodes"] += 1
         if node_limit is not None and stats["nodes"] > node_limit:
             raise SearchBudgetExceeded(f"partition search exceeded {node_limit} nodes")
-        candidates = [p for p in _submultisets_with_max(state) if ok(p)]
+        candidates = _feasible_parts(state, ok)
         # larger parts first: good incumbents early, better pruning
-        candidates.sort(key=lambda p: (-len(p), p))
+        candidates.sort(key=lambda c: (-len(c[0]), c[0]))
         best = None
-        for part in candidates:
-            rest = _remove(state, part)
+        for part, rest in candidates:
             # a candidate whose relaxation bound already exceeds the
             # incumbent size cannot win or tie, so skipping it cannot
             # disturb the lexicographic tie-break among minima

@@ -666,7 +666,11 @@ class DerivedMorphism:
 
     The (i, j) component lives in Hom(X_i, Y_j[shift difference]); only
     differences 0 (an intertwiner, stored per vertex) and 1 (an extension
-    cocycle, stored per arrow) can be nonzero for hereditary algebras.
+    cocycle, stored per arrow) can be nonzero for hereditary algebras.  A
+    hom component holds one dim(Y_j, v) x dim(X_i, v) block per vertex v,
+    an ext component one dim(Y_j, s) x dim(X_i, t) block per arrow index
+    of a = (s, t); any other shape is refused with ValueError, since the
+    products of `compose` trust the shapes.
     """
 
     __slots__ = ("source", "target", "components")
@@ -676,11 +680,33 @@ class DerivedMorphism:
         self.target = target
         self.components = {}
         for (i, j), (kind, data) in components.items():
-            diff = target.summands[j][1] - source.summands[i][1]
-            if kind == "hom" and diff != 0:
-                raise ValueError("hom component needs equal shifts")
-            if kind == "ext" and diff != 1:
-                raise ValueError("ext component needs shift difference 1")
+            if not (0 <= i < len(source.summands) and 0 <= j < len(target.summands)):
+                raise ValueError(f"component ({i}, {j}) out of range")
+            (X, sx), (Y, sy) = source.summands[i], target.summands[j]
+            if X.quiver != Y.quiver:
+                raise ValueError("component between different quivers")
+            if kind == "hom":
+                if sy != sx:
+                    raise ValueError("hom component needs equal shifts")
+                where = "vertex"
+                shapes = {v: (Y.dim(v), X.dim(v)) for v in X.quiver.vertices()}
+            elif kind == "ext":
+                if sy - sx != 1:
+                    raise ValueError("ext component needs shift difference 1")
+                where = "arrow"
+                shapes = {a: (Y.dim(s), X.dim(t))
+                          for a, (s, t) in enumerate(X.quiver.arrows)}
+            else:
+                raise ValueError(f"unknown component kind {kind!r}")
+            if not isinstance(data, dict) or data.keys() != shapes.keys():
+                raise ValueError(f"{kind} component ({i}, {j}) needs one "
+                                 f"block per {where}")
+            for key, (rows, cols) in shapes.items():
+                block = data[key]
+                if len(block) != rows or any(len(row) != cols for row in block):
+                    raise ValueError(
+                        f"{kind} component ({i}, {j}), {where} {key}: "
+                        f"expected shape {rows}x{cols}")
             self.components[(i, j)] = (kind, data)
 
     def is_zero(self) -> bool:

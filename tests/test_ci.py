@@ -45,3 +45,26 @@ def test_ci_installs_exactly_the_test_extra():
                 for line in workflow.splitlines() if "pip install" in line]
     assert wanted and installs
     assert all(sorted(packages) == wanted for packages in installs), installs
+
+
+BENCH_CHECK = ("python3 perfbench/run.py --workload all --seed 1 --seconds 2"
+               " | tail -n 1 | grep -F '\"correct\": true'")
+
+
+def _jobs(workflow):
+    """The workflow's jobs as {name: text}, split at two-space job keys."""
+    body = workflow.split("\njobs:\n", 1)[1]
+    parts = re.split(r"^  ([\w-]+):\n", body, flags=re.M)
+    return dict(zip(parts[1::2], parts[2::2]))
+
+
+def test_ci_runs_the_benchmark_output_checks():
+    # grep fails the step unless the last stdout line, the JSON result,
+    # says every output was correct; a crashed run prints no such line
+    workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
+    [job] = [text for text in _jobs(workflow).values() if BENCH_CHECK in text]
+    runs = [line.strip()[len("run:"):].strip() for line in job.splitlines()
+            if line.strip().startswith("run:")]
+    assert runs == [BENCH_CHECK]
+    assert re.search(r'^\s*python-version: "3\.11"$', job, re.M)
+    assert "pip install" not in job

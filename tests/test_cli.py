@@ -121,6 +121,37 @@ def test_bad_ade_name_exits_2(capsys):
         assert captured.err == f"usage error: bad ADE name {spec!r}\n"
 
 
+def test_quiver_refuses_too_many_vertices_before_building(capsys, monkeypatch):
+    from singlab import quiverlab
+
+    def no_build(*args):
+        raise AssertionError("a quiver was built")
+
+    monkeypatch.setattr(quiverlab, "ade_quiver", no_build)
+    # the A_{N-1} arrow list of the first spec alone would hold 10^20 entries
+    for spec, what, count in (
+            ("99999999999999999999", "the tensor quiver of 99999999999999999999",
+             99999999999999999998),
+            ("3,3,3,3,3,3,3,3", "the tensor quiver of 3,3,3,3,3,3,3,3", 256),
+            ("A201", "the quiver A201", 201),
+            ("a99999999999", "the quiver A99999999999", 99999999999)):
+        assert cli.main(["quiver", spec]) == 2, spec
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"usage error: {what} has {count} vertices; "
+                                f"quiver builds at most {cli.MAX_QUIVER_VERTICES}\n")
+    # a unit weight needs no quiver, whatever the other weights
+    code, out = run_cli(capsys, "quiver", "1,99999999999999999999")
+    assert code == 0 and json.loads(out)["results"]["degenerate"] is True
+
+
+def test_quiver_vertex_cap_is_inclusive(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_QUIVER_VERTICES", 8)
+    for spec, code in (("3,5", 0), ("2,3,5", 0), ("E8", 0), ("3,6", 2), ("A9", 2)):
+        assert cli.main(["quiver", spec]) == code, spec
+        capsys.readouterr()
+
+
 def test_quiver_subcommand_weights(capsys):
     code, out = run_cli(capsys, "quiver", "2,3,5")
     r = json.loads(out)["results"]

@@ -6,10 +6,11 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from singlab.decompose import (ADEType, SearchBudgetExceeded,
-                               brute_force_min_parts, classify_ade,
-                               is_nonpositive, min_partition, rouquier_verdict,
-                               sum_generator_bound)
+from singlab.decompose import (ADEType, SearchBudgetExceeded, _PREDICATES,
+                               _feasible_parts, _remove,
+                               _submultisets_with_max, brute_force_min_parts,
+                               classify_ade, is_nonpositive, min_partition,
+                               rouquier_verdict, sum_generator_bound)
 from singlab.weightcalc import WeightSequence as W
 
 
@@ -43,6 +44,28 @@ def test_is_nonpositive():
         assert is_nonpositive(W([d]))
     assert is_nonpositive(W([2, 4, 4]))
     assert not is_nonpositive(W([2, 3, 4]))
+
+
+def test_predicates_are_closed_under_sub_multisets():
+    # every sub-multiset is reached by dropping one entry at a time, so it
+    # suffices that dropping any one entry of a passing part keeps it passing
+    for name, pred in _PREDICATES.items():
+        for k in range(2, 7):
+            for part in itertools.combinations_with_replacement(range(2, 13), k):
+                if pred(part):
+                    for i in range(k):
+                        assert pred(part[:i] + part[i + 1:]), (name, part, i)
+
+
+def test_feasible_parts_are_the_filtered_sub_multisets_with_their_rests():
+    rng = random.Random(26)
+    for _ in range(400):
+        state = tuple(sorted(rng.randint(2, 16) for _ in range(rng.randint(1, 9))))
+        for name, pred in _PREDICATES.items():
+            got = _feasible_parts(state, pred)
+            want = {(p, _remove(state, p))
+                    for p in _submultisets_with_max(state) if pred(p)}
+            assert len(got) == len(want) and set(got) == want, (name, state)
 
 
 def test_min_partition_k3_example():

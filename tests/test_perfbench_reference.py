@@ -5,10 +5,11 @@ emptied), and the digest of its stdout (`jobs.output_digest`) must equal the
 recorded one: the 15 strand jobs (`orbit`, and the certified one-variable
 tables of `mf` and `verify mf`), the 15 coxeter jobs (`quiver` on the
 weight triples and ADE names, and `verify quiver`) and `verify groups` /
-`verify counts` against `perfbench/data/reference.json`, and the 48
-`analyze` entries of `perfbench/data/partition_pool.json` against their
-`sha256`.  The harness files are only read; nothing under `perfbench/` is
-changed.
+`verify counts` against `perfbench/data/reference.json`, and against their
+`sha256` in `perfbench/data/partition_pool.json` the 48 `analyze` entries
+and the 72 `decompose` entries whose calibrated time is at most 50 ms (the
+bare partition certificates; the benchmark checks the longer ones).  The
+harness files are only read; nothing under `perfbench/` is changed.
 """
 
 import importlib
@@ -67,3 +68,12 @@ def test_grading_jobs_match_reference_digests(monkeypatch):
     assert len(analyze) == 48
     wanted.update({jobs.Job(("analyze", e["weights"])): e["sha256"] for e in analyze})
     _check_digests(jobs, wanted)
+
+
+def test_decompose_jobs_match_pool_digests(monkeypatch):
+    jobs, _ = _harness(monkeypatch)
+    short = [e for e in jobs.load_pool()["entries"]
+             if e["command"] == "decompose" and e["ms"] <= 50]
+    assert len(short) == 72
+    _check_digests(jobs, {jobs.Job(("decompose", e["weights"])): e["sha256"]
+                          for e in short})

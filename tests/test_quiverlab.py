@@ -466,3 +466,60 @@ def test_compose_keeps_shapes_through_zero_dimensional_blocks():
     h = f.compose(g)
     assert h.is_zero() is True
     assert h.components[(0, 0)] == ("ext", {0: [[0]]})
+
+
+def _a2_simples():
+    Q = ade_quiver(A(2))
+    return simple_rep(Q, 1), simple_rep(Q, 2)
+
+
+def test_derived_morphism_refuses_unknown_kind():
+    S1, S2 = _a2_simples()
+    X = DerivedObject(((S2, 0),))
+    with pytest.raises(ValueError, match="unknown component kind 'ext2'"):
+        DerivedMorphism(X, X, {(0, 0): ("ext2", {1: [], 2: [[1]]})})
+
+
+def test_derived_morphism_refuses_components_out_of_range():
+    S1, S2 = _a2_simples()
+    X = DerivedObject(((S2, 0),))
+    Y = DerivedObject(((S1, 1),))
+    # a negative index would otherwise pick the last summand
+    for key in ((1, 0), (0, 1), (-1, 0), (0, -1)):
+        with pytest.raises(ValueError, match="out of range"):
+            DerivedMorphism(X, Y, {key: ("ext", {0: [[1]]})})
+
+
+def test_derived_morphism_checks_hom_blocks_per_vertex():
+    # a hom S2 -> S2 is 0x0 at vertex 1 and 1x1 at vertex 2
+    S1, S2 = _a2_simples()
+    X = DerivedObject(((S2, 0),))
+    assert not DerivedMorphism(X, X, {(0, 0): ("hom", {1: [], 2: [[1]]})}).is_zero()
+    # {1: [], 2: []} used to read as the zero map
+    with pytest.raises(ValueError, match=r"hom component \(0, 0\), vertex 2: "
+                                         "expected shape 1x1"):
+        DerivedMorphism(X, X, {(0, 0): ("hom", {1: [], 2: []})})
+    with pytest.raises(ValueError, match="expected shape 1x1"):
+        DerivedMorphism(X, X, {(0, 0): ("hom", {1: [], 2: [[1, 0]]})})
+    with pytest.raises(ValueError, match="one block per vertex"):
+        DerivedMorphism(X, X, {(0, 0): ("hom", {2: [[1]]})})
+    with pytest.raises(ValueError, match="one block per vertex"):
+        DerivedMorphism(X, X, {(0, 0): ("hom", {1: [], 2: [[1]], 3: []})})
+
+
+def test_derived_morphism_checks_ext_blocks_per_arrow():
+    # an ext S2 -> S1[1] is one dim(S1, 1) x dim(S2, 2) = 1x1 block for the
+    # arrow (1, 2), the convention `compose` multiplies by
+    S1, S2 = _a2_simples()
+    X = DerivedObject(((S2, 0),))
+    Y = DerivedObject(((S1, 1),))
+    assert not DerivedMorphism(X, Y, {(0, 0): ("ext", {0: [[1]]})}).is_zero()
+    # {0: []} used to make is_zero() raise IndexError, and {0: [[1, 5]]}
+    # was read as its 1x1 part
+    for block in ([], [[1, 5]], [[1], [5]]):
+        with pytest.raises(ValueError, match=r"ext component \(0, 0\), arrow 0: "
+                                             "expected shape 1x1"):
+            DerivedMorphism(X, Y, {(0, 0): ("ext", {0: block})})
+    for data in ({}, {1: [[1]]}, [[[1]]]):
+        with pytest.raises(ValueError, match="one block per arrow"):
+            DerivedMorphism(X, Y, {(0, 0): ("ext", data)})
