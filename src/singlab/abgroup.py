@@ -30,6 +30,7 @@ import operator
 from dataclasses import dataclass, field
 
 __all__ = [
+    "int_tuple",
     "IntMatrix",
     "SmithForm",
     "FGAbelianGroup",
@@ -45,6 +46,17 @@ __all__ = [
 ]
 
 
+def int_tuple(values) -> tuple:
+    """`values` as a tuple of ints; ValueError on a value that is not equal
+    to its int(), so nothing is truncated."""
+    values = tuple(values)
+    ints = tuple(map(int, values))
+    if ints != values:
+        bad = next(x for x, i in zip(values, ints) if x != i)
+        raise ValueError(f"{bad!r} is not an integer")
+    return ints
+
+
 class IntMatrix:
     """Immutable integer matrix, entries stored row-major.
 
@@ -54,7 +66,7 @@ class IntMatrix:
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, rows: int, cols: int, entries):
-        entries = tuple(int(x) for x in entries)
+        entries = int_tuple(entries)
         if len(entries) != rows * cols:
             raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
         self.rows = rows
@@ -381,8 +393,13 @@ def group_from_relations(n: int, relations: IntMatrix) -> FGAbelianGroup:
 
 
 def reduce_element(G: FGAbelianGroup, v) -> GroupElement:
-    """Canonical form of the class of v in G."""
-    v = [int(x) for x in v]
+    """Canonical form of the class of v in G; ValueError unless v is a
+    vector of integers of the right length."""
+    # int_tuple's check, inline: on this hot path the call costs more
+    coords = tuple(v)
+    v = tuple(map(int, coords))
+    if v != coords:
+        raise ValueError(f"{coords!r} is not a vector of integers")
     if len(v) != G.num_generators:
         raise ValueError(f"vector of length {len(v)}, expected {G.num_generators}")
     snf = G.normal_form
@@ -392,7 +409,7 @@ def reduce_element(G: FGAbelianGroup, v) -> GroupElement:
     diag = snf.diagonal()
     residues = tuple(y[i] % diag[i] for i in range(snf.rank) if diag[i] > 1)
     free = tuple(y[i] for i in range(snf.rank, n))
-    return GroupElement(G, tuple(v), (residues, free))
+    return GroupElement(G, v, (residues, free))
 
 
 @dataclass(frozen=True)

@@ -163,21 +163,20 @@ def quiver_report(spec: str) -> dict:
         return quiverlab.algebra_model(t).report()
     d = parse_weights(spec)
     out = {"weights": list(d.entries), "degenerate": d.has_unit_weight()}
-    if d.has_unit_weight() or all(x < 2 for x in d.entries):
+    # one A_{x-1} factor per weight x >= 2
+    sizes = [x - 1 for x in d.entries if x >= 2]
+    if d.has_unit_weight() or not sizes:
         out["note"] = "a unit weight collapses the factorization category"
         return out
-    _check_quiver_size(math.prod(x - 1 for x in d.entries if x >= 2),
-                       f"the tensor quiver of {spec}")
+    _check_quiver_size(math.prod(sizes), f"the tensor quiver of {spec}")
     factors = [quiverlab.cartan_matrix(
-        quiverlab.ade_quiver(decompose.ADEType("A", x - 1))) for x in d.entries
-        if x >= 2]
+        quiverlab.ade_quiver(decompose.ADEType("A", m))) for m in sizes]
     C = factors[0]
     for f in factors[1:]:
         C = quiverlab.tensor_cartan(C, f)
     out["tensor_cartan"] = C.to_rows()
     out["coxeter_polynomial"] = quiverlab.coxeter_polynomial(C)
-    out["loewy_length"] = quiverlab.loewy_length_tensor(
-        [x - 1 for x in d.entries if x >= 2])
+    out["loewy_length"] = quiverlab.loewy_length_tensor(sizes)
     ade = decompose.classify_ade(d)
     if ade is not None:
         model = quiverlab.algebra_model(ade)
@@ -220,11 +219,11 @@ def orbit_report(weights, window: int) -> dict:
     ys = mfengine.standard_objects(ry)
     objs = [(u, v) for u in mfengine.standard_objects(rx) for v in ys]
     A = mfengine.tensor_ring(rx, ry).grading
-    # the grading group is Z^2 / (a, -b); g * gamma is that relation, so
-    # gamma generates its torsion part Z/g (e_x - e_y is torsion only if a = b)
-    g = math.gcd(a, b)
-    gamma = A.group.element([a // g, -(b // g)])
-    psi = mfengine.OrbitSpec(A, [gamma])
+    # Gamma is the torsion of the grading, one generator per invariant factor
+    G = A.group
+    t = len(G.invariant_factors)
+    gamma = [G.from_canonical([int(i == k) for i in range(t)], [0]) for k in range(t)]
+    psi = mfengine.OrbitSpec(A, gamma)
     pairs = mfengine.orbit_hom_check(objs, psi, window)
     return {
         "weights": [a, b],
@@ -302,18 +301,23 @@ def _suite_counts(cfg) -> list:
     from . import weightcalc
     from .weightcalc import WeightSequence
 
-    def exceptional(combo):
+    def cases(combo):
+        """The exceptional-count and SOD cases of one sequence, both read
+        from its decomposition summary: Gorenstein mu and SNF torsion."""
         d = WeightSequence(combo)
-        spec = weightcalc.spec_from_weights(d)
-        mu = weightcalc.gorenstein_parameter(spec).mu
-        mu2 = weightcalc.mu_values(d)[1]
+        s = weightcalc.sod_summary(weightcalc.spec_from_weights(d))
+        mu = weightcalc.mu_values(d)[1]
         count = weightcalc.exceptional_count(d)
-        formula = (math.prod(x - 1 for x in combo)
-                   + mu * spec.grading.group.torsion_order())
-        if mu == mu2 and count == formula:
-            return None
-        return {"weights": list(combo), "mu": mu, "mu_values": mu2,
-                "count": count, "formula": formula}
+        formula = math.prod(x - 1 for x in combo) + s.mu * s.torsion
+        tors = d.product() // d.lcm()
+        exceptional = None if s.mu == mu and count == formula else {
+            "weights": list(combo), "mu": s.mu, "mu_values": mu,
+            "count": count, "formula": formula}
+        ok = (s.block_count() == abs(mu)
+              and all(b[2] == tors for b in s.blocks)
+              and s.complement_total() == weightcalc.complement_count(d))
+        return exceptional, None if ok else {"weights": list(combo),
+                                             "summary": s.to_json()}
 
     def dynkin(combo):
         d = WeightSequence(combo)
@@ -324,25 +328,12 @@ def _suite_counts(cfg) -> list:
         return None if got == want else {"weights": list(combo), "count": got,
                                          "vertices": want}
 
-    def sod(combo):
-        d = WeightSequence(combo)
-        s = weightcalc.sod_summary(weightcalc.spec_from_weights(d))
-        mu = weightcalc.mu_values(d)[1]
-        tors = d.product() // d.lcm()
-        ok = (s.block_count() == abs(mu)
-              and all(b[2] == tors for b in s.blocks)
-              and s.complement_total() == weightcalc.complement_count(d))
-        return None if ok else {"weights": list(combo), "summary": s.to_json()}
-
-    max_n, max_entry = cfg["max_n"], cfg["max_entry"]
-    # the count formula stops at n <= 3 whatever max_n is: n = 4 would add
-    # nearly half again to the suite's time
-    capped = _weight_sequences(min(max_n, 3), max_entry)
+    max_entry = cfg["max_entry"]
+    exceptional, sod = zip(*map(cases, _weight_sequences(cfg["max_n"], max_entry)))
     triples = it.combinations_with_replacement(range(1, max_entry + 1), 3)
-    return [_check("exceptional-count-formula", map(exceptional, capped)),
+    return [_check("exceptional-count-formula", exceptional),
             _check("dynkin-canonical-vertex-count", map(dynkin, triples)),
-            _check("sod-block-counts",
-                   map(sod, _weight_sequences(max_n, max_entry)))]
+            _check("sod-block-counts", sod)]
 
 
 def _suite_quiver(cfg) -> list:

@@ -102,16 +102,12 @@ def classify_ade(d: WeightSequence):
     (2,...,2,a) -> A_{a-1} (all-2 sequences read as a = 2, so A_1);
     (2,...,2,3,3) -> D4; (2,...,2,3,4) -> E6; (2,...,2,3,5) -> E8.
     """
-    if not _is_ade_part(d.entries):
-        return None
     rest = tuple(x for x in d.entries if x != 2)
-    if len(rest) == 0:
-        return ADEType("A", 1)
-    if len(rest) == 1:
-        return ADEType("A", rest[0] - 1)
+    if len(rest) <= 1:
+        return ADEType("A", rest[0] - 1 if rest else 1)
     return {(3, 3): ADEType("D", 4),
             (3, 4): ADEType("E", 6),
-            (3, 5): ADEType("E", 8)}[rest]
+            (3, 5): ADEType("E", 8)}.get(rest)
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,8 @@
 A matrix is a list of rows whose entries are ints or `fractions.Fraction`;
 no floating point is ever introduced.  A row is a sequence or a sparse
 {column: value} dict, absent columns being 0 (`solve` reads sequences
-only, and `nullspace` needs the width `cols` for dict rows).  Nothing here
+only, and `nullspace` needs the width `cols` for dict rows; both raise
+ValueError on a row that does not fit the width).  Nothing here
 builds or multiplies dense matrices: callers build each matrix once, in the
 form they eliminate it.
 
@@ -119,20 +120,40 @@ def rank(A) -> int:
     return len(_echelon(A)[1])
 
 
+def _width(A, cols) -> int:
+    """The common width of A's rows: `cols` when given, else that of its
+    first row, which must then be a sequence; ValueError on a row of
+    another width, a dict row without `cols` or a column outside it."""
+    n = cols if cols is not None else len(A[0]) if A else 0
+    for row in A:
+        if isinstance(row, dict):
+            if cols is None:
+                raise ValueError("a dict row needs the width cols")
+            if any(not 0 <= j < n for j in row):
+                raise ValueError(f"dict row {row!r} outside columns 0..{n - 1}")
+        elif len(row) != n:
+            raise ValueError(f"row of length {len(row)} in a matrix of width {n}")
+    return n
+
+
 def nullspace(A, cols: int | None = None):
     """Basis of the right kernel of A, of width `cols` when given and else
     that of A's first row: per non-pivot column, the kernel vector with 1
     there, 0 at the others."""
-    n = cols if cols is not None else len(A[0]) if A else 0
+    n = _width(A, cols)
     pivots, _ = _echelon(A)
     return [_kernel_vector(pivots, {f: 1}, n) for f in range(n) if f not in pivots]
 
 
 def solve(A, b):
     """One solution x of A x = b, or None if the system is inconsistent:
-    the kernel vector of [A | b] with -1 on b, 0 on the free columns of A."""
+    the kernel vector of [A | b] with -1 on b, 0 on the free columns of A.
+    ValueError unless A's rows are sequences of one width, one per entry
+    of b."""
+    if len(A) != len(b):
+        raise ValueError(f"{len(A)} equations for {len(b)} right-hand sides")
     if not A:
         return []
-    n = len(A[0])
+    n = _width(A, None)
     pivots, _ = _echelon([list(row) + [y] for row, y in zip(A, b)])
     return None if n in pivots else _kernel_vector(pivots, {n: -1}, n)

@@ -629,8 +629,11 @@ def euler_form(Q: Quiver, dim1, dim2) -> int:
     """sum_v m_v n_v - sum_{a: s->t} m_{t(a)} n_{s(a)}.
 
     Equals dim Hom(M, N) - dim Ext^1(M, N) for modules with these dimension
-    vectors.
+    vectors; ValueError unless each has one entry per vertex.
     """
+    if not len(dim1) == len(dim2) == Q.num_vertices:
+        raise ValueError(f"dimension vectors of lengths {len(dim1)} and "
+                         f"{len(dim2)} over {Q.num_vertices} vertices")
     total = sum(m * n for m, n in zip(dim1, dim2))
     for s, t in Q.arrows:
         total -= dim1[t - 1] * dim2[s - 1]

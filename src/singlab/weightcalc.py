@@ -9,8 +9,8 @@ blocks, decomposition summaries for the three sign cases, Thom-Sebastiani
 sums of graded rings, and the graded doubling that adds two quadric
 variables to force mu > 0.
 
-All rationals are exact (`fractions.Fraction`); mu is asserted integral and
-the code fails loudly rather than rounding.
+mu is computed in integers as sum lcm/d_i - lcm; mu_bar = mu / lcm is the
+one `fractions.Fraction`, exact, and nothing is ever rounded.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .abgroup import (GroupElement, PointedAbelianGroup, boxminus, boxminus_pair,
-                      pointed_Z, weight_group)
+                      int_tuple, pointed_Z, weight_group)
 
 __all__ = [
     "WeightSequence",
@@ -40,12 +40,13 @@ __all__ = [
 
 
 class WeightSequence:
-    """A multiset of integer weights d_i >= 1; equality is order-insensitive."""
+    """A multiset of integer weights d_i >= 1; equality is order-insensitive.
+    ValueError on a weight that is not an integer."""
 
     __slots__ = ("entries",)
 
     def __init__(self, entries):
-        entries = tuple(sorted(int(x) for x in entries))
+        entries = tuple(sorted(int_tuple(entries)))
         if not entries:
             raise ValueError("empty weight sequence")
         if entries[0] < 1:
@@ -93,17 +94,14 @@ def concat(d: WeightSequence, e: WeightSequence) -> WeightSequence:
 def mu_values(d: WeightSequence):
     """(mu_bar, mu, sign_class) for a weight sequence.
 
-    mu_bar = -1 + sum 1/d_i exactly; mu = lcm(d) * mu_bar, always an
-    integer; sign_class is the strict trichotomy 'negative' / 'zero' /
-    'positive'.
+    mu = sum lcm/d_i - lcm over lcm = lcm(d), an integer; mu_bar = mu / lcm
+    = -1 + sum 1/d_i exactly; sign_class is the strict trichotomy
+    'negative' / 'zero' / 'positive'.
     """
-    mu_bar = Fraction(-1) + sum(Fraction(1, x) for x in d.entries)
-    mu = mu_bar * d.lcm()
-    if mu.denominator != 1:
-        raise AssertionError(f"mu = lcm * mu_bar is not integral for {d}")
-    mu = int(mu)
+    lcm = d.lcm()
+    mu = sum(lcm // x for x in d.entries) - lcm
     sign_class = "zero" if mu == 0 else ("positive" if mu > 0 else "negative")
-    return mu_bar, mu, sign_class
+    return Fraction(mu, lcm), mu, sign_class
 
 
 @dataclass(frozen=True)
@@ -214,17 +212,16 @@ def sod_summary(spec: GradedRingSpec) -> SODSummary:
 
 
 def exceptional_count(d: WeightSequence) -> int:
-    """prod(d_i - 1) + (prod d_i) * (-1 + sum 1/d_i), as an exact integer.
+    """prod(d_i - 1) + mu * prod(d_i) / lcm(d), the integer
+    prod(d_i - 1) + (prod d_i) * (-1 + sum 1/d_i).
 
     For a nonnegative sequence this is the length of a full exceptional
     collection on the geometry side; in general it is the residual count
     left after removing the complementary blocks from the prod(d_i - 1)
     exceptional objects of the quiver side.
     """
-    correction = d.product() * (Fraction(-1) + sum(Fraction(1, x) for x in d.entries))
-    if correction.denominator != 1:
-        raise AssertionError("exceptional count correction is not an integer")
-    return math.prod(x - 1 for x in d.entries) + int(correction)
+    _, mu, _ = mu_values(d)
+    return math.prod(x - 1 for x in d.entries) + mu * (d.product() // d.lcm())
 
 
 def complement_count(d: WeightSequence) -> int:

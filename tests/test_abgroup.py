@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -455,3 +456,23 @@ def test_invariant_checks_survive_optimize_flag(run_optimized):
         "3", "recorded inverse of the SNF transform V is wrong",
         "blocks in one block row differ in height"]
     assert "SNF transform check failed" in proc.stderr
+
+
+@pytest.mark.parametrize("call", [
+    lambda: weight_group([2.5, 3]),
+    lambda: weight_group([Fraction(7, 2)]),
+    lambda: IntMatrix(1, 1, [1.5]),
+    lambda: reduce_element(weight_group([2, 3]).group, [0.5, 0]),
+    lambda: pointed_Z(2.7),
+], ids=["weight_group", "weight_group-one", "IntMatrix", "reduce_element",
+        "pointed_Z"])
+def test_integer_entry_points_refuse_non_integers(call):
+    with pytest.raises(ValueError):
+        call()
+
+
+def test_integer_entry_points_accept_integral_values():
+    G = weight_group([2, 3]).group
+    assert IntMatrix(1, 2, [2.0, Fraction(6, 2)]).entries == (2, 3)
+    assert reduce_element(G, [2.0, Fraction(-4, 2)]) == reduce_element(G, [2, -2])
+    assert pointed_Z(3.0) == pointed_Z(3)

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import contextlib
 import io
 import itertools as it
@@ -568,3 +569,87 @@ def test_main_fuzz_exits_cleanly(argv):
         assert code == 2 and out.getvalue() == "", argv
     if code == 0:
         json.loads(out.getvalue())
+
+
+def test_verify_counts_checks_every_length_max_n_names(monkeypatch, capsys):
+    # the count formula is broken only on five-entry sequences, n = 4
+    real = weightcalc.exceptional_count
+    monkeypatch.setattr(weightcalc, "exceptional_count",
+                        lambda d: real(d) + (len(d) == 5))
+    built = []
+    spec = weightcalc.spec_from_weights
+    monkeypatch.setattr(weightcalc, "spec_from_weights",
+                        lambda d: built.append(d) or spec(d))
+    code, checks = _verify_checks(capsys, "counts", "--max-entry", "2")
+    assert code == 1
+    # one graded ring per sequence: 2 + 3 + 4 + 5 + 6 multisets over {1, 2}
+    assert len(built) == len(set(built)) == 20
+    cx = checks["exceptional-count-formula"]["counterexample"]
+    assert cx["weights"] == [1, 1, 1, 1, 1] and cx["count"] == cx["formula"] + 1
+    assert checks["dynkin-canonical-vertex-count"]["pass"]
+    assert checks["sod-block-counts"]["pass"]
+
+
+def test_orbit_gamma_is_the_torsion_of_the_grading(monkeypatch):
+    # the Smith-form generators span the same kernel as the cyclic
+    # <(a/g, -b/g)>, which has order g = |tors Z^2/(a, -b)|
+    seen = []
+    monkeypatch.setattr(mfengine, "orbit_hom_check",
+                        lambda objs, psi, window: seen.append(psi) or [])
+    for a, b in it.combinations_with_replacement(range(2, 13), 2):
+        cli.orbit_report(WeightSequence([a, b]), 0)
+        psi = seen.pop()
+        g = math.gcd(a, b)
+        cyclic = mfengine.OrbitSpec(
+            psi.source, [psi.source.group.element([a // g, -(b // g)])])
+        assert {e.canonical for e in psi.kernel} == \
+            {e.canonical for e in cyclic.kernel}, (a, b)
+        assert psi.order() == g
+
+
+def _readme_commands():
+    """The argv of each concrete `singlab ...` line of README's CLI block
+    (one without an optional `[...]` flag), its comment dropped."""
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text(encoding="utf-8").split("Subcommands:\n\n```\n", 1)[1]
+    commands = [line.partition("#")[0] for line in block.split("```", 1)[0].splitlines()]
+    return [c.split()[1:] for c in commands
+            if c.startswith("singlab ") and "[" not in c]
+
+
+def test_readme_cli_block_runs_and_states_facts(capsys):
+    # the facts are those the block's comments state
+    results = {}
+    for argv in _readme_commands():
+        code, out = run_cli(capsys, *argv)
+        assert code == 0, argv
+        results[" ".join(argv)] = json.loads(out)["results"]
+    assert len(results) >= 10
+    r = results["analyze 2,3,5"]
+    assert (r["mu"], r["exceptional_count"], r["ade_type"]) == (1, 9, "E8")
+    r = results["group 3,3"]
+    assert (r["free_rank"], r["invariant_factors"]) == (1, [3])
+    assert [b["count"] for b in results["sod 3,3"]["blocks"]] == [3]
+    r = results["quiver 2,3,5"]
+    assert r["ade_type"] == "E8" and r["coxeter_matches_ade"] is True
+    r = results["analyze 3,3,3,3,3,3,4,4,4,4"]["rouquier"]
+    assert (r["h"], r["q"], r["exact"]) == (5, 3, 4)
+    r = results["orbit --weights 2,4 --window 1"]
+    assert r["ok"] and r["gamma_order"] == math.gcd(2, 4)
+
+
+def test_package_imports_only_itself_and_the_standard_library():
+    # README promises no runtime dependencies; pyproject has dependencies = []
+    src = pathlib.Path(cli.__file__).resolve().parent
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                assert top == "singlab" or top in sys.stdlib_module_names, \
+                    (path.name, name)

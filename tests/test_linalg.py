@@ -450,3 +450,18 @@ def test_checks_survive_optimize_flag(run_optimized):
     assert proc.stdout.splitlines() == [
         "nonzero vector in a zero quotient",
         "vector not in kernel + image span"]
+
+
+@pytest.mark.parametrize("call", [
+    lambda: linalg.solve([[1, 0], [0, 1]], [1]),          # equation dropped
+    lambda: linalg.solve([[1, 0], [0, 1, 5]], [1, 2]),    # ragged rows
+    lambda: linalg.solve([], [1]),                        # 0 = 1
+    lambda: linalg.solve([{0: 2}], [4]),                  # dict row
+    lambda: linalg.nullspace([[1, 2, 3]], cols=2),        # row wider than cols
+    lambda: linalg.nullspace([{5: 1}], cols=3),           # column outside cols
+    lambda: linalg.nullspace([{0: 1}]),                   # dict row, no width
+], ids=["short-b", "ragged", "empty-A", "solve-dict", "wide-row",
+        "dict-column", "dict-no-cols"])
+def test_mis_shaped_input_is_refused(call):
+    with pytest.raises(ValueError):
+        call()

@@ -523,3 +523,10 @@ def test_derived_morphism_checks_ext_blocks_per_arrow():
     for data in ({}, {1: [[1]]}, [[[1]]]):
         with pytest.raises(ValueError, match="one block per arrow"):
             DerivedMorphism(X, Y, {(0, 0): ("ext", data)})
+
+
+@pytest.mark.parametrize("dim1, dim2", [([1, 1, 5], [1, 1]), ([1], [1, 1]),
+                                        ([1, 1, 5], [1, 1, 5])])
+def test_euler_form_refuses_mis_shaped_dimension_vectors(dim1, dim2):
+    with pytest.raises(ValueError):
+        euler_form(ade_quiver(A(2)), dim1, dim2)

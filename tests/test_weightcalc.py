@@ -29,6 +29,10 @@ def test_weight_sequence_basics():
         W([])
     with pytest.raises(ValueError):
         W([0])
+    for entries in ([2.5, 3], [Fraction(7, 2)]):
+        with pytest.raises(ValueError):
+            W(entries)
+    assert W([3.0, Fraction(4, 2)]).entries == (2, 3)
 
 
 def test_concat():
@@ -127,6 +131,19 @@ def test_exceptional_count_values():
     assert exceptional_count(W([2, 3, 5])) == 9
     for p, q in [(2, 3), (3, 5), (4, 7)]:
         assert exceptional_count(W([1, p, q])) == p + q
+
+
+def test_mu_and_exceptional_count_match_fraction_oracle():
+    for k in range(1, 7):
+        for combo in itertools.combinations_with_replacement(range(1, 10), k):
+            d = W(combo)
+            mu_bar = sum(Fraction(1, x) for x in combo) - 1
+            mu = mu_bar * math.lcm(*combo)
+            sign = "zero" if mu == 0 else "positive" if mu > 0 else "negative"
+            assert mu_values(d) == (mu_bar, mu, sign), combo
+            assert type(mu_values(d)[1]) is int
+            assert exceptional_count(d) == \
+                math.prod(x - 1 for x in combo) + mu_bar * math.prod(combo), combo
 
 
 def test_exceptional_count_two_routes():
