@@ -23,7 +23,6 @@ Conventions fixed here, used by every consumer:
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -103,12 +102,10 @@ class IntMatrix:
     def mul(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        out = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                out.append(sum(ri[t] * other[t, j] for t in range(self.cols)))
-        return IntMatrix(self.rows, other.cols, out)
+        columns = [other.entries[j::other.cols] for j in range(other.cols)]
+        return IntMatrix(self.rows, other.cols,
+                         [sum(map(operator.mul, self.row(i), c))
+                          for i in range(self.rows) for c in columns])
 
     def kronecker(self, other: "IntMatrix") -> "IntMatrix":
         """Kronecker product, blocks ordered row-major."""
@@ -158,15 +155,16 @@ class SmithForm:
     V: IntMatrix
     invariant_factors: tuple  # diagonal entries > 1
     rank: int                 # number of nonzero diagonal entries
-    # rows of V^{-1}, recorded next to V, checked when a group first reads it
+    # rows of V^{-1}, recorded next to V and checked with it when made
     V_inverse: tuple = field(repr=False)
 
     def diagonal(self):
         return [self.S[i, i] for i in range(min(self.S.rows, self.S.cols))]
 
 
-def _snf_rows(M):
-    """Diagonalize M by unimodular row/column operations, tracking them.
+def _snf_rows(M, m):
+    """Diagonalize the rows M, each of length m, by unimodular row/column
+    operations, tracking them.
 
     Pivots on the smallest nonzero entry of the remaining block and insists
     the pivot divide that whole block, so the diagonal comes out with the
@@ -176,7 +174,6 @@ def _snf_rows(M):
     """
     S = [row[:] for row in M]
     n = len(S)
-    m = len(S[0]) if S else 0
     U = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     V = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     V_inv = [row[:] for row in V]
@@ -247,18 +244,17 @@ def smith_normal_form(M: IntMatrix) -> SmithForm:
     """Smith normal form U * M * V = S.
 
     Zero and non-square matrices are allowed; output is deterministic for a
-    fixed input.
+    fixed input.  Checked whole before it is returned: U M V = S, V V^{-1}
+    = I and the divisibility chain, each an AssertionError.
     """
-    if M.rows == 0:
-        V = IntMatrix.identity(M.cols)
-        return SmithForm(IntMatrix.identity(0), IntMatrix.zero(0, M.cols), V, (), 0,
-                         tuple(map(V.row, range(M.cols))))
-    U_rows, S_rows, V_rows, V_inv_rows = _snf_rows(M.to_rows())
+    U_rows, S_rows, V_rows, V_inv_rows = _snf_rows(M.to_rows(), M.cols)
     U = IntMatrix.from_rows(U_rows)
-    S = IntMatrix.from_rows(S_rows)
+    S = IntMatrix(M.rows, M.cols, [x for row in S_rows for x in row])
     V = IntMatrix.from_rows(V_rows)
     if U.mul(M).mul(V) != S:
         raise AssertionError("SNF transform check failed")
+    if V.mul(IntMatrix.from_rows(V_inv_rows)) != IntMatrix.identity(M.cols):
+        raise AssertionError("recorded inverse of the SNF transform V is wrong")
     diag = [S[i, i] for i in range(min(S.rows, S.cols))]
     rank = sum(1 for d in diag if d != 0)
     for i in range(rank - 1):
@@ -293,15 +289,6 @@ class FGAbelianGroup:
     def element(self, coords) -> "GroupElement":
         return reduce_element(self, coords)
 
-    @functools.cached_property
-    def _v_inverse(self):
-        """The recorded V^{-1} as integer rows, checked against V once per
-        group, when first read."""
-        V, V_inv = self.normal_form.V, self.normal_form.V_inverse
-        if V.mul(IntMatrix.from_rows(V_inv)) != IntMatrix.identity(V.rows):
-            raise AssertionError("recorded inverse of the SNF transform V is wrong")
-        return V_inv
-
     def from_canonical(self, residues, free) -> "GroupElement":
         """Rebuild an element from canonical (torsion residues, free) data:
         one residue per invariant factor, one integer per free coordinate."""
@@ -311,7 +298,7 @@ class FGAbelianGroup:
         # the diagonal entries equal to 1 come first and carry no residue
         n = self.num_generators
         y = (0,) * (self.normal_form.rank - len(residues)) + residues + free
-        Vinv = self._v_inverse
+        Vinv = self.normal_form.V_inverse
         v = [sum(y[t] * Vinv[t][j] for t in range(n)) for j in range(n)]
         return reduce_element(self, v)
 
@@ -406,9 +393,10 @@ def reduce_element(G: FGAbelianGroup, v) -> GroupElement:
     n = G.num_generators
     V = snf.V.entries
     y = [sum(map(operator.mul, v, V[j::n])) for j in range(n)]
-    diag = snf.diagonal()
-    residues = tuple(y[i] % diag[i] for i in range(snf.rank) if diag[i] > 1)
-    free = tuple(y[i] for i in range(snf.rank, n))
+    # the diagonal entries equal to 1 come first, the invariant factors last
+    rank, factors = snf.rank, snf.invariant_factors
+    residues = tuple(map(operator.mod, y[rank - len(factors):rank], factors))
+    free = tuple(y[rank:])
     return GroupElement(G, v, (residues, free))
 
 

@@ -18,8 +18,8 @@ Reports are emitted as JSON (sorted keys, exact integers, rationals as
 "p/q" strings, never floats) or as human-readable text; identical
 invocations produce byte-identical JSON.  Exit codes: 0 success, 1
 verification failure, 2 usage error (bad arguments or config, an exhausted
-search budget, or a quiver over MAX_QUIVER_VERTICES), 3 internal invariant
-breach.
+search budget, a quiver or an orbit battery over MAX_QUIVER_VERTICES, or
+more than MAX_SOD_BLOCKS SOD blocks), 3 internal invariant breach.
 """
 
 from __future__ import annotations
@@ -40,6 +40,11 @@ SCHEMA_VERSION = 1
 # it: the largest one in the tests and the benchmark has 60 (4,5,6), and
 # its Coxeter polynomial costs about n^4.
 MAX_QUIVER_VERTICES = 200
+
+# `analyze` and `sod` print one SOD block per degree, |mu| of them, and
+# refuse more than this before building the ring: the largest |mu| in the
+# tests and the benchmark is 223.
+MAX_SOD_BLOCKS = 10_000
 
 # Every setting as (default, smallest accepted value).  A config file may set
 # any of them; a command line sets only those its command reads.
@@ -80,9 +85,17 @@ class UsageError(ValueError):
 # report builders
 
 
+def _check_sod_size(mu: int, d) -> None:
+    if abs(mu) > MAX_SOD_BLOCKS:
+        raise UsageError(f"weights {','.join(map(str, d.entries))} give "
+                         f"|mu| = {abs(mu)} SOD blocks; at most "
+                         f"{MAX_SOD_BLOCKS} are reported")
+
+
 def analyze_report(d, node_limit: int) -> dict:
     from . import decompose, weightcalc
     mu_bar, mu, sign = weightcalc.mu_values(d)
+    _check_sod_size(mu, d)
     spec = weightcalc.spec_from_weights(d)
     B = spec.grading
     g = weightcalc.gorenstein_parameter(spec)
@@ -135,6 +148,7 @@ def decompose_report(d, node_limit: int) -> dict:
 
 def sod_report(d) -> dict:
     from . import weightcalc
+    _check_sod_size(weightcalc.mu_values(d)[1], d)
     spec = weightcalc.spec_from_weights(d)
     out = weightcalc.sod_summary(spec).to_json()
     out["weights"] = list(d.entries)
@@ -214,6 +228,11 @@ def orbit_report(weights, window: int) -> dict:
     a, b = weights.entries
     if a < 2 or b < 2:
         raise UsageError("orbit check needs weights >= 2")
+    # one standard object per vertex of the tensor quiver A_{a-1} x A_{b-1}
+    count = (a - 1) * (b - 1)
+    if count > MAX_QUIVER_VERTICES:
+        raise UsageError(f"the orbit battery of {a},{b} has {count} objects; "
+                         f"orbit builds at most {MAX_QUIVER_VERTICES}")
     rx = mfengine.one_variable_ring(a, "x")
     ry = mfengine.one_variable_ring(b, "y")
     ys = mfengine.standard_objects(ry)

@@ -339,16 +339,6 @@ class RingWithPotential:
         """All exponent tuples of the given multidegree (finite: positive grading)."""
         return self._tables[_degree_pair(self.spec, target)]
 
-    def report(self):
-        return {
-            "grading": self.grading.report(),
-            "variables": list(self.names),
-            "variable_degrees": [list(a.coordinates)
-                                 for a in self.spec.generator_degrees],
-            "potential": self.potential.render(self.names),
-            "potential_degree": list(self.spec.potential_degree.coordinates),
-        }
-
 
 def _zero_matrix(rows, cols, nvars):
     return tuple(tuple(Polynomial.zero(nvars) for _ in range(cols))
@@ -468,16 +458,6 @@ class Factorization:
                              _neg_matrix(self.phi_neg),
                              _neg_matrix(self.phi0), _validated=True)
 
-    def report(self):
-        names = self.ring.names
-        return {
-            "ring": self.ring.report(),
-            "twists_neg": [list(u.coordinates) for u in self.twists_neg],
-            "twists_zero": [list(v.coordinates) for v in self.twists_zero],
-            "phi0": [[p.render(names) for p in row] for row in self.phi0],
-            "phi_neg": [[p.render(names) for p in row] for row in self.phi_neg],
-        }
-
     def __eq__(self, other):
         return isinstance(other, Factorization) and self._key == other._key
 
@@ -555,13 +535,27 @@ class FactorizationMap:
     """A closed degree-zero map f: E -> F given by its two components.
 
     f_neg: E_{-1} -> F_{-1} (rows = F_{-1} generators) and
-    f_zero: E_0 -> F_0.
+    f_zero: E_0 -> F_0.  Checked when built, like a factorization: one
+    ring, the shapes, homogeneity of degree zero and commuting with the
+    structure maps, each a ValueError.
     """
 
     source: Factorization
     target: Factorization
     f_neg: tuple
     f_zero: tuple
+
+    def __post_init__(self):
+        E, F = self.source, self.target
+        if E.ring != F.ring:
+            raise ValueError("factorizations over different rings")
+        (e_neg, e_zero, _), (t_neg, t_zero, _) = E.pairs, F.pairs
+        _check_shape(self.f_neg, len(t_neg), len(e_neg), "f_neg")
+        _check_shape(self.f_zero, len(t_zero), len(e_zero), "f_zero")
+        _check_homogeneous(E.ring, self.f_neg, e_neg, t_neg, "f_neg")
+        _check_homogeneous(E.ring, self.f_zero, e_zero, t_zero, "f_zero")
+        if not self.is_closed():
+            raise ValueError("map does not commute with the structure maps")
 
     def is_closed(self) -> bool:
         """f_0 phi0^E = phi0^F f_{-1} and f_{-1} phi_neg^E = phi_neg^F f_0,
@@ -575,22 +569,10 @@ class FactorizationMap:
 
 def factorization_map(E: Factorization, F: Factorization,
                       f_neg, f_zero) -> FactorizationMap:
-    """The closed map (f_neg, f_zero): E -> F, checked like a factorization:
-    the shapes, homogeneity of degree zero and commuting with the structure
-    maps, each a ValueError."""
-    if E.ring != F.ring:
-        raise ValueError("factorizations over different rings")
-    f = FactorizationMap(E, F,
-                         tuple(tuple(p for p in row) for row in f_neg),
-                         tuple(tuple(p for p in row) for row in f_zero))
-    (e_neg, e_zero, _), (t_neg, t_zero, _) = E.pairs, F.pairs
-    _check_shape(f.f_neg, len(t_neg), len(e_neg), "f_neg")
-    _check_shape(f.f_zero, len(t_zero), len(e_zero), "f_zero")
-    _check_homogeneous(E.ring, f.f_neg, e_neg, t_neg, "f_neg")
-    _check_homogeneous(E.ring, f.f_zero, e_zero, t_zero, "f_zero")
-    if not f.is_closed():
-        raise ValueError("map does not commute with the structure maps")
-    return f
+    """The closed map (f_neg, f_zero): E -> F, its blocks as tuples of
+    rows; `FactorizationMap` checks it."""
+    return FactorizationMap(E, F, tuple(tuple(p for p in row) for row in f_neg),
+                            tuple(tuple(p for p in row) for row in f_zero))
 
 
 def cone(f: FactorizationMap) -> Factorization:
@@ -601,8 +583,6 @@ def cone(f: FactorizationMap) -> Factorization:
 
     on components T_{-1} = F_{-1} + E_0 and T_0 = F_0 + E_{-1}(d).
     """
-    if not f.is_closed():
-        raise ValueError("cone needs a closed degree-zero map")
     E, F = f.source, f.target
     ring = E.ring
     nv = ring.nvars()
@@ -1233,7 +1213,10 @@ class OrbitSpec:
     """A quotient map psi: A -> A/Gamma with finite kernel Gamma.
 
     The quotient is presented on the same generators with the kernel
-    generators added to the relations; psi is coordinatewise.
+    generators added to the relations; psi is coordinatewise.  Gamma is
+    finite, so tors(A/Gamma) = tors(A)/Gamma and the two Smith forms give
+    |Gamma| before Gamma is enumerated: an order above 10 000 is refused
+    (ValueError), and an enumeration of another size is an AssertionError.
     """
 
     def __init__(self, source: PointedAbelianGroup, kernel_generators):
@@ -1248,7 +1231,13 @@ class OrbitSpec:
         self.quotient = group_from_relations(
             G.num_generators,
             IntMatrix.from_rows(rows) if rows else IntMatrix.zero(0, G.num_generators))
+        order = G.torsion_order() // self.quotient.torsion_order()
+        if order > 10000:
+            raise ValueError("kernel is unreasonably large")
         self.kernel = self._enumerate_kernel()
+        if len(self.kernel) != order:
+            raise AssertionError(f"kernel enumeration found {len(self.kernel)} "
+                                 f"elements, the Smith forms {order}")
 
     def _enumerate_kernel(self):
         zero = self.source.group.zero()
@@ -1263,8 +1252,6 @@ class OrbitSpec:
                         seen.add(nxt)
                         fresh.append(nxt)
             frontier = fresh
-            if len(seen) > 10000:
-                raise ValueError("kernel is unreasonably large")
         return sorted(seen, key=lambda e: e.canonical)
 
     def apply(self, e: GroupElement) -> GroupElement:
@@ -1302,10 +1289,8 @@ def _restrict_all(objects, psi: OrbitSpec) -> list:
         raise ValueError("factorizations over different rings")
     if psi.source.group != ring.grading.group:
         raise ValueError("orbit map defined on a different grading group")
-    marked = psi.apply(ring.grading.marked)
-    if marked.is_torsion():
-        raise ValueError("potential degree becomes torsion in the quotient")
-    pointed = PointedAbelianGroup(psi.quotient, marked)
+    # refuses a potential degree that becomes torsion in the quotient
+    pointed = PointedAbelianGroup(psi.quotient, psi.apply(ring.grading.marked))
     gens = tuple(psi.apply(a) for a in ring.spec.generator_degrees)
     spec = GradedRingSpec(pointed, gens)  # rejects non-positive degrees
     ring2 = RingWithPotential(spec, ring.names, ring.potential)

