@@ -104,8 +104,7 @@ class IntMatrix:
             raise ValueError("shape mismatch")
         columns = [other.entries[j::other.cols] for j in range(other.cols)]
         return IntMatrix(self.rows, other.cols,
-                         [sum(map(operator.mul, self.row(i), c))
-                          for i in range(self.rows) for c in columns])
+                         _product(map(self.row, range(self.rows)), columns))
 
     def kronecker(self, other: "IntMatrix") -> "IntMatrix":
         """Kronecker product, blocks ordered row-major."""
@@ -144,6 +143,12 @@ class IntMatrix:
 
     def __repr__(self):
         return f"IntMatrix.from_rows({self.to_rows()!r})"
+
+
+def _product(rows, columns) -> list:
+    """The entries, row-major, of the product of the integer matrix with
+    these rows and the one with these columns."""
+    return [sum(map(operator.mul, r, c)) for r in rows for c in columns]
 
 
 @dataclass(frozen=True)
@@ -245,17 +250,23 @@ def smith_normal_form(M: IntMatrix) -> SmithForm:
 
     Zero and non-square matrices are allowed; output is deterministic for a
     fixed input.  Checked whole before it is returned: U M V = S, V V^{-1}
-    = I and the divisibility chain, each an AssertionError.
+    = I and the divisibility chain, each an AssertionError.  The checks
+    multiply the row lists of the form; only U, S and V are stored.
     """
-    U_rows, S_rows, V_rows, V_inv_rows = _snf_rows(M.to_rows(), M.cols)
-    U = IntMatrix.from_rows(U_rows)
-    S = IntMatrix(M.rows, M.cols, [x for row in S_rows for x in row])
-    V = IntMatrix.from_rows(V_rows)
-    if U.mul(M).mul(V) != S:
+    n, m = M.rows, M.cols
+    M_rows = M.to_rows()
+    U_rows, S_rows, V_rows, V_inv_rows = _snf_rows(M_rows, m)
+    S_entries = [x for row in S_rows for x in row]
+    MV = _product(M_rows, list(zip(*V_rows)))
+    if _product(U_rows, [MV[j::m] for j in range(m)]) != S_entries:
         raise AssertionError("SNF transform check failed")
-    if V.mul(IntMatrix.from_rows(V_inv_rows)) != IntMatrix.identity(M.cols):
+    if _product(V_rows, list(zip(*V_inv_rows))) != \
+            [int(i == j) for i in range(m) for j in range(m)]:
         raise AssertionError("recorded inverse of the SNF transform V is wrong")
-    diag = [S[i, i] for i in range(min(S.rows, S.cols))]
+    U = IntMatrix(n, n, [x for row in U_rows for x in row])
+    S = IntMatrix(n, m, S_entries)
+    V = IntMatrix(m, m, [x for row in V_rows for x in row])
+    diag = [S_rows[i][i] for i in range(min(n, m))]
     rank = sum(1 for d in diag if d != 0)
     for i in range(rank - 1):
         if diag[i + 1] % diag[i] != 0:
@@ -309,14 +320,6 @@ class FGAbelianGroup:
         for residues in itertools.product(*[range(t) for t in self.invariant_factors]):
             out.append(self.from_canonical(residues, zero_free))
         return out
-
-    def report(self):
-        return {
-            "generators": self.num_generators,
-            "relations": self.relations.to_rows(),
-            "free_rank": self.free_rank,
-            "invariant_factors": list(self.invariant_factors),
-        }
 
 
 @dataclass(frozen=True, eq=False)
@@ -435,16 +438,6 @@ class PointedAbelianGroup:
             (self._degree_sign() * k,) * 1)
         return [base + t for t in self.group.torsion_elements()]
 
-    def report(self):
-        rep = self.group.report()
-        rep["marked"] = list(self.marked.coordinates)
-        if self.group.free_rank == 1:
-            rep["generator_degrees"] = [
-                self.degree(self.group.generator(i))
-                for i in range(self.group.num_generators)
-            ]
-        return rep
-
 
 def boxminus(A: PointedAbelianGroup, B: PointedAbelianGroup) -> PointedAbelianGroup:
     """A boxminus B: (A + B) / (marked_A, -marked_B), marked at the common image.
@@ -497,8 +490,7 @@ def weight_group(d) -> PointedAbelianGroup:
         r[i] = d[i]
         r[i + 1] = -d[i + 1]
         rows.append(r)
-    rel = IntMatrix.from_rows(rows) if rows else IntMatrix.zero(0, n)
-    G = group_from_relations(n, rel)
+    G = group_from_relations(n, IntMatrix.from_rows(rows))
     marked = [0] * n
     marked[0] = d[0]
     return PointedAbelianGroup(G, reduce_element(G, marked))

@@ -16,7 +16,8 @@ Subcommands tie the library into reproducible analyses:
 
 Reports are emitted as JSON (sorted keys, exact integers, rationals as
 "p/q" strings, never floats) or as human-readable text; identical
-invocations produce byte-identical JSON.  Exit codes: 0 success, 1
+invocations produce byte-identical JSON.  This module alone builds
+reports; the engines' types hold data only.  Exit codes: 0 success, 1
 verification failure, 2 usage error (bad arguments or config, an exhausted
 search budget, a quiver or an orbit battery over MAX_QUIVER_VERTICES, or
 more than MAX_SOD_BLOCKS SOD blocks), 3 internal invariant breach.
@@ -82,7 +83,50 @@ class UsageError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# report builders
+# report builders: the only code that turns library values into JSON
+
+
+def _group_json(B) -> dict:
+    G = B.group
+    out = {"generators": G.num_generators, "relations": G.relations.to_rows(),
+           "free_rank": G.free_rank,
+           "invariant_factors": list(G.invariant_factors),
+           "marked": list(B.marked.coordinates)}
+    if G.free_rank == 1:
+        out["generator_degrees"] = [B.degree(G.generator(i))
+                                    for i in range(G.num_generators)]
+    return out
+
+
+def _sod_json(s) -> dict:
+    blocks = [{"degree": deg, "kind": kind, "count": count}
+              for deg, kind, count in s.blocks]
+    return {"case": s.case, "mu": s.mu, "torsion": s.torsion,
+            "blocks": blocks, "residual": s.residual}
+
+
+def _parts_json(cert) -> list:
+    return [list(p.entries) for p in cert.parts]
+
+
+def _certificate_json(cert) -> dict:
+    return {"predicate": cert.predicate, "size": cert.size,
+            "minimal": cert.minimal, "parts": _parts_json(cert),
+            "search_stats": dict(sorted(cert.search_stats.items()))}
+
+
+def _verdict_json(v) -> dict:
+    q_cert, h_cert = v.witnesses
+    return {"n_plus_1": v.n_plus_1, "h": h_cert.size, "q": q_cert.size,
+            "lower": v.lower, "upper": v.upper, "exact": v.exact,
+            "conjecture_holds": v.conjecture_holds,
+            "h_parts": _parts_json(h_cert), "q_parts": _parts_json(q_cert)}
+
+
+def _ade_type(d):
+    from . import decompose
+    ade = decompose.classify_ade(d)
+    return None if ade is None else str(ade)
 
 
 def _check_sod_size(mu: int, d) -> None:
@@ -98,11 +142,10 @@ def analyze_report(d, node_limit: int) -> dict:
     _check_sod_size(mu, d)
     spec = weightcalc.spec_from_weights(d)
     B = spec.grading
-    g = weightcalc.gorenstein_parameter(spec)
-    if g.mu != mu:
+    sod = weightcalc.sod_summary(spec)
+    if sod.mu != mu:
         raise InternalCheckFailure("Gorenstein degree disagrees with mu")
     verdict = decompose.rouquier_verdict(d, node_limit)
-    ade = decompose.classify_ade(d)
     results = {
         "weights": list(d.entries),
         "mu_bar": _rat(mu_bar),
@@ -110,12 +153,12 @@ def analyze_report(d, node_limit: int) -> dict:
         "sign": sign,
         "degenerate": d.has_unit_weight(),
         "torsion": B.group.torsion_order(),
-        "weight_group": B.report(),
+        "weight_group": _group_json(B),
         "exceptional_count": weightcalc.exceptional_count(d),
         "complement_count": weightcalc.complement_count(d),
-        "ade_type": str(ade) if ade else None,
-        "sod": weightcalc.sod_summary(spec).to_json(),
-        "rouquier": verdict.to_json(),
+        "ade_type": _ade_type(d),
+        "sod": _sod_json(sod),
+        "rouquier": _verdict_json(verdict),
     }
     if results["degenerate"]:
         results["note"] = ("a unit weight collapses the factorization "
@@ -126,7 +169,7 @@ def analyze_report(d, node_limit: int) -> dict:
 def group_report(d) -> dict:
     from . import abgroup
     B = abgroup.weight_group(d.entries)
-    rep = B.report()
+    rep = _group_json(B)
     rep["torsion_order"] = B.group.torsion_order()
     rep["marked_degree"] = B.degree(B.marked)
     return rep
@@ -138,11 +181,11 @@ def decompose_report(d, node_limit: int) -> dict:
     q_cert, h_cert = verdict.witnesses
     return {
         "weights": list(d.entries),
-        "ade_type": str(decompose.classify_ade(d) or "") or None,
+        "ade_type": _ade_type(d),
         "nonpositive": decompose.is_nonpositive(d),
-        "h_certificate": h_cert.to_json(),
-        "q_certificate": q_cert.to_json(),
-        "rouquier": verdict.to_json(),
+        "h_certificate": _certificate_json(h_cert),
+        "q_certificate": _certificate_json(q_cert),
+        "rouquier": _verdict_json(verdict),
     }
 
 
@@ -150,7 +193,7 @@ def sod_report(d) -> dict:
     from . import weightcalc
     _check_sod_size(weightcalc.mu_values(d)[1], d)
     spec = weightcalc.spec_from_weights(d)
-    out = weightcalc.sod_summary(spec).to_json()
+    out = _sod_json(weightcalc.sod_summary(spec))
     out["weights"] = list(d.entries)
     return out
 
@@ -174,7 +217,12 @@ def quiver_report(spec: str) -> dict:
         except ValueError as exc:
             raise UsageError(str(exc)) from None
         _check_quiver_size(t.index, f"the quiver {t}")
-        return quiverlab.algebra_model(t).report()
+        Q = quiverlab.ade_quiver(t)
+        C = quiverlab.cartan_matrix(Q)
+        return {"label": str(t), "vertices": Q.num_vertices,
+                "arrows": [list(a) for a in Q.arrows], "cartan": C.to_rows(),
+                "loewy_length": quiverlab.loewy_length(Q),
+                "coxeter_polynomial": quiverlab.coxeter_polynomial(C)}
     d = parse_weights(spec)
     out = {"weights": list(d.entries), "degenerate": d.has_unit_weight()}
     # one A_{x-1} factor per weight x >= 2
@@ -193,9 +241,8 @@ def quiver_report(spec: str) -> dict:
     out["loewy_length"] = quiverlab.loewy_length_tensor(sizes)
     ade = decompose.classify_ade(d)
     if ade is not None:
-        model = quiverlab.algebra_model(ade)
-        same = quiverlab.coxeter_polynomial(model.cartan) == out["coxeter_polynomial"]
-        if not same:
+        C_ade = quiverlab.cartan_matrix(quiverlab.ade_quiver(ade))
+        if quiverlab.coxeter_polynomial(C_ade) != out["coxeter_polynomial"]:
             raise InternalCheckFailure(
                 f"Coxeter polynomial of {d.entries} does not match {ade}")
         out["ade_type"] = str(ade)
@@ -336,7 +383,7 @@ def _suite_counts(cfg) -> list:
               and all(b[2] == tors for b in s.blocks)
               and s.complement_total() == weightcalc.complement_count(d))
         return exceptional, None if ok else {"weights": list(combo),
-                                             "summary": s.to_json()}
+                                             "summary": _sod_json(s)}
 
     def dynkin(combo):
         d = WeightSequence(combo)

@@ -120,15 +120,6 @@ class PartitionCertificate:
     minimal: bool
     search_stats: dict
 
-    def to_json(self):
-        return {
-            "predicate": self.predicate,
-            "size": self.size,
-            "minimal": self.minimal,
-            "parts": [list(p.entries) for p in self.parts],
-            "search_stats": dict(sorted(self.search_stats.items())),
-        }
-
 
 def _submultisets_with_max(state: tuple):
     """Sub-multisets of `state` that contain its largest entry.
@@ -326,20 +317,6 @@ class RouquierVerdict:
     exact: int | None
     conjecture_holds: bool
     witnesses: tuple  # (q_certificate, h_certificate)
-
-    def to_json(self):
-        q_cert, h_cert = self.witnesses
-        return {
-            "n_plus_1": self.n_plus_1,
-            "h": h_cert.size,
-            "q": q_cert.size,
-            "lower": self.lower,
-            "upper": self.upper,
-            "exact": self.exact,
-            "conjecture_holds": self.conjecture_holds,
-            "h_parts": [list(p.entries) for p in h_cert.parts],
-            "q_parts": [list(p.entries) for p in q_cert.parts],
-        }
 
 
 def rouquier_verdict(d: WeightSequence,

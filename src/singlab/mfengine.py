@@ -165,22 +165,6 @@ class Polynomial:
     def __hash__(self):
         return hash((self.nvars, tuple(sorted(self.terms.items()))))
 
-    def render(self, names) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for exps in sorted(self.terms):
-            c = self.terms[exps]
-            mono = "*".join(f"{names[i]}^{e}" if e > 1 else names[i]
-                            for i, e in enumerate(exps) if e)
-            if not mono:
-                bits.append(str(c))
-            elif c == 1:
-                bits.append(mono)
-            else:
-                bits.append(f"{c}*{mono}")
-        return " + ".join(bits)
-
     def __repr__(self):
         return f"Polynomial({self.terms!r})"
 
@@ -763,10 +747,6 @@ class StrandCohomology:
             return 0
         raise ValueError(f"strand ({eps},{l}) outside the computed window")
 
-    def nonzero(self):
-        return sorted(((k, v) for k, v in self.entries.items() if v),
-                      key=lambda kv: (kv[0][1], kv[0][0]))
-
     def total(self) -> int:
         return sum(self.entries.values())
 
@@ -1179,7 +1159,7 @@ def endo_algebra_check(d: int) -> dict:
             table = strand_cohomology(objs[i], objs[j])
             certified = certified and table.certification[0] == "certified"
             h0[i][j] = table.dim(0, 0)
-            # entries run by (l, eps), the order of `nonzero`
+            # entries run by n = 2l + eps, the order they are stored in
             others += [((i + 1, j + 1), strand, dim)
                        for strand, dim in table.entries.items()
                        if dim and strand != (0, 0)]
@@ -1228,9 +1208,8 @@ class OrbitSpec:
         G = source.group
         rows = G.relations.to_rows()
         rows += [list(g.coordinates) for g in self.kernel_generators]
-        self.quotient = group_from_relations(
-            G.num_generators,
-            IntMatrix.from_rows(rows) if rows else IntMatrix.zero(0, G.num_generators))
+        self.quotient = group_from_relations(G.num_generators,
+                                             IntMatrix.from_rows(rows))
         order = G.torsion_order() // self.quotient.torsion_order()
         if order > 10000:
             raise ValueError("kernel is unreasonably large")

@@ -46,7 +46,6 @@ from .decompose import ADEType
 
 __all__ = [
     "Quiver",
-    "QuiverAlgebraModel",
     "Representation",
     "DerivedObject",
     "DerivedMorphism",
@@ -72,7 +71,6 @@ __all__ = [
     "is_ghost",
     "ghost_lower_bound",
     "split_complex",
-    "algebra_model",
 ]
 
 
@@ -93,9 +91,13 @@ def _topological_order(vertices, succ):
 
 
 class Quiver:
-    """A finite quiver with vertices 1..n; must be acyclic where required."""
+    """A finite quiver with vertices 1..n; must be acyclic where required.
 
-    __slots__ = ("num_vertices", "arrows", "_succ")
+    A topological order of the vertices is found once, when the quiver is
+    built, and is None for a quiver with a directed cycle.
+    """
+
+    __slots__ = ("num_vertices", "arrows", "_succ", "_order")
 
     def __init__(self, num_vertices: int, arrows):
         arrows = tuple((int(s), int(t)) for s, t in arrows)
@@ -108,19 +110,20 @@ class Quiver:
         self._succ = [[] for _ in range(num_vertices + 1)]
         for s, t in arrows:
             self._succ[s].append(t)
+        order = _topological_order(self.vertices(), self._succ)
+        self._order = None if order is None else tuple(order)
 
     def vertices(self):
         return range(1, self.num_vertices + 1)
 
     def is_acyclic(self) -> bool:
-        return _topological_order(self.vertices(), self._succ) is not None
+        return self._order is not None
 
-    def require_acyclic(self) -> list:
+    def require_acyclic(self) -> tuple:
         """A topological order of the vertices; ValueError on a cycle."""
-        order = _topological_order(self.vertices(), self._succ)
-        if order is None:
+        if self._order is None:
             raise ValueError("quiver has directed cycles")
-        return order
+        return self._order
 
     def path_counts(self):
         """Matrix of path counts (trivial paths included on the diagonal)."""
@@ -348,31 +351,6 @@ def ext_simples(Q: Quiver, v: int, v_prime: int, t: int) -> int:
     if t == 1:
         return Q._succ[v_prime].count(v)
     return 0
-
-
-@dataclass(frozen=True)
-class QuiverAlgebraModel:
-    """Path-algebra shadow: quiver, Cartan matrix, Loewy length, label."""
-
-    quiver: Quiver
-    cartan: IntMatrix
-    loewy_length: int
-    label: str | None = None
-
-    def report(self):
-        return {
-            "label": self.label,
-            "vertices": self.quiver.num_vertices,
-            "arrows": [list(a) for a in self.quiver.arrows],
-            "cartan": self.cartan.to_rows(),
-            "loewy_length": self.loewy_length,
-            "coxeter_polynomial": coxeter_polynomial(self.cartan),
-        }
-
-
-def algebra_model(t: ADEType) -> QuiverAlgebraModel:
-    Q = ade_quiver(t)
-    return QuiverAlgebraModel(Q, cartan_matrix(Q), loewy_length(Q), str(t))
 
 
 # ---------------------------------------------------------------------------
@@ -659,9 +637,6 @@ class DerivedObject:
     def shifted(self, k: int) -> "DerivedObject":
         return DerivedObject(tuple((r, s + k) for r, s in self.summands))
 
-    def quiver(self) -> Quiver:
-        return self.summands[0][0].quiver
-
 
 class DerivedMorphism:
     """A matrix of Hom and Ext^1 components between two shifted sums.
@@ -728,7 +703,6 @@ class DerivedMorphism:
         """g after self (self: X -> Y, g: Y -> Z)."""
         if g.source is not self.target and g.source.summands != self.target.summands:
             raise ValueError("morphisms not composable")
-        Q = self.source.quiver()
         out: dict = {}
         for (i, j), (k1, d1) in self.components.items():
             for (j2, k), (k2, d2) in g.components.items():
@@ -737,6 +711,7 @@ class DerivedMorphism:
                 ri = self.source.summands[i][0]
                 rk = g.target.summands[k][0]
                 rj = self.target.summands[j][0]
+                Q = ri.quiver
                 if k1 == "hom" and k2 == "hom":
                     piece = ("hom", {v: _product(d2[v], d1[v], rk.dim(v),
                                                  rj.dim(v), ri.dim(v))

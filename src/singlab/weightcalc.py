@@ -178,16 +178,6 @@ class SODSummary:
     def complement_total(self) -> int:
         return sum(b[2] for b in self.blocks)
 
-    def to_json(self):
-        return {
-            "case": self.case,
-            "mu": self.mu,
-            "torsion": self.torsion,
-            "blocks": [{"degree": deg, "kind": kind, "count": count}
-                       for deg, kind, count in self.blocks],
-            "residual": self.residual,
-        }
-
 
 def sod_summary(spec: GradedRingSpec) -> SODSummary:
     """Block degrees and per-degree counts for the sign of mu.

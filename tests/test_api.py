@@ -1,5 +1,6 @@
 """Each engine module's `__all__` names exactly its public top-level
-functions and classes, and `linalg` exports only the elimination."""
+functions and classes, `linalg` exports only the elimination, and no
+engine type renders itself to JSON: `cli` alone writes the schema."""
 
 import importlib
 import inspect
@@ -25,3 +26,13 @@ def test_linalg_exports_only_the_elimination():
 
     assert sorted(linalg.__all__) == sorted(
         ["independent_rows", "pivot_columns", "rank", "nullspace", "solve"])
+
+
+@pytest.mark.parametrize("name", ("abgroup", "weightcalc", "decompose",
+                                  "quiverlab", "mfengine"))
+def test_no_engine_class_renders_json(name):
+    mod = importlib.import_module(f"singlab.{name}")
+    for key in mod.__all__:
+        obj = getattr(mod, key)
+        if inspect.isclass(obj):
+            assert not {"report", "to_json"} & set(vars(obj)), key

@@ -1,6 +1,7 @@
 import argparse
 import ast
 import contextlib
+import hashlib
 import io
 import itertools as it
 import importlib
@@ -537,6 +538,58 @@ def test_rationals_rendered_as_strings(capsys):
     _, out = run_cli(capsys, "analyze", "2,3,7")
     r = json.loads(out)["results"]
     assert r["mu_bar"] == "-1/42"
+
+
+# SHA-256 of the stdout of commands whose reports no benchmark digest
+# pins: the weight-group, SOD and small quiver reports, and the text format.
+_GOLDEN_DIGESTS = [
+    ("group 3,3",
+     "0b2c583b3d3a4ecdf463d842e8e4e5bc2f1c64d1c2e94477c6267fdb3f9a580c"),
+    ("group 2,3,5",
+     "1d59be307d1f2e763ca9c9191a420d95eb8a9658251421b5d8d9ca14c92508cb"),
+    ("group 4,4,4,4",
+     "821baddfa8b94f1f9e09eb616e30a56985311955ed146884e4177f716a653c51"),
+    ("group 6,10,15",
+     "5181f374e72284b9705c87b9e58a25243654f7c6e514a8d24f4cdd7a8ea7e09e"),
+    ("group 1",
+     "1c16407afecae281bee42c12d127bee35dda226e7f89acc1bfcacf835b2708d7"),
+    ("group 2,4,8,16",
+     "dd7573287875f6215dc107c165505f5c76a043d23930040f3acf8083840e7150"),
+    ("sod 3,3",
+     "091e914c7339d7429bb26a25bf20c5a04a6803e58d2497b5ec0ef75e7bd99c25"),
+    ("sod 2,3,7",
+     "8be676a154ff4f440ee02105ee3865eaeb69a51169b217adc6d24b0f8edfedeb"),
+    ("sod 4,4,4,4",
+     "251c109d851f0c5ec5b6ac6455802984b06c2c5ae8e879ba4b97e985b294cba0"),
+    ("sod 2,2",
+     "e5115896bf4ad9c4f770bd17a833380f213929a4719b77d928d5bda3216a774c"),
+    ("quiver A0",
+     "ee341a1312d0819243614d896521bbc88041955cc666e3bcb51c0de71feab70f"),
+    ("quiver A1",
+     "9957d74d3d517282eaeca7e78ef88ac0843f54171ba7b5f5e5e5546f6a79a38c"),
+    ("quiver 3,3",
+     "e7d09f22786731a03e11fb9ea4dd3f78002a5895dfd86acecf8449928d4051d7"),
+    ("quiver 3,4",
+     "0332deb65e7e762f26422b6079f186af848f89abdffe49541920832a9083a045"),
+    ("quiver 3,5",
+     "6f47f73d3972631832f262ce2d2e6efe695c4bac8b2a0f7f841e583de8e1f2b2"),
+    ("--format text analyze 2,3,7",
+     "01cc4d931f5324af85bde3360e36dfac3adefd00f53596ac63cb91dc501bb0b6"),
+    ("--format text group 3,3",
+     "dc4bdb4c9e493be83778e81e6ed6774876a70cc9a1068f439b4ba2dd477fabea"),
+    ("--format text quiver D4",
+     "9922c1d943adde9b06dddd3c08a0126f4adef292569d9e5daad543dd239e1ff8"),
+    ("--format text decompose 3,3,3,4",
+     "417121bd50bc299c7be766fe828893632a0735983e8db57006c87921aba86108"),
+]
+
+
+@pytest.mark.parametrize("command, digest", _GOLDEN_DIGESTS,
+                         ids=[c for c, _ in _GOLDEN_DIGESTS])
+def test_report_bytes_match_golden_digests(capsys, command, digest):
+    code, out = run_cli(capsys, *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # Bounded argv grammar: every example runs in well under a second, and the

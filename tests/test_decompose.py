@@ -158,8 +158,8 @@ def test_rouquier_verdict_k3():
     v = rouquier_verdict(W([3, 3, 3, 3, 3, 3, 4, 4, 4, 4]))
     assert (v.lower, v.upper, v.exact) == (4, 4, 4)
     assert v.conjecture_holds
-    j = v.to_json()
-    assert j["h"] == 5 and j["q"] == 3 and j["n_plus_1"] == 10
+    q_cert, h_cert = v.witnesses
+    assert (h_cert.size, q_cert.size, v.n_plus_1) == (5, 3, 10)
 
 
 def test_rouquier_verdict_point():

@@ -95,7 +95,7 @@ def test_zero_factorization_against_any_object():
     for E, F in ((Z, E1), (E1, Z), (Z, Z)):
         t = strand_cohomology(E, F)
         assert t.certification[0] == "certified"
-        assert t.total() == 0 and t.nonzero() == []
+        assert t.total() == 0 and not any(t.entries.values())
         assert t.dim(0, 7) == t.dim(1, -7) == 0
 
 
@@ -133,7 +133,7 @@ def test_polynomial_coefficients_int_when_integral():
     a = Polynomial(2, {(1, 0): 2, (0, 1): -1})
     b = Polynomial(2, {(1, 0): Fraction(2), (0, 1): Fraction(-3, 3)})
     assert a == b and hash(a) == hash(b)
-    assert a.render(("x", "y")) == b.render(("x", "y")) == "-1*y + 2*x"
+    assert a.terms == b.terms == {(1, 0): 2, (0, 1): -1}
 
 
 def test_ring_refuses_zero_potential():
@@ -941,7 +941,7 @@ def test_tensor_product_is_valid_factorization():
     Ey = standard_objects(ry)
     T = tensor_product(Ex[0], Ey[1])
     assert T.rank_pair == (2, 2)
-    assert T.ring.potential.render(T.ring.names) in ("x^3 + y^3", "y^3 + x^3")
+    assert T.ring.potential.terms == {(3, 0): 1, (0, 3): 1}
     # mixed potentials work too
     T2 = tensor_product(standard_objects(one_variable_ring(2, "u"))[0], Ex[0])
     assert T2.ring.grading.group.free_rank == 1

@@ -8,7 +8,7 @@ from singlab.decompose import ADEType
 from singlab import linalg, quiverlab
 from singlab.quiverlab import (ComplexOfReps, DerivedMorphism, DerivedObject,
                                GhostCertificate, Quiver, ade_quiver,
-                               algebra_model, cartan_matrix, coxeter_polynomial,
+                               cartan_matrix, coxeter_polynomial,
                                ext_class_is_zero, ext_rep, ext_simples,
                                ext_via_resolution,
                                euler_form, ghost_lower_bound, hom_basis,
@@ -45,6 +45,29 @@ def test_cartan_rejects_cycles():
     Q = Quiver(2, [(1, 2), (2, 1)])
     with pytest.raises(ValueError):
         cartan_matrix(Q)
+
+
+def test_quiver_is_ordered_once(monkeypatch):
+    calls = []
+    order = quiverlab._topological_order
+
+    def counting(vertices, succ):
+        calls.append(1)
+        return order(vertices, succ)
+
+    monkeypatch.setattr(quiverlab, "_topological_order", counting)
+    Q = ade_quiver(D4)
+    reps = [Representation(Q, (i % 2, 1, 0, i % 3)) for i in range(10)]
+    assert Q.is_acyclic() and len(reps) == 10
+    Q.path_counts(), Q.paths(), Q.longest_path(), Q.require_acyclic()
+    assert len(calls) == 1
+    # a cyclic quiver is built, and refused where an order is needed
+    C = Quiver(2, [(1, 2), (2, 1)])
+    assert not C.is_acyclic()
+    for need in (C.require_acyclic, C.path_counts, C.paths, C.longest_path,
+                 lambda: Representation(C, (1, 1))):
+        with pytest.raises(ValueError, match="directed cycles"):
+            need()
 
 
 def test_coxeter_polynomials():
@@ -194,7 +217,9 @@ def test_ext_simples():
 
 
 def test_algebra_model_report():
-    rep = algebra_model(D4).report()
+    from singlab import cli
+
+    rep = cli.quiver_report("D4")
     assert rep["loewy_length"] == 3
     assert rep["coxeter_polynomial"] == [1, 1, 0, 1, 1]
     assert rep["cartan"][0] == [1, 1, 1, 1]
@@ -466,6 +491,16 @@ def test_compose_keeps_shapes_through_zero_dimensional_blocks():
     h = f.compose(g)
     assert h.is_zero() is True
     assert h.components[(0, 0)] == ("ext", {0: [[0]]})
+
+
+def test_compose_from_the_zero_object_is_the_zero_morphism():
+    # the zero object has no summand to read a quiver from
+    S1, S2 = _a2_simples()
+    zero, X = DerivedObject(()), DerivedObject(((S2, 0),))
+    g = DerivedMorphism(X, X, {(0, 0): ("hom", {1: [], 2: [[1]]})})
+    h = DerivedMorphism(zero, X, {}).compose(g)
+    assert (h.source, h.target, h.components) == (zero, X, {})
+    assert h.is_zero()
 
 
 def _a2_simples():
