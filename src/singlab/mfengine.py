@@ -41,11 +41,11 @@ structure maps, and equality and hashing come from that key.
 
 Group elements are the API: generator twists, gradings and reports.  Inside,
 a degree is the pair (torsion residues, integer degree), which determines
-the element because the grading has free rank one; validation, hom bases,
-windows and cokernel supports all compare and add such pairs.  Polynomials
-are exact monomial-to-coefficient maps over the rationals, coefficients
-`int` when integral and `Fraction` otherwise; no floating point appears
-anywhere.
+the element because the grading has free rank one; validation, monomial
+tables, block degrees, windows and cokernel supports all compare and add
+such pairs.  Polynomials are exact monomial-to-coefficient maps over the
+rationals, coefficients `int` when integral and `Fraction` otherwise; no
+floating point appears anywhere.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ from operator import add, itemgetter
 
 from . import linalg
 from .abgroup import GroupElement, PointedAbelianGroup, boxminus_pair, group_from_relations
-from .abgroup import IntMatrix, reduce_element
+from .abgroup import IntMatrix, int_tuple, reduce_element
 from .weightcalc import GradedRingSpec, WeightSequence, thom_sebastiani
 
 __all__ = [
@@ -104,7 +104,7 @@ class Polynomial:
             if type(c) is not int:
                 c = Fraction(c)
             if c:
-                exps = tuple(int(e) for e in exps)
+                exps = int_tuple(exps)
                 if len(exps) != nvars:
                     raise ValueError("exponent tuple of wrong length")
                 if any(e < 0 for e in exps):
@@ -383,16 +383,11 @@ class Factorization:
     # twists and shifts build new objects.  `twists_neg` and `twists_zero`
     # are the generator degrees (group elements) of E_{-1} and E_0, and
     # `pairs` their degree pairs and those of E_{-1}(d).  Equality and
-    # hashing read `_key`, (ring, pairs, phi0, phi_neg).  `right_terms[comp][j]`
-    # lists (col, exps, coeff) of row j of the map that multiplies
-    # component comp from the right (phi_neg for comp 0, phi0 for comp 1);
-    # `left_terms[k][i]` lists (row, exps, coeff) of column i of phi0
-    # (k = 0) or phi_neg (k = 1).  `cokernel_support` is
-    # `_cokernel_support` of the object, which every strand table reads for
-    # both of its objects.
+    # hashing read `_key`, (ring, pairs, phi0, phi_neg).  `cokernel_support`
+    # is `_cokernel_support` of the object, which every strand table reads
+    # for both of its objects.
     __slots__ = ("ring", "twists_neg", "twists_zero", "phi0", "phi_neg",
-                 "pairs", "right_terms", "left_terms", "cokernel_support",
-                 "_key", "_hash")
+                 "pairs", "cokernel_support", "_key", "_hash")
 
     def __init__(self, ring, twists_neg, twists_zero, phi0, phi_neg,
                  _validated=False):
@@ -409,15 +404,6 @@ class Factorization:
             _validate_factorization(self)
         self._key = (ring, self.pairs, phi0, phi_neg)
         self._hash = hash(self._key)
-        # the term lists index by the shapes, so only after validation
-        self.right_terms = tuple([[(jj, e, c) for jj, p in enumerate(row)
-                                   for e, c in p.terms.items()] for row in M]
-                                 for M in (phi_neg, phi0))
-        self.left_terms = tuple([[(ii, e, c) for ii, row in enumerate(M)
-                                  for e, c in row[i].terms.items()]
-                                 for i in range(cols)]
-                                for M, cols in ((phi0, len(neg)),
-                                                (phi_neg, len(zero))))
         self.cokernel_support = _cokernel_support(self)
 
     @property
@@ -751,66 +737,57 @@ class StrandCohomology:
         return sum(self.entries.values())
 
 
-def _block_layout(E: Factorization, F: Factorization, eps: int):
-    """The blocks of Hom^eps(E, F) in order, one (source pair, target pair,
-    right, right_to, left, left_to) each.
-
-    The blocks are (component, row, col) in lexicographic order: an entry
-    maps generator `col` of the source module (degree: the source pair) to
-    generator `row` of the target (the target pair).  Right multiplication
-    by the E map moves a block to the other component, left multiplication
-    by the F map keeps it: `right` is row `col` of E's `right_terms` of the
-    component and `left` column `row` of F's `left_terms` for it, and a
-    right term (jj, e, c) lands on block right_to[jj] of the other parity,
-    a left term (ii, e, c) on block left_to[ii].
-    """
-    (e_neg, e_zero, _), (f_neg, f_zero, f_shifted) = E.pairs, F.pairs
-    targets = ((f_neg, f_zero), (f_zero, f_shifted))[eps]
-    # both modules of E have its rank r and both of F its rank s, so block
-    # (comp, i, j) of either parity is (comp * s + i) * r + j; a right term
-    # (jj, e, c) of it goes to (1 - comp, i, jj), a left one (ii, e, c) to
-    # (comp, ii, j)
-    r, s = len(e_neg), len(f_neg)
-    for comp, sources in enumerate((e_neg, e_zero)):
-        right, left = E.right_terms[comp], F.left_terms[(eps + comp) % 2]
-        other = (1 - comp) * s
-        for i, target in enumerate(targets[comp]):
-            right_to = range((other + i) * r, (other + i + 1) * r)
-            for j, source in enumerate(sources):
-                yield (source, target, right[j], right_to, left[i],
-                       range(comp * s * r + j, (comp + 1) * s * r, r))
-
-
-def _block_maps(E: Factorization, F: Factorization):
+def _block_layout(E: Factorization, F: Factorization):
     """The blocks of Hom^0(E, F) and Hom^1(E, F) with the differential's
-    terms: for each parity, a list of (degree, terms) per block.
+    terms: for each parity, a list of (degree, terms) per block.  The one
+    reader of the structure maps for both strand routes.
 
-    The blocks of a parity are those of `_block_layout`, and a block's
-    degree is its source pair minus its target pair (`_degree_pair`).
-    Since Hom^{n+2}(E, F) = Hom^n(E, F(d)), Hom^{2l+eps} has the blocks of
-    Hom^eps with l*d added to every degree.
+    The blocks of a parity are (component, row, col) in lexicographic
+    order: an entry maps generator `col` of the source module to generator
+    `row` of the target, and its degree is the source pair minus the
+    target pair (`_degree_pair`).  Since Hom^{n+2}(E, F) = Hom^n(E, F(d)),
+    Hom^{2l+eps} has the blocks of Hom^eps with l*d added to every degree.
 
     The differential sends g to g . phi^E - (-1)^n phi^F . g, so the
     monomial m of a block goes to m + e in the blocks of the other parity
-    named by its terms (target block index, exps e, coefficient): E's
-    `right_terms` and F's `left_terms`, fixed when each was built, the left
-    ones signed for the parity.  Coefficients are ints where the structure
-    maps have integral coefficients.  Within one block's terms the pairs
-    (target block, e) are distinct, so each term of a monomial lands on its
-    own row: right terms switch the component and left terms keep it, and
-    a `Polynomial` stores no zero coefficient.
+    named by its terms (target block index, exps e, coefficient).  Right
+    multiplication by the E map (phi_neg on component 0, phi0 on
+    component 1) moves a block to the other component; left multiplication
+    by the F map (phi0 when eps + component is even, phi_neg when odd)
+    keeps it, and its terms carry the sign -(-1)^eps.  Coefficients are
+    ints where the structure maps have integral coefficients.  Within one
+    block's terms the pairs (target block, e) are distinct, so each term of
+    a monomial lands on its own row: right and left terms land in different
+    components, and a `Polynomial` stores no zero coefficient.  Over one
+    variable an entry is one monomial, so the target blocks alone are
+    distinct.
     """
     factors = E.ring._grading_key[0]
+    (e_neg, e_zero, _), (f_neg, f_zero, f_shifted) = E.pairs, F.pairs
+    # both modules of E have its rank r and both of F its rank s, so block
+    # (comp, i, j) of either parity is (comp * s + i) * r + j; entry jj of
+    # row j of the E map takes it to (1 - comp, i, jj), entry ii of column i
+    # of the F map to (comp, ii, j).  Plain loops: this runs once per pair,
+    # and over one variable most blocks have a term or two.
+    r, s = len(e_neg), len(f_neg)
     out = []
-    for eps in (0, 1):
+    for eps, targets in enumerate(((f_neg, f_zero), (f_zero, f_shifted))):
         sign = 1 if eps else -1
         blocks = []
-        for (s_res, s_deg), (t_res, t_deg), right, right_to, left, left_to \
-                in _block_layout(E, F, eps):
-            terms = [(right_to[jj], e, c) for jj, e, c in right]
-            terms += [(left_to[ii], e, sign * c) for ii, e, c in left]
-            res = tuple([(x - y) % t for x, y, t in zip(s_res, t_res, factors)])
-            blocks.append(((res, s_deg - t_deg), terms))
+        for comp, (sources, right) in enumerate(((e_neg, E.phi_neg), (e_zero, E.phi0))):
+            left = (F.phi0, F.phi_neg)[(eps + comp) % 2]
+            for i, (t_res, t_deg) in enumerate(targets[comp]):
+                to_right = ((1 - comp) * s + i) * r
+                for j, (s_res, s_deg) in enumerate(sources):
+                    terms = []
+                    for jj, p in enumerate(right[j]):
+                        for e, c in p.terms.items():
+                            terms.append((to_right + jj, e, c))
+                    for ii, row in enumerate(left):
+                        for e, c in row[i].terms.items():
+                            terms.append(((comp * s + ii) * r + j, e, sign * c))
+                    res = tuple([(x - y) % t for x, y, t in zip(s_res, t_res, factors)])
+                    blocks.append(((res, s_deg - t_deg), terms))
         out.append(blocks)
     return out
 
@@ -820,9 +797,10 @@ def _multi_variable_ranks(E, F, n_lo, n_hi):
     differential out of it, by n for n_lo - 1 <= n <= n_hi.  Serves any
     ring; `strand_cohomology` uses it over two or more variables.
 
-    Hom^n has a monomial basis, block by block in `_block_maps` order and
-    within a block in the order of its monomial table.  Each block's
-    monomials go to rows of the target blocks read from the ring's shift
+    Hom^n has a monomial basis, block by block in the order of
+    `_block_layout`, the one reader of the structure maps, and within a
+    block in the order of its monomial table.  Each block's monomials go to
+    rows of the target blocks of its terms, read from the ring's shift
     tables; a monomial missing from its target table raises
     AssertionError ("differential left the graded window").
 
@@ -841,7 +819,7 @@ def _multi_variable_ranks(E, F, n_lo, n_hi):
     strand; the rank is their count.  The first strand has no image
     before it and is eliminated in full.
     """
-    maps = _block_maps(E, F)
+    maps = _block_layout(E, F)
     ring = E.ring
     factors, tables, shifts = ring._grading_key[0], ring._tables, ring._shifts
     d_res, d_deg = ring._potential_pair
@@ -893,14 +871,14 @@ def _one_variable_ranks(E, F, n_lo, n_hi):
     there when deg x divides deg, e0 deg x has the residues res (tested
     only when the grading has torsion), and e0 + l D >= 0, that is from the
     threshold l = -(e0 // D) on.  The differential sends that monomial to
-    fixed multiples of the monomials of its target blocks: the
-    coefficients of its terms, each landing on the block `_block_layout`
-    names, the left ones signed for the parity as in `_block_maps`.  So
-    every strand differential of parity eps is one scalar matrix
-    restricted to the columns of the blocks present at l; its rows need no
-    restriction, since a present block maps into present blocks.  One pass
-    over the blocks of each parity finds each block's degree and threshold
-    and builds a column only for a block that is ever present.  With the
+    fixed multiples of the monomials of its target blocks: the signed
+    coefficients of its terms.  Degrees and terms both come from
+    `_block_layout`, the one reader of the structure maps.  So every strand
+    differential of parity eps is one scalar matrix restricted to the
+    columns of the blocks present at l; its rows need no restriction, since
+    a present block maps into present blocks.  One pass over the blocks of
+    each parity finds each block's threshold and builds a column only for a
+    block that is ever present.  With the
     columns sorted by threshold the present ones are a prefix, and one
     `linalg.independent_rows` on the columns gives the rank of every
     prefix: the number of chosen columns inside it.
@@ -908,21 +886,14 @@ def _one_variable_ranks(E, F, n_lo, n_hi):
     factors, ((a_res, a),) = E.ring._grading_key
     top = E.ring._potential_pair[1] // a
     thresholds, chosen = [], []
-    for eps in (0, 1):
-        sign = 1 if eps else -1
+    for blocks in _block_layout(E, F):
         columns = []
-        for (s_res, s_deg), (t_res, t_deg), right, right_to, left, left_to \
-                in _block_layout(E, F, eps):
-            e0, off = divmod(s_deg - t_deg, a)
-            if off or factors and any((e0 * q - x + y) % t for x, y, q, t
-                                      in zip(s_res, t_res, a_res, factors)):
+        for (res, deg), terms in blocks:
+            e0, off = divmod(deg, a)
+            if off or factors and any((e0 * q - x) % t
+                                      for x, q, t in zip(res, a_res, factors)):
                 continue
-            column = {}
-            for jj, _, c in right:
-                column[right_to[jj]] = c
-            for ii, _, c in left:
-                column[left_to[ii]] = sign * c
-            columns.append((-(e0 // top), column))
+            columns.append((-(e0 // top), {t: c for t, _, c in terms}))
         columns.sort(key=itemgetter(0))
         levels, matrix = zip(*columns) if columns else ((), ())
         thresholds.append(levels)
@@ -1008,10 +979,11 @@ def strand_cohomology(E: Factorization, F: Factorization,
     -L <= l <= L, tagged as windowed, whatever the objects; a negative one
     raises ValueError.  Computation is exact linear algebra on the finite
     homogeneous components of the morphism complex.  The blocks of Hom^n,
-    their degrees and the differential's terms are read once per pair and
-    parity (`_block_layout`; Hom^{n+2}(E, F) = Hom^n(E, F(d))).  Over one
-    variable every strand's dimension and rank comes from one elimination
-    per parity (`_one_variable_ranks`).  Over more variables the strands
+    their degrees and the differential's terms are read from the structure
+    maps once per pair, by `_block_layout` alone, for both parities
+    (Hom^{n+2}(E, F) = Hom^n(E, F(d))).  Over one variable every strand's
+    dimension and rank comes from one elimination per parity
+    (`_one_variable_ranks`).  Over more variables the strands
     are eliminated in order, each only on the positions outside the
     leading positions of the previous strand's image, which d o d = 0 lets
     it skip (`_multi_variable_ranks`).  For exterior products of

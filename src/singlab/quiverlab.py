@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .abgroup import IntMatrix
+from .abgroup import IntMatrix, int_tuple
 from .decompose import ADEType
 
 __all__ = [
@@ -100,7 +100,10 @@ class Quiver:
     __slots__ = ("num_vertices", "arrows", "_succ", "_order")
 
     def __init__(self, num_vertices: int, arrows):
-        arrows = tuple((int(s), int(t)) for s, t in arrows)
+        (num_vertices,) = int_tuple((num_vertices,))
+        if num_vertices < 0:
+            raise ValueError(f"negative vertex count {num_vertices}")
+        arrows = tuple(int_tuple(arrow) for arrow in arrows)
         for s, t in arrows:
             if not (1 <= s <= num_vertices and 1 <= t <= num_vertices):
                 raise ValueError(f"arrow ({s},{t}) out of range")
@@ -337,15 +340,22 @@ def tensor_nilpotency_degree(quivers) -> int:
     return t + 1
 
 
+def _vertex(Q: Quiver, v) -> int:
+    """v as a vertex of Q; ValueError unless it is an integer in 1..n."""
+    (v,) = int_tuple((v,))
+    if not 1 <= v <= Q.num_vertices:
+        raise ValueError(f"vertex {v} out of range")
+    return v
+
+
 def ext_simples(Q: Quiver, v: int, v_prime: int, t: int) -> int:
     """dim Ext^t(S_v, S_v'): 1 at t=0 iff v = v'; arrows v' -> v at t=1.
 
     Hereditary algebras have no higher extensions, so the answer is 0 for
     t >= 2.
     """
-    for u in (v, v_prime):
-        if not (1 <= u <= Q.num_vertices):
-            raise ValueError(f"vertex {u} out of range")
+    v, v_prime = _vertex(Q, v), _vertex(Q, v_prime)
+    (t,) = int_tuple((t,))
     if t == 0:
         return 1 if v == v_prime else 0
     if t == 1:
@@ -379,7 +389,7 @@ class Representation:
 
     def __init__(self, quiver: Quiver, dims, maps=None):
         quiver.require_acyclic()
-        dims = tuple(int(d) for d in dims)
+        dims = int_tuple(dims)
         if len(dims) != quiver.num_vertices:
             raise ValueError("one dimension per vertex required")
         if any(d < 0 for d in dims):
@@ -415,8 +425,7 @@ class Representation:
 
 def simple_rep(Q: Quiver, v: int) -> Representation:
     """S_v: one-dimensional at v, zero elsewhere."""
-    if not (1 <= v <= Q.num_vertices):
-        raise ValueError(f"vertex {v} out of range")
+    v = _vertex(Q, v)
     return Representation(Q, [1 if u == v else 0 for u in Q.vertices()])
 
 
@@ -433,9 +442,7 @@ def projective_rep(Q: Quiver, v: int) -> Representation:
 
     Hom(P_v, M) = M_v, so these detect every module component.
     """
-    if not (1 <= v <= Q.num_vertices):
-        raise ValueError(f"vertex {v} out of range")
-    paths_to_v = _paths_to(Q)[v]
+    paths_to_v = _paths_to(Q)[_vertex(Q, v)]
     dims = [len(paths_to_v[u]) for u in Q.vertices()]
     # the arrow s -> t sends the path q: t -> v to (s,) + q: s -> v
     maps = [[[int(p == (s,) + q) for q in paths_to_v[t]] for p in paths_to_v[s]]
@@ -606,8 +613,9 @@ def euler_form(Q: Quiver, dim1, dim2) -> int:
     """sum_v m_v n_v - sum_{a: s->t} m_{t(a)} n_{s(a)}.
 
     Equals dim Hom(M, N) - dim Ext^1(M, N) for modules with these dimension
-    vectors; ValueError unless each has one entry per vertex.
+    vectors; ValueError unless each has one integer entry per vertex.
     """
+    dim1, dim2 = int_tuple(dim1), int_tuple(dim2)
     if not len(dim1) == len(dim2) == Q.num_vertices:
         raise ValueError(f"dimension vectors of lengths {len(dim1)} and "
                          f"{len(dim2)} over {Q.num_vertices} vertices")

@@ -68,3 +68,14 @@ def test_ci_runs_the_benchmark_output_checks():
     assert runs == [BENCH_CHECK]
     assert re.search(r'^\s*python-version: "3\.11"$', job, re.M)
     assert "pip install" not in job
+
+
+def test_every_job_sets_a_timeout():
+    # a runaway search must fail in bounded time, not after the runner's
+    # six-hour default
+    workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
+    jobs = _jobs(workflow)
+    assert jobs
+    for name, text in jobs.items():
+        minutes = re.findall(r"^    timeout-minutes: (\d+)$", text, re.M)
+        assert len(minutes) == 1 and 0 < int(minutes[0]) <= 30, name

@@ -581,6 +581,18 @@ _GOLDEN_DIGESTS = [
      "9922c1d943adde9b06dddd3c08a0126f4adef292569d9e5daad543dd239e1ff8"),
     ("--format text decompose 3,3,3,4",
      "417121bd50bc299c7be766fe828893632a0735983e8db57006c87921aba86108"),
+    # Strand-layer reports: unequal weights and a torsion-free quotient,
+    # which the strand reference jobs (weights 2,2 and 3,3) do not reach.
+    ("orbit --weights 4,6 --window 1",
+     "2d4dbd247860c916c303fba9dae9d320be949661c6d6c952a408394070da3b6c"),
+    ("orbit --weights 2,5 --window 2",
+     "156177156ded68047db5f4cb254e6615a0238efc805778965149519157003799"),
+    ("orbit --weights 5,5 --window 1",
+     "ac0d9ddc3db7b5208c8fd820ddd4601433b4914da3ef5de3e9723786565d68a4"),
+    ("mf --max-d 12",
+     "c9c0468f348b6c6e6356d4284b490cf2fc71337a9de21e9f1da3f67cb2311bd8"),
+    ("verify mf --max-d 8",
+     "a8f0b988eb53f3cd068ad0c5d5eaedc8d11aa4c032be493fc84b2c9769c62bd4"),
 ]
 
 

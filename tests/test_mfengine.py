@@ -124,6 +124,13 @@ def test_polynomial_rejects_negative_exponents():
     assert Polynomial(2, {(1, -2): 0}).is_zero()
 
 
+def test_polynomial_refuses_non_integer_exponents():
+    # (1.5,) used to read as x
+    with pytest.raises(ValueError, match="not an integer"):
+        Polynomial(1, {(1.5,): 1})
+    assert Polynomial(1, {(2.0,): 1}).terms == {(2,): 1}
+
+
 def test_polynomial_coefficients_int_when_integral():
     p = Polynomial(1, {(0,): 3, (1,): Fraction(4, 2), (2,): Fraction(1, 2)})
     assert [type(p.terms[(e,)]) for e in range(3)] == [int, int, Fraction]
@@ -1014,9 +1021,9 @@ def test_restriction_commutes_with_twist():
 
 
 def test_kept_object_data_matches_fresh_objects():
-    # T's degree pairs and term lists are fixed when it is built; each
-    # object derived from it must carry its own, equal to those of the same
-    # object built fresh, and leave T's alone
+    # T's degree pairs are fixed when it is built; each object derived from
+    # it must carry its own, equal to those of the same object built fresh,
+    # and leave T's alone
     rx, ry = one_variable_ring(3, "x"), one_variable_ring(3, "y")
     T = tensor_product(standard_objects(rx)[0], standard_objects(ry)[0])
     ring = T.ring
@@ -1024,7 +1031,7 @@ def test_kept_object_data_matches_fresh_objects():
     g = ring.spec.generator_degrees[0]
     d = ring.spec.potential_degree
     psi = OrbitSpec(A, [A.group.element([1, -1])])
-    pairs, terms = T.pairs, (T.right_terms, T.left_terms)
+    pairs = T.pairs
     table = strand_cohomology(T, T, window=2)
     quotient = RingWithPotential(
         GradedRingSpec(abgroup.PointedAbelianGroup(psi.quotient, psi.apply(A.marked)),
@@ -1048,8 +1055,6 @@ def test_kept_object_data_matches_fresh_objects():
     for derived, partner, fresh in cases:
         assert derived == fresh
         assert derived.pairs == fresh.pairs
-        assert (derived.right_terms, derived.left_terms) == (fresh.right_terms,
-                                                             fresh.left_terms)
         for X, Y in ((derived, partner), (partner, derived), (derived, derived)):
             Xf = fresh if X is derived else X
             Yf = fresh if Y is derived else Y
@@ -1057,7 +1062,6 @@ def test_kept_object_data_matches_fresh_objects():
                     == strand_cohomology(Xf, Yf, window=2)), (X, Y)
         assert default_window(derived, partner) == default_window(fresh, partner)
     assert T.pairs == pairs
-    assert (T.right_terms, T.left_terms) == terms
     assert strand_cohomology(T, T, window=2) == table
     assert cases[0][0].pairs != pairs
 
@@ -1463,17 +1467,21 @@ def _differential_matrix(E, F, n, basis_n, basis_np1):
     g -> g . phi^E - (-1)^n phi^F . g, one {row: coeff} dict per element of
     `basis_n`, rows indexed by `basis_np1` (the transpose, of equal rank).
     Right multiplication by the E map moves a block to the other component,
-    left multiplication by the F map keeps it."""
-    right, left = E.right_terms, F.left_terms
+    left multiplication by the F map keeps it.  The E map of component
+    comp is phi_neg for comp 0 and phi0 for comp 1; the F map is phi0 for
+    n + comp even and phi_neg for odd."""
+    right, left = (E.phi_neg, E.phi0), (F.phi0, F.phi_neg)
     index = {key: pos for pos, key in enumerate(basis_np1)}
     sign = 1 if n % 2 else -1
     cols = []
     for comp, i, j, m in basis_n:
         col = {}
-        for jj, e, c in right[comp][j]:
-            col[index.get((1 - comp, i, jj, tuple(map(add, m, e))))] = c
-        for ii, e, c in left[(n + comp) % 2][i]:
-            col[index.get((comp, ii, j, tuple(map(add, m, e))))] = sign * c
+        for jj, p in enumerate(right[comp][j]):
+            for e, c in p.terms.items():
+                col[index.get((1 - comp, i, jj, tuple(map(add, m, e))))] = c
+        for ii, row in enumerate(left[(n + comp) % 2]):
+            for e, c in row[i].terms.items():
+                col[index.get((comp, ii, j, tuple(map(add, m, e))))] = sign * c
         if None in col:
             raise AssertionError("differential left the graded window")
         cols.append(col)
@@ -1534,6 +1542,12 @@ def _one_variable_cases():
     return cases
 
 
+def _fractional(E):
+    """Whether a structure map of E has a `Fraction` coefficient."""
+    return any(type(c) is Fraction for M in (E.phi0, E.phi_neg) for row in M
+               for p in row for c in p.terms.values())
+
+
 def test_one_variable_ranks_match_per_strand_route():
     # the multi-variable route serves any ring, so it is checked here too
     kinds = {"fractional": 0, "zero": 0, "rank2": 0}
@@ -1541,9 +1555,7 @@ def test_one_variable_ranks_match_per_strand_route():
         got = mfengine._one_variable_ranks(E, F, -24, 25)
         assert got == _per_strand_ranks(E, F, -24, 25), (E, F)
         assert got == mfengine._multi_variable_ranks(E, F, -24, 25), (E, F)
-        kinds["fractional"] += any(type(c) is Fraction
-                                   for M in E.right_terms for row in M
-                                   for _, _, c in row)
+        kinds["fractional"] += _fractional(E)
         kinds["zero"] += not any(got[0].values())
         kinds["rank2"] += E.rank_pair == (2, 2)
     # the torsion ring gives tables with no basis at all
@@ -1586,15 +1598,14 @@ def test_multi_variable_ranks_match_per_strand_route():
         factors = E.ring._grading_key[0]
         kinds["folded"] += not factors
         kinds["torsion"] += bool(factors)
-        kinds["fractional"] += any(type(c) is Fraction for M in E.right_terms
-                                   for row in M for _, _, c in row)
+        kinds["fractional"] += _fractional(E)
         kinds["three"] += E.ring.nvars() == 3 and any(got[1].values())
     assert all(kinds.values()), kinds
 
 
 def _composite_terms(maps, eps):
     """The differential applied twice to each block of parity eps, from the
-    terms of `_block_maps`: {(target block, exps): coefficient} per block."""
+    terms of `_block_layout`: {(target block, exps): coefficient} per block."""
     out = []
     for _, terms in maps[eps]:
         acc = {}
@@ -1612,7 +1623,7 @@ def test_block_maps_square_to_zero():
     pairs += _one_variable_cases()[::5]
     paths = 0
     for E, F in pairs:
-        maps = mfengine._block_maps(E, F)
+        maps = mfengine._block_layout(E, F)
         for eps in (0, 1):
             for acc in _composite_terms(maps, eps):
                 assert not any(acc.values()), (E, F, eps)
@@ -1620,7 +1631,7 @@ def test_block_maps_square_to_zero():
     assert paths
     # a sign flipped on one left term breaks it
     E, F = _oracle_pairs()[0]
-    maps = mfengine._block_maps(E, F)
+    maps = mfengine._block_layout(E, F)
     (t, e, c), *rest = maps[0][0][1][::-1]
     maps[0][0] = (maps[0][0][0], rest + [(t, e, -c)])
     assert any(any(acc.values()) for acc in _composite_terms(maps, 0))
@@ -1633,7 +1644,7 @@ def test_missing_target_monomial_survives_optimize_flag(run_optimized):
         from singlab import mfengine as mf
         rx, ry = mf.one_variable_ring(3, "x"), mf.one_variable_ring(3, "y")
         T = mf.tensor_product(mf.standard_objects(rx)[0], mf.standard_objects(ry)[1])
-        maps = mf._block_maps(T, T)
+        maps = mf._block_layout(T, T)
         tables = T.ring._tables
         pair, terms = next(block for block in maps[0] if tables[block[0]] and block[1])
         t, e, _ = terms[0]

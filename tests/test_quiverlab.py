@@ -565,3 +565,35 @@ def test_derived_morphism_checks_ext_blocks_per_arrow():
 def test_euler_form_refuses_mis_shaped_dimension_vectors(dim1, dim2):
     with pytest.raises(ValueError):
         euler_form(ade_quiver(A(2)), dim1, dim2)
+
+
+def _a2():
+    return ade_quiver(A(2))
+
+
+# each of these read a non-integer by truncating it, or accepted a negative
+# vertex count
+@pytest.mark.parametrize("call", [
+    lambda: Quiver(3, [(1.7, 2)]),
+    lambda: Quiver(-2, []),
+    lambda: Representation(_a2(), [1.5, 1]),
+    lambda: simple_rep(_a2(), 1.5),
+    lambda: projective_rep(_a2(), 1.5),
+    lambda: ext_simples(_a2(), 1.5, 2, 1),
+    lambda: ext_simples(_a2(), 1, 2, 1.5),
+    lambda: euler_form(_a2(), [1.5, 1], [1, 1]),
+], ids=["Quiver-arrow", "Quiver-vertex-count", "Representation", "simple_rep",
+        "projective_rep", "ext_simples-vertex", "ext_simples-degree",
+        "euler_form"])
+def test_integer_inputs_refuse_non_integers(call):
+    with pytest.raises(ValueError):
+        call()
+
+
+def test_integer_inputs_accept_integral_values():
+    Q = Quiver(2.0, [(1.0, Fraction(4, 2))])
+    assert (Q.num_vertices, Q.arrows) == (2, ((1, 2),))
+    assert simple_rep(Q, 2.0).dims == (0, 1)
+    assert projective_rep(Q, 1.0).dims == projective_rep(Q, 1).dims
+    assert ext_simples(Q, 2.0, 1, 1.0) == ext_simples(Q, 2, 1, 1) == 1
+    assert euler_form(Q, [1.0, 1], [1, 1]) == 1
