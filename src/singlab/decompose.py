@@ -36,6 +36,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .abgroup import int_tuple
 from .weightcalc import WeightSequence
 
 __all__ = [
@@ -60,6 +61,8 @@ class ADEType:
     index: int
 
     def __post_init__(self):
+        # an integral index reads as an int, any other is a ValueError
+        object.__setattr__(self, "index", int_tuple((self.index,))[0])
         legal = (self.family == "A" and self.index >= 0) or \
                 (self.family == "D" and self.index == 4) or \
                 (self.family == "E" and self.index in (6, 8))
@@ -269,8 +272,6 @@ def min_partition(d: WeightSequence, predicate: str,
         raise AssertionError("partition parts do not reassemble the weights")
     if bound > size:
         raise AssertionError("partition smaller than its lower bound")
-    stats["optimality"] = "exhaustive-with-bound"
-    stats["lower_bound_proof"] = size
     return PartitionCertificate(tuple(WeightSequence(p) for p in parts),
                                 predicate, size, True, stats)
 

@@ -1,10 +1,10 @@
 """Exact linear algebra over the rationals: one sparse elimination.
 
-A matrix is a list of rows whose entries are ints or `fractions.Fraction`;
-no floating point is ever introduced.  A row is a sequence or a sparse
-{column: value} dict, absent columns being 0 (`solve` reads sequences
-only, and `nullspace` needs the width `cols` for dict rows; both raise
-ValueError on a row that does not fit the width).  Nothing here
+A matrix is a list of rows of ints and `fractions.Fraction`s (any other
+entry is a ValueError): no floating point is ever introduced.  A row is a
+sequence or a sparse {column: value} dict, absent columns being 0 (`solve`
+reads sequences only, and `nullspace` needs the width `cols` for dict rows;
+both raise ValueError on a row that does not fit the width).  Nothing here
 builds or multiplies dense matrices: callers build each matrix once, in the
 form they eliminate it.
 
@@ -51,6 +51,9 @@ def _echelon(A):
                                else enumerate(row)) if x}
         for x in r.values():
             if type(x) is not int:
+                if not all(isinstance(y, (int, Fraction)) for y in r.values()):
+                    raise ValueError(f"row {index} holds an entry that is "
+                                     "neither an int nor a Fraction")
                 den = lcm(*(x.denominator for x in r.values()))
                 r = {j: x.numerator * (den // x.denominator) for j, x in r.items()}
                 break

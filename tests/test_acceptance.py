@@ -99,10 +99,9 @@ def test_criterion_4_coxeter_identifications():
 def test_criterion_5_endomorphism_battery():
     t0 = time.monotonic()
     for d in range(2, 9):
-        rep = endo_algebra_check(d)
-        assert rep["matches"], d
-        assert rep["certified"], d
-        assert rep["k_object_exceptional"], d
+        # raises unless the Cartan matrix matches, every other strand
+        # vanishes and k(0) is exceptional; [2] is `certified`
+        assert endo_algebra_check(d)[2], d
     elapsed = time.monotonic() - t0
     assert elapsed < 60.0, f"criterion 5 took {elapsed:.2f}s"
     print(f"\nACCEPTANCE 5: PASS - standard-object hom dimensions reproduce "
@@ -119,8 +118,8 @@ def test_criterion_6_orbit_identity_battery():
     psi = OrbitSpec(A, [A.group.element([1, -1])])
     assert psi.order() == 3
     pairs = 0
-    for rep in orbit_hom_check(objs, psi, window=6):
-        assert rep["ok"], rep["mismatches"]
+    for pair, mismatches in orbit_hom_check(objs, psi, window=6):
+        assert not mismatches, (pair, mismatches)
         pairs += 1
     elapsed = time.monotonic() - t0
     assert elapsed < 2.0, f"criterion 6 took {elapsed:.2f}s"

@@ -285,18 +285,20 @@ def test_verify_mf_reports_each_failing_d(monkeypatch, capsys):
     real = mfengine.endo_algebra_check
 
     def broken(d):
-        if d == 3:
-            raise AssertionError("no Cartan matrix at d = 3")
-        rep = real(d)
-        return dict(rep, matches=rep["matches"] and d != 4)
+        # the check's one failure path is to raise
+        if d in (3, 4):
+            raise AssertionError(f"no Cartan matrix at d = {d}")
+        return real(d)
 
     monkeypatch.setattr(mfengine, "endo_algebra_check", broken)
-    code, checks = _verify_checks(capsys, "mf", "--max-d", "4")
+    code, checks = _verify_checks(capsys, "mf", "--max-d", "5")
     assert code == 1
-    assert checks["endo-cartan-d2"]["pass"]
-    assert checks["endo-cartan-d3"] == {"name": "endo-cartan-d3", "pass": False,
-                                        "counterexample": "no Cartan matrix at d = 3"}
-    assert checks["endo-cartan-d4"]["pass"] is False
+    assert checks["endo-cartan-d2"] == {"name": "endo-cartan-d2", "pass": True}
+    for d in (3, 4):
+        assert checks[f"endo-cartan-d{d}"] == {
+            "name": f"endo-cartan-d{d}", "pass": False,
+            "counterexample": f"no Cartan matrix at d = {d}"}
+    assert checks["endo-cartan-d5"]["pass"]
 
 
 def test_verify_orbit_reports_failing_pairs(monkeypatch, capsys):
@@ -304,7 +306,7 @@ def test_verify_orbit_reports_failing_pairs(monkeypatch, capsys):
 
     def broken(objects, psi, window):
         pairs = real(objects, psi, window)
-        pairs[1] = dict(pairs[1], ok=False)
+        pairs[1] = (pairs[1][0], [((0, 0), 1, 2)])
         return pairs
 
     monkeypatch.setattr(mfengine, "orbit_hom_check", broken)
@@ -313,6 +315,60 @@ def test_verify_orbit_reports_failing_pairs(monkeypatch, capsys):
     bad = checks["orbit-identity-x3-y3"]
     assert bad["pass"] is False
     assert [i for i, p in enumerate(bad["counterexample"]) if not p["ok"]] == [1]
+    assert bad["counterexample"][1] == {
+        "pair": [0, 1], "ok": False,
+        "mismatches": [{"strand": [0, 0], "restricted": 1, "orbit_sum": 2}]}
+
+
+def _keys(obj):
+    """Every key of every JSON object in `obj`."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield key
+            yield from _keys(value)
+    elif isinstance(obj, list):
+        for value in obj:
+            yield from _keys(value)
+
+
+# A small run of every command and every suite: `analyze` with a unit
+# weight for its note, `quiver` by name and by weights with and without an
+# ADE type or a unit weight.
+_SCHEMA_RUNS = [
+    "analyze 2,3,7", "analyze 1", "group 3,3", "decompose 3,3,3,4",
+    "sod 2,3,7", "quiver E6", "quiver 3,4", "quiver 3,3,3", "quiver 1,3",
+    "mf --max-d 3", "orbit --weights 3,3 --window 1",
+    "verify groups --max-n 1 --max-entry 3",
+    "verify counts --max-n 1 --max-entry 3", "verify quiver",
+    "verify mf --max-d 3", "verify orbit --window 0",
+]
+
+
+def test_every_json_field_is_named_in_cli(monkeypatch, capsys):
+    # the engines return plain data and cli names every field, so a schema
+    # change touches one module
+    tree = ast.parse(pathlib.Path(cli.__file__).read_text(encoding="utf-8"))
+    literals = {node.value for node in ast.walk(tree)
+                if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+
+    def keys(argv):
+        code, out = run_cli(capsys, *argv.split())
+        assert code == 0, argv
+        return set(_keys(json.loads(out)["results"]))
+
+    seen = set().union(*map(keys, _SCHEMA_RUNS))
+    # and an orbit battery with a mismatch, its orbit sums perturbed
+    real = mfengine._series_product
+
+    def perturbed(factors, offset=0):
+        series = real(factors, offset)
+        series[offset] = series.get(offset, 0) + 1
+        return series
+
+    monkeypatch.setattr(mfengine, "_series_product", perturbed)
+    seen |= keys("orbit --weights 3,3 --window 1")
+    assert {"strand", "restricted", "orbit_sum", "nodes", "pruned"} <= seen
+    assert sorted(seen - literals) == []
 
 
 def test_verify_refuses_flags_a_suite_ignores(capsys):

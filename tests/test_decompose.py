@@ -24,6 +24,16 @@ def test_ade_type_legality():
             ADEType(fam, idx)
 
 
+def test_ade_type_index_is_an_integer():
+    # A2.5 used to be accepted, and ade_quiver of it raised TypeError
+    t = ADEType("A", 2.0)
+    assert t == ADEType("A", 2) and type(t.index) is int and str(t) == "A2"
+    assert ADEType("E", 6.0) == ADEType("E", 6)
+    for fam, idx in [("A", 2.5), ("D", 4.5), ("A", "3")]:
+        with pytest.raises(ValueError):
+            ADEType(fam, idx)
+
+
 def test_classify_ade():
     assert str(classify_ade(W([2, 2, 7]))) == "A6"
     assert str(classify_ade(W([2, 2, 2, 3, 5]))) == "E8"

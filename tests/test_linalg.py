@@ -198,6 +198,17 @@ def test_independent_rows_degenerate_inputs():
     assert linalg.independent_rows(A) == [0, 3]
 
 
+def test_entries_neither_int_nor_fraction_are_refused():
+    # rank([[1.5]]) used to raise AttributeError inside the elimination
+    for A in ([[1.5]], [[Fraction(1, 2), 0.25]], [[1, 2.0]], [{0: "1"}]):
+        with pytest.raises(ValueError, match="neither an int nor a Fraction"):
+            linalg.rank(A)
+    with pytest.raises(ValueError, match="neither"):
+        linalg.nullspace([[1.5, 1]])
+    # bools are ints, zeros of any type are absent entries
+    assert linalg.rank([[True, 0.0], [Fraction(1, 2), 0]]) == 1
+
+
 def integral(A):
     """A with each row scaled to entries of type int."""
     out = []

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import json
 import math
 import random
 import sys
@@ -129,6 +130,14 @@ def test_polynomial_refuses_non_integer_exponents():
     with pytest.raises(ValueError, match="not an integer"):
         Polynomial(1, {(1.5,): 1})
     assert Polynomial(1, {(2.0,): 1}).terms == {(2,): 1}
+
+
+def test_polynomial_refuses_a_non_integer_variable_count():
+    # nvars 1.5 used to be kept
+    with pytest.raises(ValueError, match="not an integer"):
+        Polynomial(1.5, {})
+    p = Polynomial(2.0, {(1, 0): 1})
+    assert type(p.nvars) is int and p == Polynomial(2, {(1, 0): 1})
 
 
 def test_polynomial_coefficients_int_when_integral():
@@ -341,13 +350,15 @@ def test_standard_objects_d3_cartan():
 
 
 def test_endo_algebra_check_battery():
+    # the check returns only when H^0 is the reversed Cartan matrix and all
+    # other strands vanish, k(0) = E_{d-1} included
     for d in (2, 3, 5):
-        rep = endo_algebra_check(d)
-        assert rep["matches"] and rep["certified"]
-        assert rep["k_object_exceptional"]
+        h0, cartan, certified = endo_algebra_check(d)
+        assert certified
         m = d - 1
-        assert rep["h0"] == [[1 if i >= j else 0 for j in range(m)]
-                             for i in range(m)]
+        assert h0 == [[1 if i >= j else 0 for j in range(m)] for i in range(m)]
+        assert cartan == [[1 if i <= j else 0 for j in range(m)]
+                          for i in range(m)]
 
 
 def test_one_variable_ring_is_the_fermat_ring():
@@ -557,11 +568,53 @@ def test_strand_routes_build_no_strand_bases(monkeypatch):
 def test_endo_algebra_check_builds_objects_once(monkeypatch):
     built = _counting(monkeypatch, "standard_objects")
     tables = _counting(monkeypatch, "strand_cohomology")
-    rep = endo_algebra_check(4)
-    assert rep["k_object_exceptional"]
+    assert endo_algebra_check(4)[2]
     # one build of E_1..E_3 and their 3 x 3 tables; k(0) = E_3 reuses its own
     assert len(built) == 1
     assert len(tables) == 9
+
+
+def test_endo_algebra_check_raises_on_a_perturbed_cartan_matrix(monkeypatch):
+    from singlab import quiverlab
+    real = quiverlab.cartan_matrix
+
+    def perturbed(Q):
+        rows = real(Q).to_rows()
+        rows[0][-1] += 1
+        return abgroup.IntMatrix.from_rows(rows)
+
+    monkeypatch.setattr(quiverlab, "cartan_matrix", perturbed)
+    for d in (2, 4):
+        with pytest.raises(AssertionError, match=f"failed for d={d}: "):
+            endo_algebra_check(d)
+
+
+def test_endo_algebra_check_raises_on_a_higher_strand_of_k(monkeypatch, capsys):
+    # one extra strand in Hom(k(0), k(0)) = Hom(E_3, E_3) at d = 4 alone:
+    # the one check also covers the exceptionality of k(0)
+    real = mfengine.strand_cohomology
+    k = standard_objects(one_variable_ring(4))[-1]
+
+    def perturbed(E, F, window=None):
+        table = real(E, F, window)
+        if E == F == k:
+            entries = dict(table.entries)
+            entries[(1, 0)] = table.dim(1, 0) + 1
+            table = mfengine.StrandCohomology(entries, table.certification)
+        return table
+
+    monkeypatch.setattr(mfengine, "strand_cohomology", perturbed)
+    assert endo_algebra_check(3)[2]
+    with pytest.raises(AssertionError, match="failed for d=4: "):
+        endo_algebra_check(4)
+    # mf exits 3 with nothing on stdout; below d = 4 it still passes
+    assert cli.main(["mf", "--max-d", "3"]) == 0
+    capsys.readouterr()
+    assert cli.main(["mf", "--max-d", "5"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("internal invariant breach: endomorphism check "
+                          "failed for d=4: ")
 
 
 def test_orbit_check_regrades_each_object_once(monkeypatch):
@@ -1138,7 +1191,7 @@ def test_orbit_hom_check_trivial_gamma():
     psi = OrbitSpec(ring.grading, [])
     reps = orbit_hom_check([(E1,), (E2,)], psi, window=2)
     assert psi.order() == 1
-    assert all(rep["ok"] for rep in reps)
+    assert reps == [((i, j), []) for i in range(2) for j in range(2)]
 
 
 def test_orbit_hom_check_refuses_mixed_rings():
@@ -1178,8 +1231,44 @@ def test_orbit_hom_check_z3():
     Ey = standard_objects(ry)
     A = tensor_ring(rx, ry).grading
     psi = OrbitSpec(A, [A.group.element([1, -1])])
-    for rep in orbit_hom_check([(Ex[0], Ey[0]), (Ex[1], Ey[1])], psi, window=3):
-        assert rep["ok"], rep["mismatches"]
+    for pair, mismatches in orbit_hom_check([(Ex[0], Ey[0]), (Ex[1], Ey[1])],
+                                            psi, window=3):
+        assert not mismatches, (pair, mismatches)
+
+
+def test_orbit_hom_check_reports_a_perturbed_orbit_sum(monkeypatch, capsys):
+    real = mfengine._series_product
+
+    def perturbed(factors, offset=0):
+        series = real(factors, offset)
+        series[offset] = series.get(offset, 0) + 1
+        return series
+
+    rx, ry = one_variable_ring(3, "x"), one_variable_ring(3, "y")
+    objs = [(u, v) for u in standard_objects(rx) for v in standard_objects(ry)]
+    A = tensor_ring(rx, ry).grading
+    psi = OrbitSpec(A, [A.group.element([1, -1])])
+    assert all(not m for _, m in orbit_hom_check(objs, psi, window=1))
+    monkeypatch.setattr(mfengine, "_series_product", perturbed)
+    pairs = orbit_hom_check(objs, psi, window=1)
+    assert [pair for pair, _ in pairs] == [(i, j) for i in range(4)
+                                           for j in range(4)]
+    bad = [m for _, m in pairs if m]
+    assert bad
+    for mismatches in bad:
+        strands = [strand for strand, _, _ in mismatches]
+        assert strands == sorted(strands, key=lambda k: (k[1], k[0]))
+        assert all(lhs != rhs for _, lhs, rhs in mismatches)
+    # orbit prints the mismatches with ok false and exits 0; verify exits 1
+    assert cli.main(["orbit", "--weights", "3,3", "--window", "1"]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results["ok"] is False
+    assert [p["pair"] for p in results["pairs"] if not p["ok"]] == \
+        [list(pair) for pair, m in pairs if m]
+    assert [p["mismatches"] for p in results["pairs"] if p["mismatches"]] == [
+        [{"strand": list(strand), "restricted": lhs, "orbit_sum": rhs}
+         for strand, lhs, rhs in m] for m in bad]
+    assert cli.main(["verify", "orbit", "--window", "1"]) == 1
 
 
 def _twisted_factors(factors, g):
