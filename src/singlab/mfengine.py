@@ -30,9 +30,10 @@ dimension, so its table carries an explicit window tag; for exterior
 products of one-variable factorizations the certified table follows from
 the factors' tables by the Künneth formula, with no linear algebra on the
 product: the Poincaré series {n: dim H^n} of the product is the product
-of the factors' series.  `kunneth_table` and the orbit sum of
-`orbit_hom_check` both multiply series with one routine
-(`_series_product`).
+of the factors' series.  `kunneth_table`, the orbit sum of
+`orbit_hom_check` and `endo_algebra_check` read the factors' series from
+one table per call (`_FactorSeries`), and the first two multiply them with
+one routine (`_product_series`).
 
 Rings and factorizations are plain values, as groups are: each fixes an
 identity key when it is built, a ring its grading and potential (not its
@@ -1023,65 +1024,50 @@ def strand_cohomology(E: Factorization, F: Factorization,
     return StrandCohomology(entries, certification)
 
 
-def _factor_table(E: Factorization, F: Factorization) -> StrandCohomology:
-    """The certified strand table of one Künneth factor pair."""
-    if E.ring.nvars() != 1:
-        raise ValueError("Künneth factors must be over one-variable rings")
-    table = strand_cohomology(E, F)
-    if table.certification[0] != "certified":
-        raise AssertionError("a Künneth factor table is not certified")
-    return table
+class _FactorSeries(dict):
+    """The Hom series of one-variable factor pairs, for one battery (the
+    objects one check pairs up): (E, F, r) -> (series, (l_lo, l_hi)), the
+    Poincaré series {n: dim H^n} of Hom(E, F(r deg x)) and its certified
+    range, read once from `strand_cohomology`.
+
+    Keys are values: a ring's value leaves out variable names, so factors
+    of x^m and y^m share an entry.  A factor over more than one variable
+    raises ValueError, and a table that is not certified AssertionError.
+    """
+
+    def __missing__(self, key):
+        E, F, r = key
+        if E.ring.nvars() != 1:
+            raise ValueError("Künneth factors must be over one-variable rings")
+        twisted = F.twist(r * F.ring.spec.generator_degrees[0]) if r else F
+        table = strand_cohomology(E, twisted)
+        if table.certification[0] != "certified":
+            raise AssertionError("a Künneth factor table is not certified")
+        series = {2 * l + eps: dim for (eps, l), dim in table.entries.items() if dim}
+        value = self[key] = series, table.certification[1]
+        return value
 
 
-def _poincare_series(table: StrandCohomology) -> dict:
-    """{n: dim H^n} over the nonzero strands of `table`, n = 2l + eps."""
-    return {2 * l + eps: dim for (eps, l), dim in table.entries.items() if dim}
+def _product_series(tables, Es, Fs, w) -> dict:
+    """The Poincaré series of Hom(E_1 ⊠ ... ⊠ E_m, F_1(w_1) ⊠ ... ⊠ F_m(w_m)),
+    F_k twisted by w_k times the degree of its variable: the product of the
+    factor series in `tables` (a `_FactorSeries`).
 
-
-def _series_product(factors, offset: int = 0) -> dict:
-    """t^offset times the product of the Poincaré series `factors`."""
-    series = {offset: 1}
-    for factor in factors:
+    For the potential x^m and w_k = q m + r, F(w_k a) is F(r a) twisted by
+    q deg(x^m), and H^{n-2q}(Hom(E, F(w_k a))) = H^n(Hom(E, F(r a))): factor
+    k is read at residue r and moved by the exponent offset -2q.
+    """
+    series = {0: 1}
+    for E, F, wk in zip(Es, Fs, w):
+        q, r = divmod(wk, E.ring._potential_pair[1] // E.ring._grading_key[1][0][1])
+        factor, _ = tables[E, F, r]
         product: dict = {}
         for n1, c1 in series.items():
             for n2, c2 in factor.items():
-                product[n1 + n2] = product.get(n1 + n2, 0) + c1 * c2
+                n = n1 + n2 - 2 * q
+                product[n] = product.get(n, 0) + c1 * c2
         series = product
     return series
-
-
-def _orbit_sums():
-    """A memo for one battery: orbit(E, F, lifts) is the Poincaré series of
-    the sum over `lifts` w of Hom(E, F twisted by w), factor F_k by w_k
-    times the degree of its variable: one `_series_product` per lift.
-
-    Factor series are kept by value under (E_k, F_k, w_k mod m) for the
-    potential x^m: objects are values, and a ring's value leaves out
-    variable names, so factors of x^m and y^m share one entry.  For
-    w = q m + r, F(w a) is F(r a) twisted by q deg(x^m), and
-    H^{n-2q}(Hom(E, F(w a))) = H^n(Hom(E, F(r a))): a lift's product is
-    moved by the exponent offset -2 sum_k q_k.
-    """
-    memo: dict = {}
-
-    def factor(E, F, w):
-        ring = E.ring
-        q, r = divmod(w, ring._potential_pair[1] // ring._grading_key[1][0][1])
-        key = (E, F, r)
-        if key not in memo:
-            twisted = F.twist(r * F.ring.spec.generator_degrees[0]) if r else F
-            memo[key] = _poincare_series(_factor_table(E, twisted))
-        return -2 * q, memo[key]
-
-    def orbit(E, F, lifts):
-        total: dict = {}
-        for w in lifts:
-            shifts, factors = zip(*map(factor, E, F, w))
-            for n, dim in _series_product(factors, sum(shifts)).items():
-                total[n] = total.get(n, 0) + dim
-        return total
-
-    return orbit
 
 
 def kunneth_table(factors_E, factors_F) -> StrandCohomology:
@@ -1091,19 +1077,21 @@ def kunneth_table(factors_E, factors_F) -> StrandCohomology:
     ring.  The morphism complex of the exterior products is the tensor
     product of the factors' complexes (Ballard-Favero-Katzarkov,
     arXiv:1105.3177), so its Poincaré series sum_n dim H^n t^n is the
-    product of the factors' series, read from their certified tables; no
-    linear algebra on the product is done.  Factor k vanishes outside
-    l_lo_k < l < l_hi_k, so the product vanishes outside degrees
-    sum 2(l_lo_k + 1) <= n <= sum 2(l_hi_k - 1) + 1; the certified range
-    adds one zero strand on each side, as in `strand_cohomology`.  A factor
-    table that is not certified is an invariant breach (AssertionError).
+    product of the factors' series (`_product_series` at w = 0), read from
+    their certified tables; no linear algebra on the product is done.
+    Factor k vanishes outside l_lo_k < l < l_hi_k, so the product vanishes
+    outside degrees sum 2(l_lo_k + 1) <= n <= sum 2(l_hi_k - 1) + 1; the
+    certified range adds one zero strand on each side, as in
+    `strand_cohomology`.  A factor table that is not certified is an
+    invariant breach (AssertionError).
     """
     if not factors_E or len(factors_E) != len(factors_F):
         raise ValueError("Künneth needs one F factor per E factor")
-    tables = [_factor_table(E, F) for E, F in zip(factors_E, factors_F)]
-    series = _series_product(map(_poincare_series, tables))
-    l_lo = sum(t.certification[1][0] + 1 for t in tables) - 1
-    l_hi = sum(2 * t.certification[1][1] - 1 for t in tables) // 2 + 1
+    tables = _FactorSeries()
+    series = _product_series(tables, factors_E, factors_F, [0] * len(factors_E))
+    ranges = [tables[E, F, 0][1] for E, F in zip(factors_E, factors_F)]
+    l_lo = sum(lo + 1 for lo, _ in ranges) - 1
+    l_hi = sum(2 * hi - 1 for _, hi in ranges) // 2 + 1
     entries = {(eps, l): series.get(2 * l + eps, 0)
                for l in range(l_lo, l_hi + 1) for eps in (0, 1)}
     return StrandCohomology(entries, ("certified", (l_lo, l_hi)))
@@ -1112,36 +1100,34 @@ def kunneth_table(factors_E, factors_F) -> StrandCohomology:
 def endo_algebra_check(d: int) -> tuple:
     """Hom dimensions of the standard objects against the A_{d-1} Cartan matrix.
 
-    Computes every strand table among E_1..E_{d-1} and asserts that the H^0
-    matrix matches the Cartan matrix of the linear quiver under the reversal
-    i -> d-i, and that all other strands vanish in the certified range
+    Reads every certified series among E_1..E_{d-1} from one `_FactorSeries`
+    and asserts that the H^0 matrix matches the Cartan matrix of the linear
+    quiver under the reversal i -> d-i, and that all other strands vanish
     (strong exceptionality).  The stabilized residue field k(0) is E_{d-1},
     so its exceptionality is the last diagonal entry of that check.  Returns
-    (h0, cartan, certified); raises AssertionError naming d and the tables
-    on mismatch; ValueError when d < 2.
+    (h0, cartan); raises AssertionError naming d and the tables on mismatch;
+    ValueError when d < 2.
     """
     from .quiverlab import cartan_matrix, ade_quiver
     from .decompose import ADEType
     objs = standard_objects(one_variable_ring(d))
     m = d - 1
+    tables = _FactorSeries()
     h0 = [[0] * m for _ in range(m)]
     others: list = []
-    certified = True
     for i in range(m):
         for j in range(m):
-            table = strand_cohomology(objs[i], objs[j])
-            certified = certified and table.certification[0] == "certified"
-            h0[i][j] = table.dim(0, 0)
-            # entries run by n = 2l + eps, the order they are stored in
-            others += [((i + 1, j + 1), strand, dim)
-                       for strand, dim in table.entries.items()
-                       if dim and strand != (0, 0)]
+            series, _ = tables[objs[i], objs[j], 0]
+            h0[i][j] = series.get(0, 0)
+            # a series runs by n = 2l + eps, the order its table stores them
+            others += [((i + 1, j + 1), (n % 2, n // 2), dim)
+                       for n, dim in series.items() if n]
     cartan = cartan_matrix(ade_quiver(ADEType("A", m))).to_rows()
     reversed_h0 = [[h0[m - 1 - i][m - 1 - j] for j in range(m)] for i in range(m)]
     if reversed_h0 != cartan or others:
         raise AssertionError(f"endomorphism check failed for d={d}: h0 {h0}, "
                              f"cartan {cartan}, higher strands {others}")
-    return h0, cartan, certified
+    return h0, cartan
 
 
 # ---------------------------------------------------------------------------
@@ -1254,8 +1240,9 @@ def orbit_hom_check(objects, psi: OrbitSpec, window: int) -> list:
       on the folded `tensor_product`s, all regraded into one ring, whose
       monomial tables every pair shares (ValueError when the products are
       over different rings);
-    * the orbit-sum side as one Poincaré series (`_orbit_sums`), the sum
-      over g in Gamma of the Künneth products `kunneth_table` forms.  A
+    * the orbit-sum side as one Poincaré series, the sum over g in Gamma
+      of the Künneth products `_product_series` forms from one
+      `_FactorSeries` for the whole battery, as `kunneth_table` does.  A
       twist by g twists factor k by coordinate w_k of `g.coordinates` times
       its generator; another lift of g differs by d_i e_i - d_j e_j, which
       moves two factors' strands by +2 and -2 and leaves the product alone.
@@ -1269,12 +1256,15 @@ def orbit_hom_check(objects, psi: OrbitSpec, window: int) -> list:
     lifts = [g.coordinates for g in psi.kernel]
     if any(len(w) != len(obj) for obj in objects for w in lifts):
         raise ValueError("a lift of g needs one coordinate per factor")
-    orbit_sum = _orbit_sums()
+    tables = _FactorSeries()
     out = []
     for i, (E, RE) in enumerate(zip(objects, restricted)):
         for j, (F, RF) in enumerate(zip(objects, restricted)):
             lhs = strand_cohomology(RE, RF, window=window)
-            orbit = orbit_sum(E, F, lifts)
+            orbit: dict = {}
+            for w in lifts:
+                for n, dim in _product_series(tables, E, F, w).items():
+                    orbit[n] = orbit.get(n, 0) + dim
             mismatches = []
             for key in sorted(lhs.entries, key=lambda k: (k[1], k[0])):
                 rhs = orbit.get(2 * key[1] + key[0], 0)

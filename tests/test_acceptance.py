@@ -99,9 +99,10 @@ def test_criterion_4_coxeter_identifications():
 def test_criterion_5_endomorphism_battery():
     t0 = time.monotonic()
     for d in range(2, 9):
-        # raises unless the Cartan matrix matches, every other strand
-        # vanishes and k(0) is exceptional; [2] is `certified`
-        assert endo_algebra_check(d)[2], d
+        # raises unless every table is certified, the Cartan matrix
+        # matches, every other strand vanishes and k(0) is exceptional
+        h0, cartan = endo_algebra_check(d)
+        assert [row[::-1] for row in h0[::-1]] == cartan, d
     elapsed = time.monotonic() - t0
     assert elapsed < 60.0, f"criterion 5 took {elapsed:.2f}s"
     print(f"\nACCEPTANCE 5: PASS - standard-object hom dimensions reproduce "

@@ -358,14 +358,14 @@ def test_every_json_field_is_named_in_cli(monkeypatch, capsys):
 
     seen = set().union(*map(keys, _SCHEMA_RUNS))
     # and an orbit battery with a mismatch, its orbit sums perturbed
-    real = mfengine._series_product
+    real = mfengine._product_series
 
-    def perturbed(factors, offset=0):
-        series = real(factors, offset)
-        series[offset] = series.get(offset, 0) + 1
+    def perturbed(tables, Es, Fs, w):
+        series = real(tables, Es, Fs, w)
+        series[0] = series.get(0, 0) + 1
         return series
 
-    monkeypatch.setattr(mfengine, "_series_product", perturbed)
+    monkeypatch.setattr(mfengine, "_product_series", perturbed)
     seen |= keys("orbit --weights 3,3 --window 1")
     assert {"strand", "restricted", "orbit_sum", "nodes", "pruned"} <= seen
     assert sorted(seen - literals) == []

@@ -353,8 +353,7 @@ def test_endo_algebra_check_battery():
     # the check returns only when H^0 is the reversed Cartan matrix and all
     # other strands vanish, k(0) = E_{d-1} included
     for d in (2, 3, 5):
-        h0, cartan, certified = endo_algebra_check(d)
-        assert certified
+        h0, cartan = endo_algebra_check(d)
         m = d - 1
         assert h0 == [[1 if i >= j else 0 for j in range(m)] for i in range(m)]
         assert cartan == [[1 if i <= j else 0 for j in range(m)]
@@ -568,7 +567,7 @@ def test_strand_routes_build_no_strand_bases(monkeypatch):
 def test_endo_algebra_check_builds_objects_once(monkeypatch):
     built = _counting(monkeypatch, "standard_objects")
     tables = _counting(monkeypatch, "strand_cohomology")
-    assert endo_algebra_check(4)[2]
+    endo_algebra_check(4)
     # one build of E_1..E_3 and their 3 x 3 tables; k(0) = E_3 reuses its own
     assert len(built) == 1
     assert len(tables) == 9
@@ -604,7 +603,7 @@ def test_endo_algebra_check_raises_on_a_higher_strand_of_k(monkeypatch, capsys):
         return table
 
     monkeypatch.setattr(mfengine, "strand_cohomology", perturbed)
-    assert endo_algebra_check(3)[2]
+    endo_algebra_check(3)
     with pytest.raises(AssertionError, match="failed for d=4: "):
         endo_algebra_check(4)
     # mf exits 3 with nothing on stdout; below d = 4 it still passes
@@ -620,17 +619,19 @@ def test_endo_algebra_check_raises_on_a_higher_strand_of_k(monkeypatch, capsys):
 def test_orbit_check_regrades_each_object_once(monkeypatch):
     regraded = _counting(monkeypatch, "_restrict_all")
     built = _counting(monkeypatch, "standard_objects")
-    factor_tables = _counting(monkeypatch, "_factor_table")
+    tables = _counting(monkeypatch, "strand_cohomology")
     rep = cli.orbit_report(WeightSequence([3, 3]), 1)
     # the 4 objects E_i (x) E_j of x^3 + y^3, each regraded once, all in
     # one call and so into one ring, from one list of standard objects per
     # variable
     assert [len(objects) for objects, _ in regraded] == [4]
     assert len(built) == 2
-    # one table per (E factor, F factor, lift mod 3): the factors of x^3 and
-    # y^3 are equal up to the variable's name, so 2 x 2 factor pairs and the
-    # 3 residues of the lifts of Gamma = Z/3
-    assert len(factor_tables) == 2 * 2 * 3
+    # one certified table per (E factor, F factor, lift mod 3): the factors
+    # of x^3 and y^3 are equal up to the variable's name, so 2 x 2 factor
+    # pairs and the 3 residues of the lifts of Gamma = Z/3; and one windowed
+    # table per restricted pair
+    assert sum(E.ring.nvars() == 1 for E, _ in tables) == 2 * 2 * 3
+    assert len(tables) == 2 * 2 * 3 + 4 * 4
     assert [p["pair"] for p in rep["pairs"]] == [[i, j] for i in range(4)
                                                  for j in range(4)]
     assert rep["ok"]
@@ -642,8 +643,8 @@ def _series_of(table):
 
 
 def test_factor_tables_by_value_match_unmemoized(monkeypatch):
-    unmemoized = mfengine._factor_table
-    tables = _counting(monkeypatch, "_factor_table")
+    unmemoized = mfengine.strand_cohomology
+    tables = _counting(monkeypatch, "strand_cohomology")
     for a, b in ((2, 2), (3, 3), (4, 6)):
         rx, ry = one_variable_ring(a, "x"), one_variable_ring(b, "y")
         objs = [(u, v) for u in standard_objects(rx) for v in standard_objects(ry)]
@@ -654,14 +655,14 @@ def test_factor_tables_by_value_match_unmemoized(monkeypatch):
         # so some coordinates reach past one period of the potential
         lifts = {tuple(x + k * y for x, y in zip(e.coordinates, (a, -b)))
                  for e in psi.kernel for k in (-1, 0, 1)}
-        orbit = mfengine._orbit_sums()
+        battery = mfengine._FactorSeries()
         del tables[:]
         residues = set()
         for E, F in itertools.product(objs, repeat=2):
             for w in lifts:
                 for Ek, Fk, wk, m in zip(E, F, w, (a, b)):
                     twisted = Fk.twist(wk * Fk.ring.spec.generator_degrees[0])
-                    assert (orbit((Ek,), (Fk,), [(wk,)])
+                    assert (mfengine._product_series(battery, (Ek,), (Fk,), (wk,))
                             == _series_of(unmemoized(Ek, twisted))), (a, b, w)
                     residues.add((Ek, Fk, wk % m))
         # one elimination per (E factor, F factor, residue), whatever the
@@ -672,22 +673,64 @@ def test_factor_tables_by_value_match_unmemoized(monkeypatch):
 def test_factors_of_x_and_y_are_one_value(monkeypatch):
     # E_i over x^m and over y^m differ only in the variable's name: they are
     # equal, hash equal, and one battery enumerates their table once
-    tables = _counting(monkeypatch, "_factor_table")
+    tables = _counting(monkeypatch, "strand_cohomology")
     for m in (2, 4):
         xs = standard_objects(one_variable_ring(m, "x"))
         ys = standard_objects(one_variable_ring(m, "y"))
         for i, (Ex, Ey) in enumerate(zip(xs, ys)):
             assert Ex == Ey and hash(Ex) == hash(Ey)
             assert all(Ex != other for other in ys[:i] + ys[i + 1:])
-        orbit = mfengine._orbit_sums()
+        battery = mfengine._FactorSeries()
         del tables[:]
         # w and w + k m read the one entry of residue w mod m, moved by -2k
-        base = orbit((xs[-1],), (xs[0],), [(1,)])
+        base = mfengine._product_series(battery, (xs[-1],), (xs[0],), (1,))
         assert base
         for k in (-1, 0, 1):
-            assert (orbit((ys[-1],), (ys[0],), [(1 + k * m,)])
+            assert (mfengine._product_series(battery, (ys[-1],), (ys[0],), (1 + k * m,))
                     == {n - 2 * k: dim for n, dim in base.items()})
-        assert len(tables) == 1
+        assert len(tables) == len(battery) == 1
+
+
+def test_one_table_per_distinct_factor_key_per_battery(monkeypatch):
+    calls = _counting(monkeypatch, "strand_cohomology")
+    # the (3,3) orbit battery: 12 certified factor tables, each (E, F, r)
+    # once, and one windowed table per restricted pair
+    factors, _, psi = _orbit_battery(3, 3)
+    assert all(not m for _, m in orbit_hom_check(factors, psi, window=1))
+    certified = [args for args in calls if args[0].ring.nvars() == 1]
+    assert len(certified) == len(set(certified)) == 12
+    assert len(calls) == 12 + 16
+    # endo_algebra_check(4): its 3 x 3 pairs at r = 0
+    del calls[:]
+    endo_algebra_check(4)
+    assert len(calls) == len(set(calls)) == 9
+    # kunneth_table: one per factor pair, a repeated pair read once, and a
+    # new table for each call
+    xs = standard_objects(one_variable_ring(2, "x"))
+    ys = standard_objects(one_variable_ring(3, "y"))
+    for Es, Fs, count in (([xs[0], ys[0]], [xs[0], ys[1]], 2),
+                          ([ys[0], ys[0]], [ys[1], ys[1]], 1),
+                          ([ys[0], xs[0], ys[1]], [ys[1], xs[0], ys[1]], 3)):
+        for _ in range(2):
+            del calls[:]
+            kunneth_table(Es, Fs)
+            assert len(calls) == len(set(calls)) == count, (Es, Fs)
+
+
+def test_no_factor_series_outlives_its_call(capsys):
+    import gc
+
+    def live():
+        gc.collect()
+        return [o for o in gc.get_objects() if isinstance(o, mfengine._FactorSeries)]
+
+    held = mfengine._FactorSeries()
+    assert any(o is held for o in live())
+    del held
+    assert cli.main(["orbit", "--weights", "3,3", "--window", "1"]) == 0
+    assert cli.main(["mf", "--max-d", "4"]) == 0
+    capsys.readouterr()
+    assert live() == []
 
 
 def test_rings_are_equal_exactly_when_grading_and_potential_agree():
@@ -1237,11 +1280,11 @@ def test_orbit_hom_check_z3():
 
 
 def test_orbit_hom_check_reports_a_perturbed_orbit_sum(monkeypatch, capsys):
-    real = mfengine._series_product
+    real = mfengine._product_series
 
-    def perturbed(factors, offset=0):
-        series = real(factors, offset)
-        series[offset] = series.get(offset, 0) + 1
+    def perturbed(tables, Es, Fs, w):
+        series = real(tables, Es, Fs, w)
+        series[0] = series.get(0, 0) + 1
         return series
 
     rx, ry = one_variable_ring(3, "x"), one_variable_ring(3, "y")
@@ -1249,7 +1292,7 @@ def test_orbit_hom_check_reports_a_perturbed_orbit_sum(monkeypatch, capsys):
     A = tensor_ring(rx, ry).grading
     psi = OrbitSpec(A, [A.group.element([1, -1])])
     assert all(not m for _, m in orbit_hom_check(objs, psi, window=1))
-    monkeypatch.setattr(mfengine, "_series_product", perturbed)
+    monkeypatch.setattr(mfengine, "_product_series", perturbed)
     pairs = orbit_hom_check(objs, psi, window=1)
     assert [pair for pair, _ in pairs] == [(i, j) for i in range(4)
                                            for j in range(4)]
@@ -1307,28 +1350,46 @@ def test_kunneth_table_matches_windowed_oracle():
                         assert _agrees(table, oracle), (a, b, E, F, g, window)
 
 
+def _oracle_series(Es, Fs, w):
+    """Oracle: the Poincaré series of Hom(E_1 ⊠ ... ⊠ E_m, F_1(w_1) ⊠ ...
+    ⊠ F_m(w_m)), from a fresh certified table per factor, F_k twisted by
+    the whole w_k, and a convolution of their series."""
+    series = {0: 1}
+    for E, F, wk in zip(Es, Fs, w):
+        table = strand_cohomology(E, F.twist(wk * F.ring.spec.generator_degrees[0]))
+        assert table.certification[0] == "certified"
+        product = {}
+        for n1, c1 in series.items():
+            for n2, c2 in _series_of(table).items():
+                product[n1 + n2] = product.get(n1 + n2, 0) + c1 * c2
+        series = product
+    return series
+
+
 def test_orbit_sum_matches_kunneth_oracle():
-    # the orbit sum of every pair, strand by strand over windows 0 to 2,
-    # against the sum over the lifts of Gamma of `kunneth_table` (no memo)
-    # of E and F twisted factor by factor; the lifts are also translated by
-    # the relation (a, -b), which moves factors by whole periods
+    # the orbit sum of every pair (its lifts' product series over one table
+    # for the battery) and `kunneth_table` of every lift, against the
+    # unmemoised oracle; the lifts are also translated by the relation
+    # (a, -b), which moves factors by whole periods
     for a, b in ((2, 2), (3, 3), (2, 5), (4, 6)):
         factors, _, psi = _orbit_battery(a, b)
-        orbit = mfengine._orbit_sums()
+        tables = mfengine._FactorSeries()
         for k in (-1, 0, 1):
             lifts = [tuple(x + k * y for x, y in zip(g.coordinates, (a, -b)))
                      for g in psi.kernel]
             for E, F in itertools.product(factors, repeat=2):
-                series = orbit(E, F, lifts)
-                oracle = [kunneth_table(E, [
-                    Fk.twist(wk * Fk.ring.spec.generator_degrees[0])
-                    for Fk, wk in zip(F, w)]) for w in lifts]
-                for window in (0, 1, 2):
-                    for l in range(-window, window + 1):
-                        for eps in (0, 1):
-                            assert (series.get(2 * l + eps, 0)
-                                    == sum(t.dim(eps, l) for t in oracle)), \
-                                (a, b, k, E, F, window, eps, l)
+                orbit, oracle = {}, {}
+                for w in lifts:
+                    series = _oracle_series(E, F, w)
+                    for n, dim in series.items():
+                        oracle[n] = oracle.get(n, 0) + dim
+                    for n, dim in mfengine._product_series(tables, E, F, w).items():
+                        orbit[n] = orbit.get(n, 0) + dim
+                    table = kunneth_table(E, [
+                        Fk.twist(wk * Fk.ring.spec.generator_degrees[0])
+                        for Fk, wk in zip(F, w)])
+                    assert _series_of(table) == series, (a, b, k, E, F, w)
+                assert orbit == oracle, (a, b, k, E, F)
 
 
 def test_kunneth_table_vanishes_past_certified_range():
@@ -1400,6 +1461,12 @@ def test_windowed_factor_table_is_an_invariant_breach(monkeypatch, capsys):
     with pytest.raises(AssertionError):
         kunneth_table([E], [E])
     assert cli.main(["orbit", "--weights", "2,2", "--window", "0"]) == 3
+    # the endomorphism check reads the same table, so `mf` writes its
+    # constant "certified": true only for a check that returned
+    with pytest.raises(AssertionError, match="not certified"):
+        endo_algebra_check(2)
+    assert cli.main(["mf", "--max-d", "2"]) == 3
+    assert capsys.readouterr().out == ""
 
 
 def test_orbit_left_side_twist_invariance():
