@@ -18,7 +18,9 @@ linear algebra on the finite homogeneous components, which are finite
 because the grading is positive.  Over one variable x every block of a
 strand holds at most one monomial, so the differentials of all strands of
 one parity restrict one scalar matrix, and one elimination per parity gives
-every strand's rank.  Over two or more variables the strands are eliminated
+every strand's rank; the pairs of a battery (the objects one check pairs
+up) stack their matrices on disjoint rows and share those two
+eliminations.  Over two or more variables the strands are eliminated
 in order: since d o d = 0, the image of one strand's differential lies in
 the kernel of the next, so the positions it leads are left out of the next
 elimination.  Over one variable the support range is also certified from
@@ -32,8 +34,9 @@ the factors' tables by the Künneth formula, with no linear algebra on the
 product: the Poincaré series {n: dim H^n} of the product is the product
 of the factors' series.  `kunneth_table`, the orbit sum of
 `orbit_hom_check` and `endo_algebra_check` read the factors' series from
-one table per call (`_FactorSeries`), and the first two multiply them with
-one routine (`_product_series`).
+one table per call (`_FactorSeries`), filled for the whole battery by one
+elimination per parity, and the first two multiply them with one routine
+(`_product_series`).
 
 Rings and factorizations are plain values, as groups are: each fixes an
 identity key when it is built, a ring its grading and potential (not its
@@ -787,7 +790,9 @@ def _block_layout(E: Factorization, F: Factorization):
                     for ii, row in enumerate(left):
                         for e, c in row[i].terms.items():
                             terms.append(((comp * s + ii) * r + j, e, sign * c))
-                    res = tuple([(x - y) % t for x, y, t in zip(s_res, t_res, factors)])
+                    res = ()
+                    if factors:
+                        res = tuple([(x - y) % t for x, y, t in zip(s_res, t_res, factors)])
                     blocks.append(((res, s_deg - t_deg), terms))
         out.append(blocks)
     return out
@@ -862,9 +867,10 @@ def _multi_variable_ranks(E, F, n_lo, n_hi):
     return sizes, ranks
 
 
-def _one_variable_ranks(E, F, n_lo, n_hi):
-    """`_multi_variable_ranks` over one variable x, from one elimination per
-    parity.
+def _one_variable_ranks(pairs):
+    """`_multi_variable_ranks` of every (E, F, n_lo, n_hi) in `pairs`, all
+    over one variable x, from one elimination per parity for the whole
+    list: a list of (sizes, ranks), one per entry.
 
     For the potential x^D, a block of Hom^eps of degree (res, deg) has
     degree (res, deg) + l d in Hom^{2l+eps}, so it holds at most one
@@ -879,32 +885,55 @@ def _one_variable_ranks(E, F, n_lo, n_hi):
     columns of the blocks present at l; its rows need no restriction, since
     a present block maps into present blocks.  One pass over the blocks of
     each parity finds each block's threshold and builds a column only for a
-    block that is ever present.  With the
-    columns sorted by threshold the present ones are a prefix, and one
-    `linalg.independent_rows` on the columns gives the rank of every
-    prefix: the number of chosen columns inside it.
+    block that is ever present.  With the columns sorted by threshold the
+    present ones are a prefix, and the columns chosen by
+    `linalg.independent_rows` give the rank of every prefix: the number of
+    chosen columns inside it.
+
+    The pairs share the two eliminations.  Each pair's rows are its own
+    target blocks, offset by the 2 r s blocks per parity of the pairs
+    before it, and its columns, sorted by threshold, follow theirs.  Rows
+    of different pairs are disjoint, so a column is independent of the
+    earlier columns exactly when it is independent of the earlier columns
+    of its own pair: each pair's chosen columns, read back by bisect on its
+    own slice, are those it would get alone.
     """
-    factors, ((a_res, a),) = E.ring._grading_key
-    top = E.ring._potential_pair[1] // a
-    thresholds, chosen = [], []
-    for blocks in _block_layout(E, F):
-        columns = []
-        for (res, deg), terms in blocks:
-            e0, off = divmod(deg, a)
-            if off or factors and any((e0 * q - x) % t
-                                      for x, q, t in zip(res, a_res, factors)):
-                continue
-            columns.append((-(e0 // top), {t: c for t, _, c in terms}))
-        columns.sort(key=itemgetter(0))
-        levels, matrix = zip(*columns) if columns else ((), ())
-        thresholds.append(levels)
-        chosen.append(linalg.independent_rows(matrix))
-    sizes, ranks = {}, {}
-    for n in range(n_lo - 1, n_hi + 1):
-        l, eps = divmod(n, 2)
-        sizes[n] = bisect_right(thresholds[eps], l)
-        ranks[n] = bisect_left(chosen[eps], sizes[n])
-    return sizes, ranks
+    matrices, layouts, base = ([], []), [], 0
+    for E, F, _, _ in pairs:
+        factors, ((a_res, a),) = E.ring._grading_key
+        top = E.ring._potential_pair[1] // a
+        layout = []
+        for matrix, blocks in zip(matrices, _block_layout(E, F)):
+            columns = []
+            for (res, deg), terms in blocks:
+                e0, off = divmod(deg, a)
+                if off or factors and any((e0 * q - x) % t
+                                          for x, q, t in zip(res, a_res, factors)):
+                    continue
+                column = {}
+                for t, _, c in terms:
+                    column[base + t] = c
+                columns.append((-(e0 // top), column))
+            columns.sort(key=itemgetter(0))
+            levels, columns = zip(*columns) if columns else ((), ())
+            layout.append((len(matrix), levels))
+            matrix += columns
+        layouts.append(layout)
+        base += len(blocks)
+    chosen = [linalg.independent_rows(matrix) for matrix in matrices]
+    out = []
+    for (_, _, n_lo, n_hi), layout in zip(pairs, layouts):
+        # per parity: the pair's first column, its thresholds, the chosen
+        # columns and the index of the pair's first one among them
+        parities = [(start, levels, picks, bisect_left(picks, start))
+                    for (start, levels), picks in zip(layout, chosen)]
+        sizes, ranks = {}, {}
+        for n in range(n_lo - 1, n_hi + 1):
+            start, levels, picks, first = parities[n % 2]
+            sizes[n] = size = bisect_right(levels, n // 2)
+            ranks[n] = bisect_left(picks, start + size, first) - first
+        out.append((sizes, ranks))
+    return out
 
 
 def default_window(E: Factorization, F: Factorization) -> int:
@@ -966,6 +995,24 @@ def _certified_range(E: Factorization, F: Factorization):
             (max(hi_F0, hi_F1) - min(lo_E0, lo_E1)) // dd + 1)
 
 
+def _strand_dims(strands, l_lo, l_hi, certified: bool) -> dict:
+    """{n: dim H^n} for 2 l_lo <= n <= 2 l_hi + 1 from a route's (sizes,
+    ranks).  A negative dimension raises AssertionError, and so does, when
+    the range is `certified`, a nonzero strand at l_lo or l_hi."""
+    sizes, ranks = strands
+    dims = {}
+    for n in range(2 * l_lo, 2 * l_hi + 2):
+        dim = sizes[n] - ranks[n] - ranks[n - 1]
+        if dim < 0:
+            raise AssertionError(f"negative strand dimension at n={n}")
+        dims[n] = dim
+    if certified:
+        for l in (l_lo, l_hi):
+            if dims[2 * l] or dims[2 * l + 1]:
+                raise AssertionError("nonzero strand at the certified boundary")
+    return dims
+
+
 def strand_cohomology(E: Factorization, F: Factorization,
                       window: int | None = None) -> StrandCohomology:
     """Dimension of every strand H^{2l+eps}(Hom(E, F)) in range.
@@ -984,10 +1031,13 @@ def strand_cohomology(E: Factorization, F: Factorization,
     maps once per pair, by `_block_layout` alone, for both parities
     (Hom^{n+2}(E, F) = Hom^n(E, F(d))).  Over one variable every strand's
     dimension and rank comes from one elimination per parity
-    (`_one_variable_ranks`).  Over more variables the strands
-    are eliminated in order, each only on the positions outside the
-    leading positions of the previous strand's image, which d o d = 0 lets
-    it skip (`_multi_variable_ranks`).  For exterior products of
+    (`_one_variable_ranks` with a one-pair list, the only one-variable
+    route; `_FactorSeries` hands it a whole battery of factor pairs, which
+    share those two eliminations, and checks each table as this function
+    does, by `_strand_dims`).  Over more variables the strands are
+    eliminated in order, each only on the positions outside the leading
+    positions of the previous strand's image, which d o d = 0 lets it skip
+    (`_multi_variable_ranks`).  For exterior products of
     one-variable factors, `kunneth_table` gives the certified table from
     the factors' tables instead; `orbit_hom_check` uses this function,
     windowed, only for its restricted side.
@@ -1006,46 +1056,57 @@ def strand_cohomology(E: Factorization, F: Factorization,
         certification = ("windowed", L)
 
     n_lo, n_hi = 2 * l_lo, 2 * l_hi + 1
-    strands = _one_variable_ranks if E.ring.nvars() == 1 else _multi_variable_ranks
-    sizes, ranks = strands(E, F, n_lo, n_hi)
-    entries = {}
-    for n in range(n_lo, n_hi + 1):
-        l, eps = divmod(n, 2)
-        dim = sizes[n] - ranks[n] - ranks[n - 1]
-        if dim < 0:
-            raise AssertionError(f"negative strand dimension at n={n}")
-        entries[(eps, l)] = dim
-    if certification[0] == "certified":
-        for l in (l_lo, l_hi):
-            for eps in (0, 1):
-                if entries[(eps, l)]:
-                    raise AssertionError(
-                        "nonzero strand at the certified boundary")
-    return StrandCohomology(entries, certification)
+    if E.ring.nvars() == 1:
+        (strands,) = _one_variable_ranks([(E, F, n_lo, n_hi)])
+    else:
+        strands = _multi_variable_ranks(E, F, n_lo, n_hi)
+    dims = _strand_dims(strands, l_lo, l_hi, rng is not None)
+    return StrandCohomology({(n % 2, n // 2): dim for n, dim in dims.items()},
+                            certification)
+
+
+def _exponent(ring: RingWithPotential) -> int:
+    """D for the potential x^D of a one-variable ring: deg w / deg x."""
+    return ring._potential_pair[1] // ring._grading_key[1][0][1]
 
 
 class _FactorSeries(dict):
     """The Hom series of one-variable factor pairs, for one battery (the
     objects one check pairs up): (E, F, r) -> (series, (l_lo, l_hi)), the
     Poincaré series {n: dim H^n} of Hom(E, F(r deg x)) and its certified
-    range, read once from `strand_cohomology`.
+    range, 0 <= r < D for the potential x^D.
 
-    Keys are values: a ring's value leaves out variable names, so factors
-    of x^m and y^m share an entry.  A factor over more than one variable
-    raises ValueError, and a table that is not certified AssertionError.
+    Built from every triple (E, F, w) the battery reads, each stored under
+    its residue r = w mod D, and filled at once: all distinct entries share
+    the two eliminations of one `_one_variable_ranks` call, and their
+    strands pass the checks of `strand_cohomology` (`_strand_dims`).  Keys
+    are values: a ring's value leaves out variable names, so factors of x^m
+    and y^m share an entry.  A factor over more than one variable, or a
+    pair over two rings, raises ValueError, and a table that is not
+    certified AssertionError.
     """
 
-    def __missing__(self, key):
-        E, F, r = key
-        if E.ring.nvars() != 1:
-            raise ValueError("Künneth factors must be over one-variable rings")
-        twisted = F.twist(r * F.ring.spec.generator_degrees[0]) if r else F
-        table = strand_cohomology(E, twisted)
-        if table.certification[0] != "certified":
-            raise AssertionError("a Künneth factor table is not certified")
-        series = {2 * l + eps: dim for (eps, l), dim in table.entries.items() if dim}
-        value = self[key] = series, table.certification[1]
-        return value
+    def __init__(self, triples):
+        super().__init__()
+        ranges: dict = {}
+        battery = []
+        for E, F, w in triples:
+            r = w % _exponent(E.ring)
+            if (E, F, r) in ranges:
+                continue
+            # each distinct key is checked once, before its table is read
+            if E.ring.nvars() != 1:
+                raise ValueError("Künneth factors must be over one-variable rings")
+            if E.ring != F.ring:
+                raise ValueError("factorizations over different rings")
+            twisted = F.twist(r * F.ring.spec.generator_degrees[0]) if r else F
+            rng = ranges[E, F, r] = _certified_range(E, twisted)
+            if rng is None:
+                raise AssertionError("a Künneth factor table is not certified")
+            battery.append((E, twisted, 2 * rng[0], 2 * rng[1] + 1))
+        for (key, rng), strands in zip(ranges.items(), _one_variable_ranks(battery)):
+            dims = _strand_dims(strands, *rng, True)
+            self[key] = {n: dim for n, dim in dims.items() if dim}, rng
 
 
 def _product_series(tables, Es, Fs, w) -> dict:
@@ -1059,7 +1120,7 @@ def _product_series(tables, Es, Fs, w) -> dict:
     """
     series = {0: 1}
     for E, F, wk in zip(Es, Fs, w):
-        q, r = divmod(wk, E.ring._potential_pair[1] // E.ring._grading_key[1][0][1])
+        q, r = divmod(wk, _exponent(E.ring))
         factor, _ = tables[E, F, r]
         product: dict = {}
         for n1, c1 in series.items():
@@ -1087,8 +1148,9 @@ def kunneth_table(factors_E, factors_F) -> StrandCohomology:
     """
     if not factors_E or len(factors_E) != len(factors_F):
         raise ValueError("Künneth needs one F factor per E factor")
-    tables = _FactorSeries()
-    series = _product_series(tables, factors_E, factors_F, [0] * len(factors_E))
+    zeros = [0] * len(factors_E)
+    tables = _FactorSeries(zip(factors_E, factors_F, zeros))
+    series = _product_series(tables, factors_E, factors_F, zeros)
     ranges = [tables[E, F, 0][1] for E, F in zip(factors_E, factors_F)]
     l_lo = sum(lo + 1 for lo, _ in ranges) - 1
     l_hi = sum(2 * hi - 1 for _, hi in ranges) // 2 + 1
@@ -1112,16 +1174,17 @@ def endo_algebra_check(d: int) -> tuple:
     from .decompose import ADEType
     objs = standard_objects(one_variable_ring(d))
     m = d - 1
-    tables = _FactorSeries()
+    tables = _FactorSeries((E, F, 0) for E in objs for F in objs)
     h0 = [[0] * m for _ in range(m)]
     others: list = []
-    for i in range(m):
-        for j in range(m):
-            series, _ = tables[objs[i], objs[j], 0]
+    for i, E in enumerate(objs):
+        for j, F in enumerate(objs):
+            series, _ = tables[E, F, 0]
             h0[i][j] = series.get(0, 0)
             # a series runs by n = 2l + eps, the order its table stores them
-            others += [((i + 1, j + 1), (n % 2, n // 2), dim)
-                       for n, dim in series.items() if n]
+            for n, dim in series.items():
+                if n:
+                    others.append(((i + 1, j + 1), (n % 2, n // 2), dim))
     cartan = cartan_matrix(ade_quiver(ADEType("A", m))).to_rows()
     reversed_h0 = [[h0[m - 1 - i][m - 1 - j] for j in range(m)] for i in range(m)]
     if reversed_h0 != cartan or others:
@@ -1256,7 +1319,8 @@ def orbit_hom_check(objects, psi: OrbitSpec, window: int) -> list:
     lifts = [g.coordinates for g in psi.kernel]
     if any(len(w) != len(obj) for obj in objects for w in lifts):
         raise ValueError("a lift of g needs one coordinate per factor")
-    tables = _FactorSeries()
+    tables = _FactorSeries((Ek, Fk, wk) for E in objects for F in objects
+                           for w in lifts for Ek, Fk, wk in zip(E, F, w))
     out = []
     for i, (E, RE) in enumerate(zip(objects, restricted)):
         for j, (F, RF) in enumerate(zip(objects, restricted)):

@@ -566,11 +566,12 @@ def test_strand_routes_build_no_strand_bases(monkeypatch):
 
 def test_endo_algebra_check_builds_objects_once(monkeypatch):
     built = _counting(monkeypatch, "standard_objects")
-    tables = _counting(monkeypatch, "strand_cohomology")
+    kernel = _counting(monkeypatch, "_one_variable_ranks")
     endo_algebra_check(4)
-    # one build of E_1..E_3 and their 3 x 3 tables; k(0) = E_3 reuses its own
+    # one build of E_1..E_3 and one kernel call for their 3 x 3 tables;
+    # k(0) = E_3 reuses its own
     assert len(built) == 1
-    assert len(tables) == 9
+    assert [len(pairs) for pairs, in kernel] == [9]
 
 
 def test_endo_algebra_check_raises_on_a_perturbed_cartan_matrix(monkeypatch):
@@ -589,20 +590,22 @@ def test_endo_algebra_check_raises_on_a_perturbed_cartan_matrix(monkeypatch):
 
 
 def test_endo_algebra_check_raises_on_a_higher_strand_of_k(monkeypatch, capsys):
-    # one extra strand in Hom(k(0), k(0)) = Hom(E_3, E_3) at d = 4 alone:
-    # the one check also covers the exceptionality of k(0)
-    real = mfengine.strand_cohomology
+    # one extra strand in Hom(k(0), k(0)) = Hom(E_3, E_3) at d = 4 alone,
+    # injected through the kernel as one more basis element of Hom^1, inside
+    # the certified range (-1, 1): the one check also covers the
+    # exceptionality of k(0)
+    real = mfengine._one_variable_ranks
     k = standard_objects(one_variable_ring(4))[-1]
+    assert mfengine._certified_range(k, k) == (-1, 1)
 
-    def perturbed(E, F, window=None):
-        table = real(E, F, window)
-        if E == F == k:
-            entries = dict(table.entries)
-            entries[(1, 0)] = table.dim(1, 0) + 1
-            table = mfengine.StrandCohomology(entries, table.certification)
-        return table
+    def perturbed(pairs):
+        out = real(pairs)
+        for (E, F, _, _), (sizes, _) in zip(pairs, out):
+            if E == F == k:
+                sizes[1] += 1
+        return out
 
-    monkeypatch.setattr(mfengine, "strand_cohomology", perturbed)
+    monkeypatch.setattr(mfengine, "_one_variable_ranks", perturbed)
     endo_algebra_check(3)
     with pytest.raises(AssertionError, match="failed for d=4: "):
         endo_algebra_check(4)
@@ -620,18 +623,20 @@ def test_orbit_check_regrades_each_object_once(monkeypatch):
     regraded = _counting(monkeypatch, "_restrict_all")
     built = _counting(monkeypatch, "standard_objects")
     tables = _counting(monkeypatch, "strand_cohomology")
+    kernel = _counting(monkeypatch, "_one_variable_ranks")
     rep = cli.orbit_report(WeightSequence([3, 3]), 1)
     # the 4 objects E_i (x) E_j of x^3 + y^3, each regraded once, all in
     # one call and so into one ring, from one list of standard objects per
     # variable
     assert [len(objects) for objects, _ in regraded] == [4]
     assert len(built) == 2
-    # one certified table per (E factor, F factor, lift mod 3): the factors
-    # of x^3 and y^3 are equal up to the variable's name, so 2 x 2 factor
-    # pairs and the 3 residues of the lifts of Gamma = Z/3; and one windowed
-    # table per restricted pair
-    assert sum(E.ring.nvars() == 1 for E, _ in tables) == 2 * 2 * 3
-    assert len(tables) == 2 * 2 * 3 + 4 * 4
+    # one certified table per (E factor, F factor, lift mod 3), all from
+    # one kernel call: the factors of x^3 and y^3 are equal up to the
+    # variable's name, so 2 x 2 factor pairs and the 3 residues of the
+    # lifts of Gamma = Z/3; and one windowed table per restricted pair
+    assert [len(pairs) for pairs, in kernel] == [2 * 2 * 3]
+    assert len(tables) == 4 * 4
+    assert all(E.ring.nvars() == 2 for E, _ in tables)
     assert [p["pair"] for p in rep["pairs"]] == [[i, j] for i in range(4)
                                                  for j in range(4)]
     assert rep["ok"]
@@ -642,9 +647,21 @@ def _series_of(table):
     return {2 * l + eps: dim for (eps, l), dim in table.entries.items() if dim}
 
 
+def _batteries(monkeypatch):
+    """Record every `_FactorSeries` built; return the list of them."""
+    built = []
+
+    class Recording(mfengine._FactorSeries):
+        def __init__(self, triples):
+            super().__init__(triples)
+            built.append(self)
+
+    monkeypatch.setattr(mfengine, "_FactorSeries", Recording)
+    return built
+
+
 def test_factor_tables_by_value_match_unmemoized(monkeypatch):
-    unmemoized = mfengine.strand_cohomology
-    tables = _counting(monkeypatch, "strand_cohomology")
+    kernel = _counting(monkeypatch, "_one_variable_ranks")
     for a, b in ((2, 2), (3, 3), (4, 6)):
         rx, ry = one_variable_ring(a, "x"), one_variable_ring(b, "y")
         objs = [(u, v) for u in standard_objects(rx) for v in standard_objects(ry)]
@@ -655,66 +672,81 @@ def test_factor_tables_by_value_match_unmemoized(monkeypatch):
         # so some coordinates reach past one period of the potential
         lifts = {tuple(x + k * y for x, y in zip(e.coordinates, (a, -b)))
                  for e in psi.kernel for k in (-1, 0, 1)}
-        battery = mfengine._FactorSeries()
-        del tables[:]
-        residues = set()
-        for E, F in itertools.product(objs, repeat=2):
-            for w in lifts:
-                for Ek, Fk, wk, m in zip(E, F, w, (a, b)):
-                    twisted = Fk.twist(wk * Fk.ring.spec.generator_degrees[0])
-                    assert (mfengine._product_series(battery, (Ek,), (Fk,), (wk,))
-                            == _series_of(unmemoized(Ek, twisted))), (a, b, w)
-                    residues.add((Ek, Fk, wk % m))
-        # one elimination per (E factor, F factor, residue), whatever the
-        # period shift of the lift
-        assert len(tables) == len(residues)
+        triples = [(Ek, Fk, wk, m) for E, F in itertools.product(objs, repeat=2)
+                   for w in lifts for Ek, Fk, wk, m in zip(E, F, w, (a, b))]
+        del kernel[:]
+        battery = mfengine._FactorSeries(t[:3] for t in triples)
+        # one entry per (E factor, F factor, residue), whatever the period
+        # shift of the lift, all from one kernel call
+        assert set(battery) == {(Ek, Fk, wk % m) for Ek, Fk, wk, m in triples}
+        assert [len(pairs) for pairs, in kernel] == [len(battery)]
+        for Ek, Fk, wk, _ in triples:
+            twisted = Fk.twist(wk * Fk.ring.spec.generator_degrees[0])
+            assert (mfengine._product_series(battery, (Ek,), (Fk,), (wk,))
+                    == _series_of(strand_cohomology(Ek, twisted))), (a, b, wk)
 
 
 def test_factors_of_x_and_y_are_one_value(monkeypatch):
     # E_i over x^m and over y^m differ only in the variable's name: they are
     # equal, hash equal, and one battery enumerates their table once
-    tables = _counting(monkeypatch, "strand_cohomology")
+    kernel = _counting(monkeypatch, "_one_variable_ranks")
     for m in (2, 4):
         xs = standard_objects(one_variable_ring(m, "x"))
         ys = standard_objects(one_variable_ring(m, "y"))
         for i, (Ex, Ey) in enumerate(zip(xs, ys)):
             assert Ex == Ey and hash(Ex) == hash(Ey)
             assert all(Ex != other for other in ys[:i] + ys[i + 1:])
-        battery = mfengine._FactorSeries()
-        del tables[:]
+        del kernel[:]
+        battery = mfengine._FactorSeries(
+            [(xs[-1], xs[0], 1)] + [(ys[-1], ys[0], 1 + k * m) for k in (-1, 0, 1)])
+        assert list(battery) == [(xs[-1], xs[0], 1)]
+        assert [len(pairs) for pairs, in kernel] == [1]
         # w and w + k m read the one entry of residue w mod m, moved by -2k
         base = mfengine._product_series(battery, (xs[-1],), (xs[0],), (1,))
         assert base
         for k in (-1, 0, 1):
             assert (mfengine._product_series(battery, (ys[-1],), (ys[0],), (1 + k * m,))
                     == {n - 2 * k: dim for n, dim in base.items()})
-        assert len(tables) == len(battery) == 1
 
 
 def test_one_table_per_distinct_factor_key_per_battery(monkeypatch):
+    batteries = _batteries(monkeypatch)
+    kernel = _counting(monkeypatch, "_one_variable_ranks")
     calls = _counting(monkeypatch, "strand_cohomology")
+
+    def counts():
+        """Keys per battery, pairs per kernel call and the kernel's distinct
+        pairs, then forget them."""
+        out = ([len(b) for b in batteries], [len(pairs) for pairs, in kernel],
+               [len(set(pairs)) for pairs, in kernel])
+        del batteries[:], kernel[:]
+        return out
+
     # the (3,3) orbit battery: 12 certified factor tables, each (E, F, r)
-    # once, and one windowed table per restricted pair
+    # once, from one kernel call, and one windowed table per restricted pair
     factors, _, psi = _orbit_battery(3, 3)
     assert all(not m for _, m in orbit_hom_check(factors, psi, window=1))
-    certified = [args for args in calls if args[0].ring.nvars() == 1]
-    assert len(certified) == len(set(certified)) == 12
-    assert len(calls) == 12 + 16
+    assert counts() == ([12], [12], [12])
+    assert len(calls) == 16 and all(E.ring.nvars() == 2 for E, _ in calls)
     # endo_algebra_check(4): its 3 x 3 pairs at r = 0
     del calls[:]
     endo_algebra_check(4)
-    assert len(calls) == len(set(calls)) == 9
-    # kunneth_table: one per factor pair, a repeated pair read once, and a
-    # new table for each call
+    assert counts() == ([9], [9], [9])
+    assert calls == []
+    # kunneth_table: one key per factor pair, a repeated pair read once, and
+    # a new table for each call
     xs = standard_objects(one_variable_ring(2, "x"))
     ys = standard_objects(one_variable_ring(3, "y"))
     for Es, Fs, count in (([xs[0], ys[0]], [xs[0], ys[1]], 2),
                           ([ys[0], ys[0]], [ys[1], ys[1]], 1),
                           ([ys[0], xs[0], ys[1]], [ys[1], xs[0], ys[1]], 3)):
+        tables = []
         for _ in range(2):
-            del calls[:]
             kunneth_table(Es, Fs)
-            assert len(calls) == len(set(calls)) == count, (Es, Fs)
+            tables += batteries
+            assert counts() == ([count], [count], [count]), (Es, Fs)
+        assert tables[0] is not tables[1]
+    assert calls == []
 
 
 def test_no_factor_series_outlives_its_call(capsys):
@@ -724,7 +756,7 @@ def test_no_factor_series_outlives_its_call(capsys):
         gc.collect()
         return [o for o in gc.get_objects() if isinstance(o, mfengine._FactorSeries)]
 
-    held = mfengine._FactorSeries()
+    held = mfengine._FactorSeries([])
     assert any(o is held for o in live())
     del held
     assert cli.main(["orbit", "--weights", "3,3", "--window", "1"]) == 0
@@ -1373,10 +1405,12 @@ def test_orbit_sum_matches_kunneth_oracle():
     # (a, -b), which moves factors by whole periods
     for a, b in ((2, 2), (3, 3), (2, 5), (4, 6)):
         factors, _, psi = _orbit_battery(a, b)
-        tables = mfengine._FactorSeries()
         for k in (-1, 0, 1):
             lifts = [tuple(x + k * y for x, y in zip(g.coordinates, (a, -b)))
                      for g in psi.kernel]
+            tables = mfengine._FactorSeries(
+                (Ek, Fk, wk) for E, F in itertools.product(factors, repeat=2)
+                for w in lifts for Ek, Fk, wk in zip(E, F, w))
             for E, F in itertools.product(factors, repeat=2):
                 orbit, oracle = {}, {}
                 for w in lifts:
@@ -1657,6 +1691,11 @@ def _per_strand_ranks(E, F, n_lo, n_hi):
     return {n: len(bases[n]) for n in ranks}, ranks
 
 
+def _per_strand_battery(pairs):
+    """`_one_variable_ranks` by the per-strand route, pair by pair."""
+    return [_per_strand_ranks(*pair) for pair in pairs]
+
+
 def _one_variable_cases():
     """(E, F) pairs over one variable for the per-strand oracle: standard
     objects of x^2 ... x^10 against twists by -d..d, shifted or not (a
@@ -1708,7 +1747,7 @@ def test_one_variable_ranks_match_per_strand_route():
     # the multi-variable route serves any ring, so it is checked here too
     kinds = {"fractional": 0, "zero": 0, "rank2": 0}
     for E, F in _one_variable_cases():
-        got = mfengine._one_variable_ranks(E, F, -24, 25)
+        (got,) = mfengine._one_variable_ranks([(E, F, -24, 25)])
         assert got == _per_strand_ranks(E, F, -24, 25), (E, F)
         assert got == mfengine._multi_variable_ranks(E, F, -24, 25), (E, F)
         kinds["fractional"] += _fractional(E)
@@ -1716,6 +1755,38 @@ def test_one_variable_ranks_match_per_strand_route():
         kinds["rank2"] += E.rank_pair == (2, 2)
     # the torsion ring gives tables with no basis at all
     assert all(kinds.values()), kinds
+
+
+def test_one_battery_matches_each_pair_alone():
+    # rows of different pairs are disjoint, so sharing the two eliminations
+    # changes no pair's ranks: all of `_one_variable_cases()` (torsion ring,
+    # `Fraction` coefficients, zero objects, rank-2 cones, rings of x^2 to
+    # x^10) as one battery, each pair with its own seeded strand range, in
+    # shuffled orders and as random sub-batteries, against the per-strand
+    # route and against the pair run alone
+    rng = random.Random(24)
+    jobs = []
+    for E, F in _one_variable_cases():
+        n_lo = rng.randint(-24, 3)
+        jobs.append((E, F, n_lo, rng.randint(n_lo - 1, 25)))
+    oracle = _per_strand_battery(jobs)
+    assert [mfengine._one_variable_ranks([job])[0] for job in jobs] == oracle
+    assert mfengine._one_variable_ranks(jobs) == oracle
+    for _ in range(3):
+        order = rng.sample(range(len(jobs)), len(jobs))
+        assert (mfengine._one_variable_ranks([jobs[i] for i in order])
+                == [oracle[i] for i in order])
+    for size in (2, 5, 17, 100):
+        picks = rng.sample(range(len(jobs)), size)
+        picks += picks[:1]
+        assert (mfengine._one_variable_ranks([jobs[i] for i in picks])
+                == [oracle[i] for i in picks])
+    assert mfengine._one_variable_ranks([]) == []
+    # the battery mixes ten rings (x^2 to x^10 and the torsion ring), pairs
+    # with no basis at all and pairs of positive rank
+    assert len({E.ring for E, _, _, _ in jobs}) == 10
+    assert any(not any(sizes.values()) for sizes, _ in oracle)
+    assert any(any(ranks.values()) for _, ranks in oracle)
 
 
 def _product_cases():
@@ -1827,7 +1898,7 @@ def test_windowed_one_variable_tables_match_per_strand_route(monkeypatch):
     pairs = [(E, F) for E in objs for F in objs if E.ring == F.ring]
     fast = {(E, F, L): strand_cohomology(E, F, window=L)
             for E, F in pairs for L in (0, 2, 5)}
-    monkeypatch.setattr(mfengine, "_one_variable_ranks", _per_strand_ranks)
+    monkeypatch.setattr(mfengine, "_one_variable_ranks", _per_strand_battery)
     for (E, F, L), table in fast.items():
         assert table == strand_cohomology(E, F, window=L), (E, F, L)
     assert any(table.total() for table in fast.values())
@@ -1838,8 +1909,8 @@ def test_cli_output_unchanged_on_per_strand_route(monkeypatch, capsys):
     fast = []
     for argv in argvs:
         fast.append((cli.main(argv), capsys.readouterr().out))
-    for route in ("_one_variable_ranks", "_multi_variable_ranks"):
-        monkeypatch.setattr(mfengine, route, _per_strand_ranks)
+    monkeypatch.setattr(mfengine, "_one_variable_ranks", _per_strand_battery)
+    monkeypatch.setattr(mfengine, "_multi_variable_ranks", _per_strand_ranks)
     for argv, (code, out) in zip(argvs, fast):
         assert code == 0 and out
         assert cli.main(argv) == code
@@ -1848,23 +1919,45 @@ def test_cli_output_unchanged_on_per_strand_route(monkeypatch, capsys):
 
 def test_invariant_checks_survive_optimize_flag(run_optimized):
     # an elimination that finds no independent column leaves every strand
-    # its whole basis, one that keeps every column over-counts the ranks
+    # its whole basis, one that keeps every column over-counts the ranks;
+    # a single table, the battery of `endo_algebra_check` and that of
+    # `kunneth_table` refuse both, and `mf` exits 3
     proc = run_optimized("""
-        from singlab import mfengine
+        from singlab import cli, mfengine
         E, F = mfengine.standard_objects(mfengine.one_variable_ring(4))[0:2]
+        x = mfengine.standard_objects(mfengine.one_variable_ring(2, "x"))[0]
+        checks = (lambda: mfengine.strand_cohomology(E, F),
+                  lambda: mfengine.endo_algebra_check(4),
+                  lambda: mfengine.kunneth_table([E, x], [F, x]))
         for broken in (lambda A: [], lambda A: list(range(len(A)))):
             mfengine.linalg.independent_rows = broken
-            try:
-                mfengine.strand_cohomology(E, F)
-            except AssertionError as exc:
-                print(exc)
-            else:
-                sys.exit(5)
+            for check in checks:
+                try:
+                    check()
+                except AssertionError as exc:
+                    print(exc)
+                else:
+                    sys.exit(5)
+            print(cli.main(["mf", "--max-d", "4"]))
     """)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.splitlines() == [
-        "nonzero strand at the certified boundary",
-        "negative strand dimension at n=1"]
+    boundary = "nonzero strand at the certified boundary"
+    negative = "negative strand dimension at n=1"
+    assert proc.stdout.splitlines() == [boundary] * 3 + ["3"] + [negative] * 3 + ["3"]
+    assert proc.stderr.splitlines() == [f"internal invariant breach: {boundary}",
+                                        f"internal invariant breach: {negative}"]
+
+
+def test_mf_eliminates_twice_per_d(monkeypatch, capsys):
+    # each d's battery of (d - 1)^2 tables shares one elimination per
+    # parity: `mf --max-d 9` runs 16, for d = 2..9, not two per table
+    calls = []
+    real = linalg.independent_rows
+    monkeypatch.setattr(linalg, "independent_rows",
+                        lambda A: calls.append(len(A)) or real(A))
+    assert cli.main(["mf", "--max-d", "9"]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["ok"]
+    assert len(calls) == 16
 
 
 def test_degree_checks_survive_optimize_flag(run_optimized):

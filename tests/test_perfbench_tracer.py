@@ -44,7 +44,7 @@ def test_tracer_counts_strand_layer_and_restores_everything(capsys):
         assert mfengine.strand_cohomology is not before[("singlab.mfengine",
                                                           "strand_cohomology")]
         with tracer.job_span(0):
-            assert cli.main(["mf", "--max-d", "3"]) == 0
+            assert cli.main(["orbit", "--weights", "2,2", "--window", "0"]) == 0
     finally:
         tracer.uninstall()
     assert '"ok": true' in capsys.readouterr().out
